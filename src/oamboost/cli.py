@@ -31,12 +31,14 @@ from .relativity import GAMMA_MAX, frame_from_gamma
 from .simulate import (
     SUBTRACT_MODES,
     NoiseModel,
+    check_stream_keys,
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
     read_count_spectrum,
     sidecar_path,
     simulate_counts,
+    simulate_runs,
 )
 from .spectrum import (
     OamWindow,
@@ -323,15 +325,16 @@ def cmd_hologram(opts) -> int:
     return EXIT_OK
 
 
-def _noise_model(opts) -> NoiseModel:
+def _library_check(check, *args):
+    """Call a library validator, reporting its ValueError as a usage error."""
     try:
-        return NoiseModel(
-            pair_rate=opts["pair_rate"],
-            accidental_rate=opts["accidental_rate"],
-            integration=opts["integration"],
-        )
+        return check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _noise_model(opts) -> NoiseModel:
+    return _library_check(NoiseModel, opts["pair_rate"], opts["accidental_rate"], opts["integration"])
 
 
 def cmd_simulate(opts) -> int:
@@ -342,12 +345,9 @@ def cmd_simulate(opts) -> int:
         half_width_a = half_width
     half_width_a = _check_int_min(half_width_a, "--half-width-a", 0)
     model = _noise_model(opts)
-    counts = simulate_counts(
-        gamma,
-        (OamWindow.symmetric(half_width_a), OamWindow.symmetric(half_width)),
-        model,
-        opts["seed"],
-    )
+    windows = (OamWindow.symmetric(half_width_a), OamWindow.symmetric(half_width))
+    _library_check(check_stream_keys, windows, (opts["seed"],))
+    counts = simulate_counts(gamma, windows, model, opts["seed"])
     out = Path(opts["out"])
     name = f"counts_g{gamma:g}_seed{opts['seed']}"
     csv_file = out / f"{name}.csv"
@@ -404,21 +404,22 @@ def cmd_experiment(opts) -> int:
         )
     model = None if opts["noiseless"] else _noise_model(opts)
     bounds = (opts["gamma_min"], opts["gamma_max"])
-    window_b = OamWindow.symmetric(half_width)
-    window_a = OamWindow(0, 0)
+    windows = (OamWindow(0, 0), OamWindow.symmetric(half_width))
+    seeds = range(opts["seed"], opts["seed"] + runs)
+    if model is not None:
+        _library_check(check_stream_keys, windows, (seeds[0], seeds[-1]))
 
     batch = []
     summary_rows = []
     for gamma in gammas:
         per_method = {METHOD_M_SUM: [], METHOD_LEAST_SQUARES: []}
         omegas = []
-        for run in range(runs):
-            seed = opts["seed"] + run
+        all_counts = None if model is None else simulate_runs(gamma, windows, model, seeds)
+        for run, seed in enumerate(seeds):
             if model is None:
-                cond = conditional_slice(0, window_b, gamma)
+                cond = conditional_slice(0, windows[1], gamma)
             else:
-                counts = simulate_counts(gamma, (window_a, window_b), model, seed)
-                cond = counts_conditional(counts, 0, None if subtract == "none" else subtract)
+                cond = counts_conditional(all_counts[run], 0, None if subtract == "none" else subtract)
             omegas.append(mode_count_empirical(cond))
             for result in _run_estimators(cond, "both", bounds):
                 per_method[result.method].append(result)

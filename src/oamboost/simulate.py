@@ -4,6 +4,24 @@ Stands in for the bench: every (l_a, l_b) cell draws one Poisson count
 whose mean is the peak-normalised conditional probability scaled by the
 pair rate, plus a flat accidental level.  Randomness is counter-based
 and keyed per cell, so results do not depend on evaluation order.
+
+RNG stream contract (a change to any point changes seeded counts):
+
+- Cell (l_a, l_b) of the run with seed `seed` owns one Philox4x64-10
+  stream.  Its key words are (seed, (l_a + 2**31) << 32 | (l_b + 2**31)),
+  i.e. the 128-bit key seed + 2**64 * ((l_a + 2**31) * 2**32 + l_b + 2**31).
+  Seeds lie in [0, 2**64) and indices in [-2**31, 2**31), so no two
+  cells share a key.
+- The counter starts at 1 and runs (1, 0, 0, 0), (2, 0, 0, 0), ...;
+  each block yields four 64-bit words, used in order.  A word u becomes
+  the uniform (u >> 11) * 2**-53.
+- The count is numpy's Poisson algorithm on that stream: lam = 0 gives
+  0 and draws nothing; 0 < lam < 10 uses the multiplication method;
+  lam >= 10 uses PTRS (Hoermann 1993) with numpy's random_loggam.
+
+The counts therefore equal np.random.Generator(np.random.Philox(key))
+.poisson(lam) cell by cell; the tests keep that per-cell loop as the
+reference for the vectorised kernel below.
 """
 
 from __future__ import annotations
@@ -22,6 +40,52 @@ SUBTRACT_MODES = ("accidental", "minimum", "both")
 
 _U64 = (1 << 64) - 1
 _I32_OFFSET = 1 << 31
+
+# Largest Poisson mean numpy's Generator accepts.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+# Cells in flight in the kernel; bounds its working arrays (a few hundred
+# bytes a cell) whatever the windows and number of seeds.
+_CELLS_IN_FLIGHT = 4096
+# State of a cell in flight: its place in the output, Philox key, mean,
+# next block, and the running count and product of the multiplication method.
+_IN_FLIGHT = np.dtype(
+    [
+        ("cell", np.int64),
+        ("key0", np.uint64),
+        ("key1", np.uint64),
+        ("lam", np.float64),
+        ("block", np.uint64),
+        ("count", np.int64),
+        ("prod", np.float64),
+    ]
+)
+# Relative margin inside which a vectorised log/exp comparison is redrawn
+# with numpy's scalar generator; SIMD log/exp differ from libm by a few ulp.
+_LOG_TOL = 1e-12
+
+_LO32 = np.uint64(0xFFFFFFFF)
+_S11 = np.uint64(11)
+_S32 = np.uint64(32)
+_TWO_M53 = 1.0 / 9007199254740992.0
+# Philox4x64 multipliers (whole, low and high 32 bits) and Weyl key increments.
+_PHILOX_M0 = tuple(np.uint64(v) for v in (0xD2E7470EE14C6C93, 0xE14C6C93, 0xD2E7470E))
+_PHILOX_M1 = tuple(np.uint64(v) for v in (0xCA5A826395121157, 0x95121157, 0xCA5A8263))
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+# Stirling-series coefficients and 0.5*log(2*pi) of numpy's random_loggam.
+_HALF_LOG_2PI = 0.5 * 1.8378770664093453
+_LOGGAM_A = (
+    8.333333333333333e-02,
+    -2.777777777777778e-03,
+    7.936507936507937e-04,
+    -5.952380952380952e-04,
+    8.417508417508418e-04,
+    -1.917526917526918e-03,
+    6.410256410256410e-03,
+    -2.955065359477124e-02,
+    1.796443723688307e-01,
+    -1.39243221690590e00,
+)
 
 
 @dataclass(frozen=True)
@@ -76,10 +140,216 @@ class CountSpectrum:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _cell_key(seed: int, l_a: int, l_b: int) -> int:
-    # One 128-bit Philox key per (seed, l_a, l_b) cell.
-    cell = ((int(l_a) + _I32_OFFSET) << 32) | (int(l_b) + _I32_OFFSET)
-    return (cell << 64) | (int(seed) & _U64)
+def check_stream_keys(windows, seeds) -> None:
+    """Raise ValueError unless every cell of windows x seeds has its own Philox key.
+
+    Seeds must lie in [0, 2**64) and window indices in [-2**31, 2**31);
+    outside those ranges two cells would share a key or the key would
+    overflow its 128 bits.
+    """
+    for seed in seeds:
+        if not 0 <= int(seed) <= _U64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {int(seed)}")
+    for name, window in zip(("l_a", "l_b"), windows):
+        if window.l_min < -_I32_OFFSET or window.l_max >= _I32_OFFSET:
+            raise ValueError(
+                f"{name} window [{window.l_min}, {window.l_max}] must lie in [-2**31, 2**31)"
+            )
+
+
+def _mulhilo(m, m_lo, m_hi, x):
+    """High and low 64-bit words of the 128-bit product m * x, m = m_hi * 2**32 + m_lo."""
+    x_lo = x & _LO32
+    x_hi = x >> _S32
+    t = m_hi * x_lo
+    t += (m_lo * x_lo) >> _S32
+    w = m_lo * x_hi
+    w += t & _LO32
+    t >>= _S32
+    w >>= _S32
+    hi = m_hi * x_hi
+    hi += t
+    hi += w
+    return hi, m * x
+
+
+def _philox_doubles(key0, key1, block) -> np.ndarray:
+    """numpy's next_double for the four words of each cell's Philox4x64-10 block.
+
+    Cell i uses key (key0[i], key1[i]) and counter (block[i], 0, 0, 0).
+    """
+    c0 = block.astype(np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = key0, key1
+    for rnd in range(10):
+        if rnd:
+            k0 = k0 + _PHILOX_W0
+            k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(*_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(*_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=1)
+    words >>= _S11
+    doubles = words.astype(np.float64)
+    doubles *= _TWO_M53
+    return doubles
+
+
+def _loggam(x: np.ndarray) -> np.ndarray:
+    """numpy's random_loggam for integer-valued x >= 1."""
+    x0 = np.maximum(x, 7.0)
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = np.full_like(x0, _LOGGAM_A[9])
+    for coeff in _LOGGAM_A[8::-1]:
+        gl0 *= x2
+        gl0 += coeff
+    gl = gl0 / x0 + _HALF_LOG_2PI + (x0 - 0.5) * np.log(x0) - x0
+    for m in range(6, 2, -1):
+        gl[x <= m] -= math.log(m)
+    gl[x <= 2.0] = 0.0
+    return gl
+
+
+def _mult_block(u, cells):
+    """One block (four uniforms u) of numpy's multiplication method, for 0 < lam < 10.
+
+    Advances the cells' running count and product in place and returns
+    (done, near): near marks a finished cell whose stopping test fell
+    within _LOG_TOL of exp(-lam).
+    """
+    enlam = np.exp(-cells["lam"])[:, None]
+    u[:, 0] *= cells["prod"]
+    # running products in draw order, so each rounds exactly as numpy's loop does
+    np.multiply.accumulate(u, axis=1, out=u)
+    gap = u - enlam
+    near = np.abs(gap, out=gap) <= _LOG_TOL * enlam
+    decided = (u <= enlam) | near
+    done = decided.any(axis=1)
+    first = decided.argmax(axis=1)
+    cells["count"] += np.where(done, first, 4)
+    cells["prod"] = u[:, 3]
+    return done, done & near[np.arange(len(cells)), first]
+
+
+def _ptrs_block(d, cells):
+    """Two (U, V) trials from one block d of numpy's PTRS (Hoermann 1993), for lam >= 10.
+
+    Stores an accepted k as the cells' count and returns (done, near):
+    near marks a finished cell whose log-acceptance test fell within
+    _LOG_TOL of its scale.
+    """
+    lam = cells["lam"][:, None]
+    loglam = np.log(lam)
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    loginvalpha = np.log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2)
+    U = d[:, 0::2] - 0.5
+    V = d[:, 1::2]
+    us = 0.5 - np.abs(U)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # us == 0 gives k = -inf: rejected, as numpy rejects its negative int cast
+        k = np.floor((2 * a / us + b) * U + lam + 0.43)
+    accept = (us >= 0.07) & (V <= vr)
+    test = ~accept & (k >= 0) & ((us >= 0.013) | (V <= us))
+    near = np.zeros_like(accept)
+    if test.any():
+        rows, cols = np.nonzero(test)
+        kt, ust, lam_t, loglam_t = k[rows, cols], us[rows, cols], lam[rows, 0], loglam[rows, 0]
+        with np.errstate(divide="ignore"):
+            lhs = np.log(V[rows, cols]) + loginvalpha[rows, 0] - np.log(a[rows, 0] / (ust * ust) + b[rows, 0])
+        rhs = -lam_t + kt * loglam_t - _loggam(kt + 1)
+        scale = lam_t + kt * np.abs(loglam_t) + (kt + 8) * np.log(kt + 8) + 100.0
+        accept[rows, cols] = lhs <= rhs
+        near[rows, cols] = np.abs(lhs - rhs) <= _LOG_TOL * scale
+    decided = accept | near
+    done = decided.any(axis=1)
+    pick = np.arange(len(cells)), decided.argmax(axis=1)
+    cells["count"] = np.where(done, k[pick], 0.0)
+    return done, done & near[pick]
+
+
+def _draw_poisson(n_cells: int, cells) -> np.ndarray:
+    """One Poisson count for each of n_cells cells, each from its own Philox4x64-10 stream.
+
+    cells(start, stop) returns the key0, key1 and lam arrays of cells
+    start..stop-1.  Cell i's count equals
+    np.random.Generator(np.random.Philox(key1[i] * 2**64 + key0[i])).poisson(lam[i]).
+
+    At most _CELLS_IN_FLIGHT cells are in flight.  Each pass draws the next
+    Philox block of every cell in flight, at that cell's own stream
+    position; finished cells leave and fresh ones take their places.
+    np.log/np.exp may differ from the C library's by a few ulp, so a cell
+    whose accept/stop test lies that close to its threshold is redrawn
+    with numpy's own generator.
+    """
+    counts = np.zeros(n_cells, dtype=np.int64)
+    flight = np.empty(0, dtype=_IN_FLIGHT)
+    redraw = [np.empty(0, dtype=np.int64)]
+    start = 0
+    while start < n_cells or flight.size:
+        if flight.size < _CELLS_IN_FLIGHT and start < n_cells:
+            stop = min(start + _CELLS_IN_FLIGHT - flight.size, n_cells)
+            fresh = np.zeros(stop - start, dtype=_IN_FLIGHT)
+            fresh["cell"] = np.arange(start, stop)
+            fresh["key0"], fresh["key1"], fresh["lam"] = cells(start, stop)
+            fresh["block"] = 1
+            fresh["prod"] = 1.0
+            lam = fresh["lam"]
+            # PTRS cells stay ahead of multiplication-method cells, so each
+            # regime is a slice; lam = 0 draws nothing and stays 0
+            flight = np.concatenate((fresh[lam >= 10.0], flight, fresh[(lam > 0.0) & (lam < 10.0)]))
+            start = stop
+        d = _philox_doubles(flight["key0"], flight["key1"], flight["block"])
+        done = np.empty(flight.size, dtype=bool)
+        near = np.empty(flight.size, dtype=bool)
+        split = np.count_nonzero(flight["lam"] >= 10.0)
+        for part, step in ((slice(0, split), _ptrs_block), (slice(split, None), _mult_block)):
+            done[part], near[part] = step(d[part], flight[part])
+        counts[flight["cell"][done]] = flight["count"][done]
+        redraw.append(flight["cell"][near])
+        flight = flight[~done]
+        flight["block"] += 1
+    for c in np.concatenate(redraw):
+        key0, key1, lam = (v[0] for v in cells(c, c + 1))
+        counts[c] = np.random.Generator(np.random.Philox(key=(int(key1) << 64) | int(key0))).poisson(lam)
+    return counts
+
+
+def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[CountSpectrum]:
+    """simulate_counts for each seed in seeds, all drawn in one pass.
+
+    The mean matrix is computed once and the cells of every seed go
+    through one kernel call, whose working memory does not grow with the
+    windows or the number of seeds.
+    """
+    gamma = require_gamma(gamma)
+    seeds = [int(seed) for seed in seeds]
+    check_stream_keys(windows, seeds)
+    window_a, window_b = windows
+    scale = model.pair_rate * model.integration
+    offset = model.accidental_rate * model.integration
+    mu = np.empty((len(window_a), len(window_b)))
+    for i, l_a in enumerate(window_a.indices()):
+        mu[i] = scale * conditional_slice(int(l_a), window_b, gamma).values + offset
+    if not mu.max() <= _POISSON_LAM_MAX:
+        raise ValueError("lam value too large")
+    mu = mu.ravel()
+    la = (window_a.indices() + _I32_OFFSET).astype(np.uint64) << _S32
+    lb = (window_b.indices() + _I32_OFFSET).astype(np.uint64)
+    seed_keys = np.array(seeds, dtype=np.uint64)
+
+    def cells(start, stop):
+        run, cell = np.divmod(np.arange(start, stop), mu.size)
+        row, col = np.divmod(cell, len(window_b))
+        return seed_keys[run], la[row] | lb[col], mu[cell]
+
+    counts = _draw_poisson(len(seeds) * mu.size, cells)
+    counts = counts.reshape(len(seeds), len(window_a), len(window_b))
+    return [
+        CountSpectrum(window_a=window_a, window_b=window_b, counts=c, seed=seed, model=model, gamma_encoded=gamma)
+        for seed, c in zip(seeds, counts)
+    ]
 
 
 def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> CountSpectrum:
@@ -89,20 +359,7 @@ def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> Coun
     with the conditional spectrum peak-normalised to 1.  Identical
     (gamma, windows, model, seed) reproduce identical counts.
     """
-    gamma = require_gamma(gamma)
-    window_a, window_b = windows
-    scale = model.pair_rate * model.integration
-    offset = model.accidental_rate * model.integration
-    counts = np.empty((len(window_a), len(window_b)), dtype=np.int64)
-    lbs = window_b.indices()
-    for i, l_a in enumerate(window_a.indices()):
-        mu = scale * conditional_slice(int(l_a), window_b, gamma).values + offset
-        for j, l_b in enumerate(lbs):
-            rng = np.random.Generator(np.random.Philox(key=_cell_key(seed, int(l_a), int(l_b))))
-            counts[i, j] = rng.poisson(mu[j])
-    return CountSpectrum(
-        window_a=window_a, window_b=window_b, counts=counts, seed=int(seed), model=model, gamma_encoded=gamma
-    )
+    return simulate_runs(gamma, windows, model, (seed,))[0]
 
 
 def subtract_background(counts: CountSpectrum, mode: str) -> np.ndarray:
@@ -162,19 +419,44 @@ def sidecar_path(csv_path) -> Path:
 
 
 def read_count_spectrum(csv_path) -> CountSpectrum:
-    """Rebuild a CountSpectrum from a counts CSV and its JSON sidecar."""
+    """Rebuild a CountSpectrum from a counts CSV and its JSON sidecar.
+
+    The CSV must hold exactly one row per cell of the sidecar's windows;
+    a malformed, duplicate, out-of-window or missing row raises ValueError
+    naming the first such row.
+    """
     csv_path = Path(csv_path)
     meta = json.loads(sidecar_path(csv_path).read_text(encoding="utf-8"))
     window_a = OamWindow(*meta["windows"]["a"])
     window_b = OamWindow(*meta["windows"]["b"])
     model = NoiseModel(**meta["model"])
     counts = np.zeros((len(window_a), len(window_b)), dtype=np.int64)
+    seen = np.zeros(counts.shape, dtype=bool)
     lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
     if lines[0] != "l_a,l_b,count":
         raise ValueError(f"{csv_path}: expected header 'l_a,l_b,count', got {lines[0]!r}")
-    for line in lines[1:]:
-        la, lb, count = line.split(",")
-        counts[window_a.index_of(int(la)), window_b.index_of(int(lb))] = int(count)
+    rows, cols = counts.shape
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            la, lb, count = map(int, line.split(","))
+        except ValueError:
+            raise ValueError(f"{csv_path}:{lineno}: expected 'l_a,l_b,count' integers, got {line!r}") from None
+        i, j = la - window_a.l_min, lb - window_b.l_min
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(
+                f"{csv_path}:{lineno}: cell ({la}, {lb}) lies outside the windows "
+                f"{meta['windows']['a']} x {meta['windows']['b']}"
+            )
+        if seen[i, j]:
+            raise ValueError(f"{csv_path}:{lineno}: second row for cell ({la}, {lb})")
+        seen[i, j] = True
+        counts[i, j] = count
+    if not seen.all():
+        i, j = np.argwhere(~seen)[0]
+        raise ValueError(
+            f"{csv_path}: no row for cell ({window_a.l_min + i}, {window_b.l_min + j}); "
+            f"expected {seen.size} rows, got {len(lines) - 1}"
+        )
     return CountSpectrum(
         window_a=window_a,
         window_b=window_b,

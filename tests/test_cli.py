@@ -168,6 +168,34 @@ class TestSimulateAndEstimateCommands:
         ) == 2
         assert "--l-a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--seed", "-1"], "seed must lie in [0, 2**64)"),
+            (["--seed", str(2**64)], "seed must lie in [0, 2**64)"),
+            (["--half-width", str(2**31), "--half-width-a", "0"], "l_b window"),
+            (["--half-width-a", str(2**31 + 5)], "l_a window"),
+        ],
+    )
+    def test_simulate_key_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
+        assert main(["simulate", "--gamma", "2", "--out", str(tmp_path)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+    def test_simulate_lam_too_large_fails_without_outputs(self, tmp_path, capsys):
+        assert main(["simulate", "--gamma", "2", "--pair-rate", "1e19", "--out", str(tmp_path)]) == 1
+        assert "lam value too large" in capsys.readouterr().err
+        assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+    def test_estimate_rejects_truncated_counts(self, tmp_path, capsys):
+        assert self.run_simulate(tmp_path) == 0
+        csv_file = tmp_path / "counts_g5_seed7.csv"
+        lines = csv_file.read_text(encoding="utf-8").splitlines()
+        csv_file.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        assert main(["estimate", "--counts", str(csv_file), "--out", str(tmp_path)]) == 1
+        assert "no row for cell (0, 15); expected 31 rows, got 30" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit_*.json"))
+
 
 class TestExperimentCommand:
     def test_noiseless_recovery(self, tmp_path):
@@ -236,6 +264,13 @@ class TestExperimentCommand:
         assert main(["experiment", "--gamma", "2,0.5", "--out", str(tmp_path)]) == 2
         assert "gamma must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_last_seed_out_of_range_exits_2(self, tmp_path, capsys):
+        args = ["experiment", "--gamma", "2", "--half-width", "5", "--seed", str(2**64 - 2)]
+        assert main(args + ["--runs", "3", "--out", str(tmp_path / "over")]) == 2
+        assert "seed must lie in [0, 2**64), got 18446744073709551616" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+        assert main(args + ["--runs", "2", "--out", str(tmp_path / "top")]) == 0
 
 
 class TestConfigFile:

@@ -1,24 +1,121 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oamboost.simulate as simulate_module
 from oamboost.estimate import estimate_gamma_msum
 from oamboost.simulate import (
     CountSpectrum,
     NoiseModel,
+    check_stream_keys,
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
     read_count_spectrum,
     sidecar_path,
     simulate_counts,
+    simulate_runs,
     subtract_background,
 )
-from oamboost.spectrum import OamWindow
+from oamboost.spectrum import OamWindow, conditional_slice
+
+U64_MAX = 2**64 - 1
 
 
 def square_windows(half_width):
     w = OamWindow.symmetric(half_width)
     return (w, w)
+
+
+def philox_key(seed, l_a, l_b):
+    """The 128-bit Philox key of cell (l_a, l_b) under seed."""
+    cell = ((l_a + 2**31) << 32) | (l_b + 2**31)
+    return (cell << 64) | seed
+
+
+def reference_counts(gamma, windows, model, seed):
+    """The per-cell generator loop: a fresh numpy Generator(Philox(key)) per cell."""
+    window_a, window_b = windows
+    scale = model.pair_rate * model.integration
+    offset = model.accidental_rate * model.integration
+    counts = np.empty((len(window_a), len(window_b)), dtype=np.int64)
+    for i, l_a in enumerate(window_a.indices()):
+        mu = scale * conditional_slice(int(l_a), window_b, gamma).values + offset
+        for j, l_b in enumerate(window_b.indices()):
+            rng = np.random.Generator(np.random.Philox(key=philox_key(seed, int(l_a), int(l_b))))
+            counts[i, j] = rng.poisson(mu[j])
+    return counts
+
+
+def fresh_draws(key0, key1, lam):
+    """numpy's Poisson draw per cell from a new Generator(Philox(key1 * 2**64 + key0))."""
+    return np.array(
+        [
+            np.random.Generator(np.random.Philox(key=(k1 << 64) | k0)).poisson(mu)
+            for k0, k1, mu in zip(key0.tolist(), key1.tolist(), lam.tolist())
+        ],
+        dtype=np.int64,
+    )
+
+
+def reset_draws(key0, key1, lam):
+    """fresh_draws at a fifth of the cost: one Philox whose state is reset per cell.
+
+    The reset state (zero counter, empty buffer) is what Philox(key=...)
+    starts from; test_reset_reference_matches_fresh_generators checks it.
+    """
+    bitgen = np.random.Philox(key=0)
+    poisson = np.random.Generator(bitgen).poisson
+    zeros = np.zeros(4, dtype=np.uint64)
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    out = np.empty(lam.size, dtype=np.int64)
+    for c, (k0, k1, mu) in enumerate(zip(key0.tolist(), key1.tolist(), lam.tolist())):
+        key[0] = k0
+        key[1] = k1
+        bitgen.state = state
+        out[c] = poisson(mu)
+    return out
+
+
+def kernel_draws(key0, key1, lam):
+    """The vectorised kernel on explicit (key0, key1, lam) arrays."""
+    return simulate_module._draw_poisson(lam.size, lambda a, b: (key0[a:b], key1[a:b], lam[a:b]))
+
+
+def mixed_cells(n, rng):
+    """n (key0, key1, lam) cells over all three Poisson regimes and their edges.
+
+    A third each: lam uniform in (0, 10) (multiplication method), lam
+    log-uniform in [10, 1e6] (PTRS), and lam uniform in [9.5, 12] around
+    the switch; then lam = 0, 1e-300, 10 - ulp, 10 and 1e6 repeated, with
+    seeds at the top of the 64-bit range among them.
+    """
+    edges = np.array([0.0, 1e-300, np.nextafter(10.0, 0.0), 10.0, 1e6])
+    n_edge = n // 10
+    lam = np.concatenate(
+        [
+            rng.uniform(0.0, 10.0, (n - n_edge) // 3),
+            10.0 ** rng.uniform(1.0, 6.0, (n - n_edge) // 3),
+            rng.uniform(9.5, 12.0, n - n_edge - 2 * ((n - n_edge) // 3)),
+            np.resize(edges, n_edge),
+        ]
+    )
+    key0 = rng.integers(0, 2**64, n, dtype=np.uint64)
+    key0[-n_edge::2] = rng.integers(2**64 - 5, 2**64, n_edge - n_edge // 2, dtype=np.uint64)
+    key1 = rng.integers(0, 2**64, n, dtype=np.uint64)
+    return key0, key1, lam
 
 
 class TestNoiseModel:
@@ -93,6 +190,106 @@ class TestSimulateCounts:
         counts = simulate_counts(2.0, square_windows(2), NoiseModel(), 0)
         with pytest.raises(ValueError):
             counts.counts[0, 0] = 1
+
+
+class TestPoissonKernel:
+    """The vectorised kernel against numpy's own per-cell Generator draws."""
+
+    def test_reset_reference_matches_fresh_generators(self):
+        key0, key1, lam = mixed_cells(10_000, np.random.default_rng(1))
+        np.testing.assert_array_equal(reset_draws(key0, key1, lam), fresh_draws(key0, key1, lam))
+
+    def test_bit_identical_on_a_million_cells(self):
+        key0, key1, lam = mixed_cells(1_000_000, np.random.default_rng(2))
+        got = kernel_draws(key0, key1, lam)
+        expected = reset_draws(key0, key1, lam)
+        mismatch = np.flatnonzero(got != expected)
+        assert mismatch.size == 0, f"{mismatch.size} cells differ, first lam {lam[mismatch[:5]]}"
+
+    def test_redraw_path_matches(self):
+        # a margin covering every comparison sends each drawn cell through
+        # numpy's scalar generator; the result must not change
+        key0, key1, lam = mixed_cells(2_000, np.random.default_rng(3))
+        with mock.patch.object(simulate_module, "_LOG_TOL", 1e300):
+            got = kernel_draws(key0, key1, lam)
+        np.testing.assert_array_equal(got, fresh_draws(key0, key1, lam))
+
+    @pytest.mark.parametrize(
+        ("gamma", "windows", "model", "seed"),
+        [
+            (5.0, square_windows(20), NoiseModel(), 42),
+            (1.0, square_windows(6), NoiseModel(pair_rate=30.0, accidental_rate=0.0), 0),
+            (20.0, (OamWindow(-3, 2), OamWindow(-60, 60)), NoiseModel(pair_rate=1e6), U64_MAX - 4),
+            (1.5, (OamWindow(-(2**31), -(2**31) + 2), OamWindow(2**31 - 3, 2**31 - 1)), NoiseModel(), 7),
+        ],
+    )
+    def test_simulate_counts_matches_per_cell_loop(self, gamma, windows, model, seed):
+        np.testing.assert_array_equal(
+            simulate_counts(gamma, windows, model, seed).counts,
+            reference_counts(gamma, windows, model, seed),
+        )
+
+    def test_simulate_runs_matches_per_seed_calls(self):
+        windows = (OamWindow(-1, 1), OamWindow.symmetric(30))
+        model = NoiseModel(pair_rate=2e3, accidental_rate=3.0)
+        seeds = [0, 5, 6, U64_MAX]
+        runs = simulate_runs(4.0, windows, model, seeds)
+        assert [r.seed for r in runs] == seeds
+        for seed, run in zip(seeds, runs):
+            one = simulate_counts(4.0, windows, model, seed)
+            np.testing.assert_array_equal(run.counts, one.counts)
+            assert (run.seed, run.model, run.gamma_encoded) == (one.seed, one.model, one.gamma_encoded)
+            assert (run.window_a, run.window_b) == windows
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        l_a=st.integers(-40, 40),
+        l_b=st.integers(-40, 40),
+        pad=st.tuples(*[st.integers(0, 6)] * 4),
+        runs=st.integers(1, 4),
+        in_flight=st.integers(1, 64),
+        seed=st.integers(0, U64_MAX - 3),
+    )
+    def test_cell_draw_independent_of_window_and_pool_size(self, l_a, l_b, pad, runs, in_flight, seed):
+        # a small pool puts the cell in flight beside cells at other stream positions
+        model = NoiseModel(pair_rate=50.0, accidental_rate=4.0)
+        alone = simulate_counts(3.0, (OamWindow(l_a, l_a), OamWindow(l_b, l_b)), model, seed).counts[0, 0]
+        windows = (OamWindow(l_a - pad[0], l_a + pad[1]), OamWindow(l_b - pad[2], l_b + pad[3]))
+        with mock.patch.object(simulate_module, "_CELLS_IN_FLIGHT", in_flight):
+            embedded = simulate_runs(3.0, windows, model, range(seed, seed + runs))
+        assert embedded[0].counts[pad[0], pad[2]] == alone
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**63)])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            (OamWindow(0, 2**31), OamWindow(0, 0)),
+            (OamWindow(0, 0), OamWindow(-(2**31) - 1, -(2**31))),
+            (OamWindow(-(2**40), -(2**40)), OamWindow(0, 0)),
+        ],
+    )
+    def test_window_index_out_of_range(self, windows):
+        with pytest.raises(ValueError, match="must lie in \\[-2\\*\\*31, 2\\*\\*31\\)"):
+            check_stream_keys(windows, (0,))
+
+    def test_range_edges_accepted(self):
+        windows = (OamWindow(-(2**31), -(2**31)), OamWindow(2**31 - 1, 2**31 - 1))
+        check_stream_keys(windows, (0, U64_MAX))
+        simulate_counts(2.0, windows, NoiseModel(), U64_MAX)
+
+    def test_lam_too_large_raises_before_drawing(self):
+        model = NoiseModel(pair_rate=1e19)
+        assert model.pair_rate > simulate_module._POISSON_LAM_MAX
+        with mock.patch.object(simulate_module, "_draw_poisson") as draw:
+            with pytest.raises(ValueError, match="lam value too large"):
+                simulate_counts(2.0, square_windows(3), model, 0)
+        draw.assert_not_called()
 
 
 class TestSubtractBackground:
@@ -184,3 +381,35 @@ class TestSerialization:
         assert back.seed == counts.seed
         assert back.window_a == counts.window_a
         assert back.window_b == counts.window_b
+
+    SMALL = (3.0, (OamWindow(0, 1), OamWindow(-1, 1)), NoiseModel(pair_rate=50.0), 2)
+
+    def write_counts(self, tmp_path, rows):
+        """Counts CSV of SMALL with the given data rows: an int picks that row of the real CSV."""
+        counts = simulate_counts(*self.SMALL)
+        lines = count_spectrum_to_csv(counts).splitlines()
+        csv_file = tmp_path / "counts.csv"
+        body = [lines[1:][r] if isinstance(r, int) else r for r in rows]
+        csv_file.write_text("\n".join([lines[0]] + body) + "\n", encoding="utf-8")
+        sidecar_path(csv_file).write_text(json.dumps(count_spectrum_sidecar(counts)), encoding="utf-8")
+        return csv_file
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ([0, 1, 2, 3, 4], r"no row for cell \(1, 1\); expected 6 rows, got 5"),
+            ([0, 1, 2, 3, 4, 5, 5], r":8: second row for cell \(1, 1\)"),
+            ([0, 1, 2, 2, 4, 5], r":5: second row for cell \(0, 1\)"),
+            ([0, 1, 2, 3, 4, 5, "2,0,7"], r":8: cell \(2, 0\) lies outside the windows"),
+            ([0, "0,-2,1", 2, 3, 4, 5], r":3: cell \(0, -2\) lies outside the windows"),
+            ([0, 1, "0,1", 3, 4, 5], r":4: expected 'l_a,l_b,count' integers"),
+            ([0, 1, 2, "1,-1,x", 4, 5], r":5: expected 'l_a,l_b,count' integers"),
+        ],
+    )
+    def test_rejects_bad_rows(self, tmp_path, rows, message):
+        with pytest.raises(ValueError, match=message):
+            read_count_spectrum(self.write_counts(tmp_path, rows))
+
+    def test_row_order_free(self, tmp_path):
+        back = read_count_spectrum(self.write_counts(tmp_path, [5, 3, 1, 0, 2, 4]))
+        np.testing.assert_array_equal(back.counts, simulate_counts(*self.SMALL).counts)
