@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import format_table
 from .estimate import (
     DEFAULT_GAMMA_BOUNDS,
     METHOD_LEAST_SQUARES,
@@ -269,10 +270,7 @@ def cmd_spectrum(opts) -> int:
                 }
             ),
         )
-        cond_lines = ["l_b,value"] + [
-            f"{lb},{value:.17g}" for lb, value in zip(window.indices(), cond.values)
-        ]
-        _emit(out / f"conditional_{tag}_la0.csv", "\n".join(cond_lines) + "\n")
+        _emit(out / f"conditional_{tag}_la0.csv", format_table("l_b,value", window.indices(), cond.values))
         _emit(
             out / f"conditional_{tag}_la0.meta.json",
             _json_text({"gamma": gamma, "l_a": 0, "window": [window.l_min, window.l_max]}),
@@ -298,15 +296,16 @@ def cmd_sweep(opts) -> int:
     if not gammas:
         raise UsageError("--gamma must list at least one value")
     gammas = [_check_gamma_flag(g) for g in gammas]
-    lines = ["gamma,omega_closed,m,eta,beta"]
-    for gamma in gammas:
-        frame = frame_from_gamma(gamma)
-        lines.append(
-            f"{gamma:.17g},{mode_count_closed(gamma):.17g},{measurement_sum(gamma):.17g},"
-            f"{frame.rapidity:.17g},{frame.beta:.17g}"
-        )
+    frames = [frame_from_gamma(gamma) for gamma in gammas]
+    columns = (
+        gammas,
+        [mode_count_closed(gamma) for gamma in gammas],
+        [measurement_sum(gamma) for gamma in gammas],
+        [frame.rapidity for frame in frames],
+        [frame.beta for frame in frames],
+    )
     out = Path(opts["out"])
-    _emit(out / "sweep.csv", "\n".join(lines) + "\n")
+    _emit(out / "sweep.csv", format_table("gamma,omega_closed,m,eta,beta", *columns))
     _emit(out / "sweep.meta.json", _json_text({"gamma": gammas}))
     return EXIT_OK
 

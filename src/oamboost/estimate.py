@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import format_table
 from .spectrum import ConditionalSlice, OamWindow
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -161,9 +162,8 @@ def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA
 
 def batch_csv(records) -> str:
     """CSV of (seed, gamma_encoded, FitResult) batch estimation records."""
-    lines = ["seed,gamma_encoded,gamma_meas,method,residual"]
-    for seed, gamma_encoded, result in records:
-        lines.append(
-            f"{seed},{gamma_encoded:.17g},{result.gamma_meas:.17g},{result.method},{result.residual:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(seed, float(gamma), r.gamma_meas, r.method, r.residual) for seed, gamma, r in records]
+    seeds, *columns = zip(*rows) if rows else [()] * 5
+    # numpy would make float64 of seeds on both sides of 2**63, so they stay Python ints.
+    seeds = np.array(seeds, dtype=object)
+    return format_table("seed,gamma_encoded,gamma_meas,method,residual", seeds, *columns)

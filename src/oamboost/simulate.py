@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import format_table, parse_int_rows
 from .relativity import require_gamma
 from .spectrum import ConditionalSlice, OamWindow, conditional_slice, extract_conditional
 
@@ -387,13 +388,8 @@ def counts_conditional(counts: CountSpectrum, l_a: int, mode: str | None = None)
 
 def count_spectrum_to_csv(counts: CountSpectrum) -> str:
     """CSV serialisation with header l_a,l_b,count."""
-    lines = ["l_a,l_b,count"]
-    las = counts.window_a.indices()
-    lbs = counts.window_b.indices()
-    for i, la in enumerate(las):
-        for j, lb in enumerate(lbs):
-            lines.append(f"{la},{lb},{counts.counts[i, j]}")
-    return "\n".join(lines) + "\n"
+    grid = np.ix_(counts.window_a.indices(), counts.window_b.indices())
+    return format_table("l_a,l_b,count", *np.broadcast_arrays(*grid, counts.counts))
 
 
 def count_spectrum_sidecar(counts: CountSpectrum) -> dict:
@@ -422,46 +418,54 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
     """Rebuild a CountSpectrum from a counts CSV and its JSON sidecar.
 
     The CSV must hold exactly one row per cell of the sidecar's windows;
-    a malformed, duplicate, out-of-window or missing row raises ValueError
-    naming the first such row.
+    a malformed, out-of-window, duplicate, negative or missing row raises
+    ValueError naming the first such row.
     """
     csv_path = Path(csv_path)
-    meta = json.loads(sidecar_path(csv_path).read_text(encoding="utf-8"))
-    window_a = OamWindow(*meta["windows"]["a"])
-    window_b = OamWindow(*meta["windows"]["b"])
-    model = NoiseModel(**meta["model"])
-    counts = np.zeros((len(window_a), len(window_b)), dtype=np.int64)
-    seen = np.zeros(counts.shape, dtype=bool)
-    lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
-    if lines[0] != "l_a,l_b,count":
-        raise ValueError(f"{csv_path}: expected header 'l_a,l_b,count', got {lines[0]!r}")
-    rows, cols = counts.shape
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            la, lb, count = map(int, line.split(","))
-        except ValueError:
-            raise ValueError(f"{csv_path}:{lineno}: expected 'l_a,l_b,count' integers, got {line!r}") from None
-        i, j = la - window_a.l_min, lb - window_b.l_min
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(
-                f"{csv_path}:{lineno}: cell ({la}, {lb}) lies outside the windows "
-                f"{meta['windows']['a']} x {meta['windows']['b']}"
-            )
-        if seen[i, j]:
-            raise ValueError(f"{csv_path}:{lineno}: second row for cell ({la}, {lb})")
-        seen[i, j] = True
-        counts[i, j] = count
-    if not seen.all():
-        i, j = np.argwhere(~seen)[0]
+    meta_path = sidecar_path(csv_path)
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        window_a, window_b = (OamWindow(*meta["windows"][side]) for side in "ab")
+        model, seed, gamma = NoiseModel(**meta["model"]), int(meta["seed"]), float(meta["gamma_encoded"])
+    except OSError as exc:
+        raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: missing key {exc}") from None
+    header, _, body = csv_path.read_bytes().partition(b"\n")
+    if header != b"l_a,l_b,count":
+        raise ValueError(f"{csv_path}: expected header 'l_a,l_b,count', got {header.decode(errors='replace')!r}")
+    rows, malformed = parse_int_rows(body, 3)
+    la, lb, count = rows.T
+    size = len(window_a) * len(window_b)
+    # Each row's cell, row-major; rows outside the windows share the extra cell `size`.
+    cell, j = la - window_a.l_min, lb - window_b.l_min
+    inside = (cell >= 0) & (cell < len(window_a)) & (j >= 0) & (j < len(window_b))
+    cell *= len(window_b)
+    cell += j
+    cell[~inside] = size
+    hits = np.bincount(cell, minlength=size + 1)[:size]
+    repeat = np.zeros(len(rows), dtype=bool)
+    if hits.max(initial=0) > 1:
+        repeat[:] = True
+        repeat[np.unique(cell, return_index=True)[1]] = False
+    faults = np.flatnonzero(~inside | repeat | (count < 0))
+    if faults.size:
+        r = faults[0]
+        where = f"{csv_path}:{r + 2}: "
+        if not inside[r]:
+            windows = f"{meta['windows']['a']} x {meta['windows']['b']}"
+            raise ValueError(f"{where}cell ({la[r]}, {lb[r]}) lies outside the windows {windows}")
+        if repeat[r]:
+            raise ValueError(f"{where}second row for cell ({la[r]}, {lb[r]})")
+        raise ValueError(f"{where}count must be non-negative, got {count[r]}")
+    if malformed is not None:
+        raise ValueError(f"{csv_path}:{len(rows) + 2}: expected 'l_a,l_b,count' integers, got {malformed!r}")
+    if len(rows) < size:
+        k = int(np.argmin(hits))
         raise ValueError(
-            f"{csv_path}: no row for cell ({window_a.l_min + i}, {window_b.l_min + j}); "
-            f"expected {seen.size} rows, got {len(lines) - 1}"
+            f"{csv_path}: no row for cell ({window_a.l_min + k // len(window_b)}, "
+            f"{window_b.l_min + k % len(window_b)}); expected {size} rows, got {len(rows)}"
         )
-    return CountSpectrum(
-        window_a=window_a,
-        window_b=window_b,
-        counts=counts,
-        seed=int(meta["seed"]),
-        model=model,
-        gamma_encoded=float(meta["gamma_encoded"]),
-    )
+    counts = np.empty(size, dtype=np.int64)
+    counts[cell] = count
+    return CountSpectrum(window_a, window_b, counts.reshape(len(window_a), len(window_b)), seed, model, gamma)

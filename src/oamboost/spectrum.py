@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._table import format_table
 from .relativity import TWO_PI, require_gamma
 
 DEFAULT_HALF_WIDTH = 20
@@ -283,13 +284,8 @@ def spectrum_moments(conditional: ConditionalSlice) -> SliceMoments:
 
 def joint_spectrum_to_csv(spectrum: JointSpectrum) -> str:
     """CSV serialisation with header l_a,l_b,value and 17 significant digits."""
-    lines = ["l_a,l_b,value"]
-    las = spectrum.window_a.indices()
-    lbs = spectrum.window_b.indices()
-    for i, la in enumerate(las):
-        for j, lb in enumerate(lbs):
-            lines.append(f"{la},{lb},{spectrum.values[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
+    grid = np.ix_(spectrum.window_a.indices(), spectrum.window_b.indices())
+    return format_table("l_a,l_b,value", *np.broadcast_arrays(*grid, spectrum.values))
 
 
 def joint_spectrum_to_json_dict(spectrum: JointSpectrum) -> dict:

@@ -196,6 +196,25 @@ class TestSimulateAndEstimateCommands:
         assert "no row for cell (0, 15); expected 31 rows, got 30" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit_*.json"))
 
+    def test_estimate_rejects_empty_counts(self, tmp_path, capsys):
+        assert self.run_simulate(tmp_path) == 0
+        csv_file = tmp_path / "counts_g5_seed7.csv"
+        csv_file.write_bytes(b"")
+        assert main(["estimate", "--counts", str(csv_file), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{csv_file}: expected header 'l_a,l_b,count', got ''" in err
+        assert "list index out of range" not in err
+
+    def test_estimate_rejects_sidecar_without_model(self, tmp_path, capsys):
+        assert self.run_simulate(tmp_path) == 0
+        meta_file = tmp_path / "counts_g5_seed7.meta.json"
+        meta = json.loads(meta_file.read_text())
+        del meta["model"]
+        meta_file.write_text(json.dumps(meta))
+        assert main(["estimate", "--counts", str(tmp_path / "counts_g5_seed7.csv"), "--out", str(tmp_path)]) == 1
+        assert f"{meta_file}: missing key 'model'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit_*.json"))
+
 
 class TestExperimentCommand:
     def test_noiseless_recovery(self, tmp_path):

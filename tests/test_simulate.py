@@ -404,11 +404,44 @@ class TestSerialization:
             ([0, "0,-2,1", 2, 3, 4, 5], r":3: cell \(0, -2\) lies outside the windows"),
             ([0, 1, "0,1", 3, 4, 5], r":4: expected 'l_a,l_b,count' integers"),
             ([0, 1, 2, "1,-1,x", 4, 5], r":5: expected 'l_a,l_b,count' integers"),
+            ([0, "0,0, 7_0", 2, 3, 4, 5], r":3: expected 'l_a,l_b,count' integers, got '0,0, 7_0'"),
+            ([0, 1, "0,1,7_0", 3, 4, 5], r":4: expected 'l_a,l_b,count' integers, got '0,1,7_0'"),
+            ([0, 1, 2, "+1,-1,4", 4, 5], r":5: expected 'l_a,l_b,count' integers"),
+            ([0, 1, 2, 3, 4, "1,1,5\r"], r":7: expected 'l_a,l_b,count' integers"),
+            ([0, 1, 2, 3, "1,0,-3", 5], r":6: count must be non-negative, got -3"),
+            ([0, 0, "x", 3, 4, 5], r":3: second row for cell \(0, -1\)"),
         ],
     )
     def test_rejects_bad_rows(self, tmp_path, rows, message):
         with pytest.raises(ValueError, match=message):
             read_count_spectrum(self.write_counts(tmp_path, rows))
+
+    @pytest.mark.parametrize(
+        ("drop", "message"),
+        [
+            ("model", r"counts\.meta\.json: missing key 'model'"),
+            ("windows", r"counts\.meta\.json: missing key 'windows'"),
+            ("seed", r"counts\.meta\.json: missing key 'seed'"),
+            ("gamma_encoded", r"counts\.meta\.json: missing key 'gamma_encoded'"),
+            (None, r"counts\.meta\.json: cannot read sidecar: No such file or directory"),
+        ],
+    )
+    def test_rejects_bad_sidecar(self, tmp_path, drop, message):
+        csv_file = self.write_counts(tmp_path, [0, 1, 2, 3, 4, 5])
+        meta = json.loads(sidecar_path(csv_file).read_text(encoding="utf-8"))
+        if drop is None:
+            sidecar_path(csv_file).unlink()
+        else:
+            del meta[drop]
+            sidecar_path(csv_file).write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_count_spectrum(csv_file)
+
+    def test_rejects_empty_file(self, tmp_path):
+        csv_file = self.write_counts(tmp_path, [0, 1, 2, 3, 4, 5])
+        csv_file.write_bytes(b"")
+        with pytest.raises(ValueError, match=r"counts\.csv: expected header 'l_a,l_b,count', got ''"):
+            read_count_spectrum(csv_file)
 
     def test_row_order_free(self, tmp_path):
         back = read_count_spectrum(self.write_counts(tmp_path, [5, 3, 1, 0, 2, 4]))
