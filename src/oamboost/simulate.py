@@ -431,7 +431,9 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
         raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None
     except KeyError as exc:
         raise ValueError(f"{meta_path}: missing key {exc}") from None
-    header, _, body = csv_path.read_bytes().partition(b"\n")
+    # CRLF and CR end lines like LF, and whitespace around the whole file is dropped.  One
+    # expression, so that the file's raw bytes are freed before the rows are parsed.
+    header, _, body = csv_path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n").strip().partition(b"\n")
     if header != b"l_a,l_b,count":
         raise ValueError(f"{csv_path}: expected header 'l_a,l_b,count', got {header.decode(errors='replace')!r}")
     rows, malformed = parse_int_rows(body, 3)

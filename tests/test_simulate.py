@@ -407,7 +407,7 @@ class TestSerialization:
             ([0, "0,0, 7_0", 2, 3, 4, 5], r":3: expected 'l_a,l_b,count' integers, got '0,0, 7_0'"),
             ([0, 1, "0,1,7_0", 3, 4, 5], r":4: expected 'l_a,l_b,count' integers, got '0,1,7_0'"),
             ([0, 1, 2, "+1,-1,4", 4, 5], r":5: expected 'l_a,l_b,count' integers"),
-            ([0, 1, 2, 3, 4, "1,1,5\r"], r":7: expected 'l_a,l_b,count' integers"),
+            ([0, 1, 2, 3, 4, "1,1\r,5"], r":7: expected 'l_a,l_b,count' integers, got '1,1'"),
             ([0, 1, 2, 3, "1,0,-3", 5], r":6: count must be non-negative, got -3"),
             ([0, 0, "x", 3, 4, 5], r":3: second row for cell \(0, -1\)"),
         ],
