@@ -12,7 +12,6 @@ from .estimate import (
     estimate_gamma_fit,
     estimate_gamma_msum,
     gamma_from_m,
-    rapidity_and_velocity,
 )
 from .hologram import HologramField, export_hologram, generate_hologram, parse_hologram_csv
 from .relativity import (
@@ -34,7 +33,6 @@ from .spectrum import (
     joint_probability_spdc_oracle,
     joint_spectrum,
     measurement_sum,
-    measurement_sum_truncated,
     mode_count_closed,
     mode_count_empirical,
     spectrum_moments,
@@ -65,11 +63,9 @@ __all__ = [
     "joint_probability_spdc_oracle",
     "joint_spectrum",
     "measurement_sum",
-    "measurement_sum_truncated",
     "mode_count_closed",
     "mode_count_empirical",
     "parse_hologram_csv",
-    "rapidity_and_velocity",
     "simulate_counts",
     "spectrum_moments",
     "subtract_background",

@@ -23,12 +23,12 @@ from .estimate import (
     METHOD_LEAST_SQUARES,
     METHOD_M_SUM,
     batch_csv,
+    check_gamma_bounds,
     estimate_gamma_fit,
     estimate_gamma_msum,
-    rapidity_and_velocity,
 )
 from .hologram import export_hologram, generate_hologram, hologram_filename
-from .relativity import GAMMA_MAX, frame_from_gamma
+from .relativity import frame_from_gamma, require_gamma
 from .simulate import (
     SUBTRACT_MODES,
     NoiseModel,
@@ -205,24 +205,18 @@ def _resolve_options(command, args):
     return opts
 
 
-def _check_gamma_flag(value, flag="--gamma"):
-    if not np.isfinite(value) or value < 1.0:
-        raise UsageError(f"{flag} must be >= 1, got {value:g}")
-    if value > GAMMA_MAX:
-        raise UsageError(f"{flag} must be <= {GAMMA_MAX:g}, got {value:g}")
-    return float(value)
+def _library_check(check, *args):
+    """Call a library function and report a ValueError from its checks as a usage error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _check_choice(value, choices, flag):
     if value not in choices:
         raise UsageError(f"{flag} must be one of {', '.join(choices)}; got {value!r}")
     return value
-
-
-def _check_int_min(value, flag, minimum):
-    if value < minimum:
-        raise UsageError(f"{flag} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _write_atomic(path: Path, data) -> None:
@@ -249,12 +243,10 @@ def _emit(path: Path, data) -> None:
 
 
 def cmd_spectrum(opts) -> int:
-    gamma = _check_gamma_flag(opts["gamma"])
-    half_width = _check_int_min(opts["half_width"], "--half-width", 0)
-    n_modes = _check_int_min(opts["n_modes"], "--n-modes", 1)
     fmt = _check_choice(opts["format"], ("csv", "json"), "--format")
-    window = OamWindow.symmetric(half_width)
-    spec = joint_spectrum(gamma, window, window, n_modes)
+    window = _library_check(OamWindow.symmetric, opts["half_width"])
+    spec = _library_check(joint_spectrum, opts["gamma"], window, window, opts["n_modes"])
+    gamma, n_modes = spec.gamma, spec.n_modes
     cond = conditional_slice(0, window, gamma)
     out = Path(opts["out"])
     tag = f"g{gamma:g}"
@@ -295,7 +287,7 @@ def cmd_sweep(opts) -> int:
     gammas = opts["gamma"]
     if not gammas:
         raise UsageError("--gamma must list at least one value")
-    gammas = [_check_gamma_flag(g) for g in gammas]
+    gammas = [_library_check(require_gamma, g) for g in gammas]
     frames = [frame_from_gamma(gamma) for gamma in gammas]
     columns = (
         gammas,
@@ -311,25 +303,14 @@ def cmd_sweep(opts) -> int:
 
 
 def cmd_hologram(opts) -> int:
-    gamma = _check_gamma_flag(opts["gamma"])
-    width = _check_int_min(opts["width"], "--width", 2)
-    height = _check_int_min(opts["height"], "--height", 2)
-    if not opts["extent"] > 0:
-        raise UsageError(f"--extent must be positive, got {opts['extent']:g}")
     fmt = _check_choice(opts["format"], ("pgm", "csv"), "--format")
-    field = generate_hologram(opts["l"], gamma, width=width, height=height, extent=opts["extent"])
+    field = _library_check(
+        generate_hologram, opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"]
+    )
     ext = "pgm" if fmt == "pgm" else "csv"
     data = export_hologram(field, "pgm8" if fmt == "pgm" else "csv")
     _emit(Path(opts["out"]) / hologram_filename(field, ext), data)
     return EXIT_OK
-
-
-def _library_check(check, *args):
-    """Call a library validator, reporting its ValueError as a usage error."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _noise_model(opts) -> NoiseModel:
@@ -337,14 +318,11 @@ def _noise_model(opts) -> NoiseModel:
 
 
 def cmd_simulate(opts) -> int:
-    gamma = _check_gamma_flag(opts["gamma"])
-    half_width = _check_int_min(opts["half_width"], "--half-width", 0)
-    half_width_a = opts["half_width_a"]
-    if half_width_a is None:
-        half_width_a = half_width
-    half_width_a = _check_int_min(half_width_a, "--half-width-a", 0)
+    gamma = _library_check(require_gamma, opts["gamma"])
+    half_width = opts["half_width"]
+    half_width_a = half_width if opts["half_width_a"] is None else opts["half_width_a"]
+    windows = tuple(_library_check(OamWindow.symmetric, h) for h in (half_width_a, half_width))
     model = _noise_model(opts)
-    windows = (OamWindow.symmetric(half_width_a), OamWindow.symmetric(half_width))
     _library_check(check_stream_keys, windows, (opts["seed"],))
     counts = simulate_counts(gamma, windows, model, opts["seed"])
     out = Path(opts["out"])
@@ -367,11 +345,7 @@ def _run_estimators(cond, method, bounds):
 def cmd_estimate(opts) -> int:
     method = _check_choice(opts["method"], ("m_sum", "least_squares", "both"), "--method")
     subtract = _check_choice(opts["subtract"], ("none",) + SUBTRACT_MODES, "--subtract")
-    if not (opts["gamma_min"] >= 1.0 and opts["gamma_max"] > opts["gamma_min"]):
-        raise UsageError(
-            f"--gamma-min/--gamma-max must satisfy 1 <= min < max, "
-            f"got ({opts['gamma_min']:g}, {opts['gamma_max']:g})"
-        )
+    bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     counts_file = Path(opts["counts"])
     if not counts_file.exists():
         raise UsageError(f"--counts file {counts_file} does not exist")
@@ -383,7 +357,7 @@ def cmd_estimate(opts) -> int:
         )
     cond = counts_conditional(counts, opts["l_a"], None if subtract == "none" else subtract)
     out = Path(opts["out"])
-    for result in _run_estimators(cond, method, (opts["gamma_min"], opts["gamma_max"])):
+    for result in _run_estimators(cond, method, bounds):
         _emit(out / f"fit_{result.method}.json", _json_text(result.to_dict()))
     return EXIT_OK
 
@@ -392,18 +366,15 @@ def cmd_experiment(opts) -> int:
     gammas = opts["gamma"]
     if not gammas:
         raise UsageError("--gamma must list at least one value")
-    gammas = [_check_gamma_flag(g) for g in gammas]
-    half_width = _check_int_min(opts["half_width"], "--half-width", 0)
-    runs = _check_int_min(opts["runs"], "--runs", 1)
+    gammas = [_library_check(require_gamma, g) for g in gammas]
+    half_width = opts["half_width"]
+    windows = (OamWindow(0, 0), _library_check(OamWindow.symmetric, half_width))
+    runs = opts["runs"]
+    if runs < 1:
+        raise UsageError(f"--runs must be >= 1, got {runs}")
     subtract = _check_choice(opts["subtract"], ("none",) + SUBTRACT_MODES, "--subtract")
-    if not (opts["gamma_min"] >= 1.0 and opts["gamma_max"] > opts["gamma_min"]):
-        raise UsageError(
-            f"--gamma-min/--gamma-max must satisfy 1 <= min < max, "
-            f"got ({opts['gamma_min']:g}, {opts['gamma_max']:g})"
-        )
+    bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     model = None if opts["noiseless"] else _noise_model(opts)
-    bounds = (opts["gamma_min"], opts["gamma_max"])
-    windows = (OamWindow(0, 0), OamWindow.symmetric(half_width))
     seeds = range(opts["seed"], opts["seed"] + runs)
     if model is not None:
         _library_check(check_stream_keys, windows, (seeds[0], seeds[-1]))
@@ -424,15 +395,15 @@ def cmd_experiment(opts) -> int:
                 per_method[result.method].append(result)
                 batch.append((seed, gamma, result))
         gamma_fit = float(np.mean([r.gamma_meas for r in per_method[METHOD_LEAST_SQUARES]]))
-        eta, beta = rapidity_and_velocity(gamma_fit)
+        frame = frame_from_gamma(gamma_fit)
         summary_rows.append(
             {
                 "gamma_encoded": gamma,
                 "omega_empirical": float(np.mean(omegas)),
                 "gamma_meas_m_sum": float(np.mean([r.gamma_meas for r in per_method[METHOD_M_SUM]])),
                 "gamma_meas_least_squares": gamma_fit,
-                "eta": eta,
-                "beta": beta,
+                "eta": frame.rapidity,
+                "beta": frame.beta,
             }
         )
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import format_table
-from .spectrum import ConditionalSlice, OamWindow
+from .relativity import GAMMA_MAX, frame_from_gamma
+from .spectrum import ConditionalSlice, OamWindow, geometric_kernel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,13 +62,12 @@ def gamma_from_m(m: float) -> float:
     return m + math.sqrt(m * m - 1.0)
 
 
-def rapidity_and_velocity(gamma_meas: float) -> tuple[float, float]:
-    """Rapidity (cosh eta = gamma) and speed ratio v/c for a Lorentz factor."""
-    g = float(gamma_meas)
-    if not math.isfinite(g) or g < 1.0:
-        raise ValueError(f"gamma_meas must be >= 1, got {g}")
-    beta = math.sqrt(1.0 - 1.0 / (g * g)) if g > 1.0 else 0.0
-    return math.acosh(g), beta
+def check_gamma_bounds(gamma_bounds) -> tuple[float, float]:
+    """Validate least-squares fit bounds (lo, hi): finite, 1 <= lo < hi <= GAMMA_MAX."""
+    lo, hi = (float(x) for x in gamma_bounds)
+    if not 1.0 <= lo < hi <= GAMMA_MAX:
+        raise ValueError(f"gamma bounds must satisfy 1 <= lo < hi <= {GAMMA_MAX:g}, got ({lo}, {hi})")
+    return lo, hi
 
 
 def _peak_normalised(conditional: ConditionalSlice) -> np.ndarray:
@@ -84,13 +84,13 @@ def _peak_normalised(conditional: ConditionalSlice) -> np.ndarray:
 
 
 def _result(gamma: float, method: str, residual: float, conditional: ConditionalSlice) -> FitResult:
-    eta, beta = rapidity_and_velocity(gamma)
+    frame = frame_from_gamma(gamma)
     return FitResult(
         gamma_meas=gamma,
         method=method,
         residual=residual,
-        eta=eta,
-        beta=beta,
+        eta=frame.rapidity,
+        beta=frame.beta,
         l_a=conditional.l_a,
         window=conditional.window_b,
     )
@@ -137,22 +137,18 @@ def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA
     bounds locates the basin, then golden-section refinement narrows the
     minimiser below GAMMA_TOL.
     """
-    lo, hi = (float(x) for x in gamma_bounds)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 1.0 or hi <= lo:
-        raise ValueError(f"gamma bounds must satisfy 1 <= lo < hi, got ({lo}, {hi})")
+    lo, hi = check_gamma_bounds(gamma_bounds)
     norm = _peak_normalised(conditional)
     sums = conditional.l_a + conditional.window_b.indices()
-    even = (sums % 2) == 0
-    abs_s = np.abs(sums).astype(float)
 
     def objective(gamma: float) -> float:
-        q = (gamma - 1.0) / (gamma + 1.0)
-        model = np.where(even, q**abs_s, 0.0)
-        resid = norm - model
+        resid = norm - geometric_kernel(sums, gamma)
         return float(resid @ resid)
 
     grid = np.geomspace(lo, hi, GRID_POINTS)
-    coarse = [objective(float(g)) for g in grid]
+    resids = norm - geometric_kernel(sums, grid[:, None])
+    # each row's resid @ resid, the same dot product as objective's, in one call
+    coarse = (resids[:, None, :] @ resids[:, :, None]).ravel()
     best = int(np.argmin(coarse))
     a = float(grid[max(best - 1, 0)])
     b = float(grid[min(best + 1, GRID_POINTS - 1)])

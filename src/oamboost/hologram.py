@@ -61,8 +61,8 @@ def generate_hologram(
     if width < 2 or height < 2:
         raise ValueError(f"width and height must be >= 2, got {width}x{height}")
     extent = float(extent)
-    if not extent > 0.0:
-        raise ValueError(f"extent must be positive, got {extent}")
+    if not 0.0 < extent < np.inf:
+        raise ValueError(f"extent must be positive and finite, got {extent}")
     x = grid_coordinates(width, extent)
     y = grid_coordinates(height, extent)
     phase = np.mod(int(l) * np.arctan2(gamma * y[:, None], x[None, :]), TWO_PI)
@@ -101,17 +101,10 @@ def hologram_filename(field: HologramField, ext: str) -> str:
     return f"holo_l{field.l}_g{field.gamma:g}_{field.width}x{field.height}.{ext}"
 
 
-def phase_on_circle(l: int, gamma: float, radius: float, angles) -> np.ndarray:
-    """Wrapped mask phase along an origin-centred circle at the given angles."""
-    gamma = require_gamma(gamma)
-    angles = np.asarray(angles, dtype=float)
-    x = radius * np.cos(angles)
-    y = radius * np.sin(angles)
-    return np.mod(int(l) * np.arctan2(gamma * y, x), TWO_PI)
-
-
 def winding_number(l: int, gamma: float, samples: int = 3600) -> float:
-    """Accumulated phase around the core divided by 2*pi; equals l for any gamma."""
+    """Accumulated mask phase around the core divided by 2*pi; equals l for any gamma."""
+    gamma = require_gamma(gamma)
     angles = np.linspace(0.0, TWO_PI, int(samples) + 1)
-    unwrapped = np.unwrap(phase_on_circle(l, gamma, 1.0, angles))
+    phase = np.mod(int(l) * np.arctan2(gamma * np.sin(angles), np.cos(angles)), TWO_PI)
+    unwrapped = np.unwrap(phase)
     return float((unwrapped[-1] - unwrapped[0]) / TWO_PI)

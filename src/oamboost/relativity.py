@@ -15,7 +15,7 @@ def require_gamma(gamma: float) -> float:
     """Validate a Lorentz factor and return it as a float."""
     gamma = float(gamma)
     if not math.isfinite(gamma) or gamma < 1.0:
-        raise ValueError(f"gamma must be a finite number >= 1, got {gamma}")
+        raise ValueError(f"gamma must be >= 1 and finite, got {gamma}")
     if gamma > GAMMA_MAX:
         raise ValueError(f"gamma must be <= {GAMMA_MAX:g}, got {gamma}")
     return gamma

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._table import format_table, parse_int_rows
 from .relativity import require_gamma
-from .spectrum import ConditionalSlice, OamWindow, conditional_slice, extract_conditional
+from .spectrum import ConditionalSlice, OamWindow, extract_conditional, geometric_kernel
 
 SUBTRACT_MODES = ("accidental", "minimum", "both")
 
@@ -330,9 +330,7 @@ def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[Count
     window_a, window_b = windows
     scale = model.pair_rate * model.integration
     offset = model.accidental_rate * model.integration
-    mu = np.empty((len(window_a), len(window_b)))
-    for i, l_a in enumerate(window_a.indices()):
-        mu[i] = scale * conditional_slice(int(l_a), window_b, gamma).values + offset
+    mu = scale * geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) + offset
     if not mu.max() <= _POISSON_LAM_MAX:
         raise ValueError("lam value too large")
     mu = mu.ravel()
@@ -431,6 +429,8 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
         raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None
     except KeyError as exc:
         raise ValueError(f"{meta_path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     # CRLF and CR end lines like LF, and whitespace around the whole file is dropped.  One
     # expression, so that the file's raw bytes are freed before the rows are parsed.
     header, _, body = csv_path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n").strip().partition(b"\n")

@@ -109,6 +109,17 @@ class ConditionalSlice:
         object.__setattr__(self, "l_a", int(self.l_a))
 
 
+def geometric_kernel(s, gamma):
+    """The spectrum's one formula: q**|s| with q = (gamma - 1)/(gamma + 1), 0 on odd s.
+
+    s is an integer array of sums l_a + l_b; gamma may be a float or an
+    array that broadcasts against s.  Float 0**0 is 1, which keeps the
+    gamma = 1 delta spectrum exact.  Callers validate gamma.
+    """
+    q = (gamma - 1.0) / (gamma + 1.0)
+    return np.where(s % 2 == 0, q ** np.abs(s), 0.0)
+
+
 def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> float:
     """Closed-form coincidence probability for projections (l_a, l_b).
 
@@ -119,24 +130,14 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
     """
     gamma = require_gamma(gamma)
     n = _require_n_modes(n_modes)
-    s = int(l_a) + int(l_b)
-    if s % 2 != 0:
-        return 0.0
-    if s == 0:
-        return 1.0 / n
-    q = (gamma - 1.0) / (gamma + 1.0)
-    return q ** abs(s) / n
+    # A one-element array, not a scalar: numpy's scalar power can differ from
+    # its array power by an ulp, and joint_spectrum uses the array power.
+    return float(geometric_kernel(np.array([int(l_a) + int(l_b)]), gamma)[0] / n)
 
 
 def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalSlice:
     """Noiseless conditional spectrum over a window; peak value 1 at l_b = -l_a."""
-    gamma = require_gamma(gamma)
-    s = int(l_a) + window.indices()
-    q = (gamma - 1.0) / (gamma + 1.0)
-    values = np.zeros(len(s))
-    even = (s % 2) == 0
-    # float 0**0 is 1, which keeps the gamma = 1 delta spectrum exact
-    values[even] = q ** np.abs(s[even]).astype(float)
+    values = geometric_kernel(int(l_a) + window.indices(), require_gamma(gamma))
     return ConditionalSlice(l_a=int(l_a), window_b=window, values=values)
 
 
@@ -144,11 +145,7 @@ def joint_spectrum(gamma: float, window_a: OamWindow, window_b: OamWindow, n_mod
     """Closed-form joint spectrum over a pair of detection windows."""
     gamma = require_gamma(gamma)
     n = _require_n_modes(n_modes)
-    s = window_a.indices()[:, None] + window_b.indices()[None, :]
-    q = (gamma - 1.0) / (gamma + 1.0)
-    values = np.zeros(s.shape)
-    even = (s % 2) == 0
-    values[even] = q ** np.abs(s[even]).astype(float) / n
+    values = geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) / n
     return JointSpectrum(window_a=window_a, window_b=window_b, values=values, n_modes=n, gamma=gamma)
 
 
@@ -224,19 +221,6 @@ def measurement_sum(gamma: float) -> float:
     """
     gamma = require_gamma(gamma)
     return 0.5 * (gamma + 1.0 / gamma)
-
-
-def measurement_sum_truncated(l_a: int, window: OamWindow, gamma: float) -> float:
-    """Even-sum of the conditional spectrum restricted to a finite window.
-
-    Converges to measurement_sum from below as the window grows; the
-    deficit is the probability weight falling outside the detection range.
-    """
-    if -int(l_a) not in window:
-        raise ValueError(
-            f"window [{window.l_min}, {window.l_max}] must contain the peak at l_b = {-int(l_a)}"
-        )
-    return float(conditional_slice(l_a, window, gamma).values.sum())
 
 
 def mode_count_closed(gamma: float) -> float:

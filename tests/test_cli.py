@@ -215,6 +215,14 @@ class TestSimulateAndEstimateCommands:
         assert f"{meta_file}: missing key 'model'" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit_*.json"))
 
+    def test_estimate_names_a_bad_sidecar(self, tmp_path, capsys):
+        assert self.run_simulate(tmp_path) == 0
+        meta_file = tmp_path / "counts_g5_seed7.meta.json"
+        meta_file.write_text("{", encoding="utf-8")
+        assert main(["estimate", "--counts", str(tmp_path / "counts_g5_seed7.csv"), "--out", str(tmp_path)]) == 1
+        assert f"error: {meta_file}: Expecting property name" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit_*.json"))
+
 
 class TestExperimentCommand:
     def test_noiseless_recovery(self, tmp_path):
@@ -290,6 +298,61 @@ class TestExperimentCommand:
         assert "seed must lie in [0, 2**64), got 18446744073709551616" in capsys.readouterr().err
         assert not (tmp_path / "over").exists()
         assert main(args + ["--runs", "2", "--out", str(tmp_path / "top")]) == 0
+
+
+# Every option error: the command, and the text its message shows the bad value with.
+# "{counts}" stands for an existing file that is not a counts CSV, so an estimate
+# case that read it before checking its options would fail with exit 1.
+_HOLOGRAM = ["hologram", "--l", "1", "--gamma", "2", "--width", "4", "--height", "4"]
+_GAMMA_COMMANDS = {
+    "spectrum": ["spectrum"],
+    "sweep": ["sweep"],
+    "hologram": ["hologram", "--l", "1", "--width", "4", "--height", "4"],
+    "simulate": ["simulate"],
+    "experiment": ["experiment", "--runs", "2"],
+}
+OPTION_ERRORS = [
+    *(
+        pytest.param(argv + ["--gamma", value], f"got {shown}", id=f"{name}-gamma-{value}")
+        for name, argv in _GAMMA_COMMANDS.items()
+        for value, shown in (("0.5", "0.5"), ("nan", "nan"), ("2e6", "2000000.0"))
+    ),
+    pytest.param(["spectrum", "--gamma", "2", "--half-width", "-1"], "got -1", id="spectrum-half-width"),
+    pytest.param(["simulate", "--gamma", "2", "--half-width", "-1"], "got -1", id="simulate-half-width"),
+    pytest.param(["simulate", "--gamma", "2", "--half-width-a", "-1"], "got -1", id="simulate-half-width-a"),
+    pytest.param(["experiment", "--half-width", "-1"], "got -1", id="experiment-half-width"),
+    pytest.param(["spectrum", "--gamma", "2", "--n-modes", "0"], "got 0", id="n-modes"),
+    pytest.param(_HOLOGRAM + ["--width", "1"], "got 1x4", id="width"),
+    pytest.param(_HOLOGRAM + ["--height", "1"], "got 4x1", id="height"),
+    pytest.param(_HOLOGRAM + ["--extent", "0"], "got 0.0", id="extent-0"),
+    pytest.param(_HOLOGRAM + ["--extent", "inf"], "got inf", id="extent-inf"),
+    *(
+        pytest.param(argv + flags, f"got {shown}", id=f"{argv[0]}-{name}")
+        for argv in (["estimate", "--counts", "{counts}"], ["experiment", "--runs", "2"])
+        for name, flags, shown in (
+            ("gamma-min", ["--gamma-min", "0.5"], "(0.5, 50.0)"),
+            ("gamma-max-equal", ["--gamma-min", "5", "--gamma-max", "5"], "(5.0, 5.0)"),
+            ("gamma-max-below", ["--gamma-min", "5", "--gamma-max", "2"], "(5.0, 2.0)"),
+            ("gamma-max-inf", ["--gamma-max", "inf"], "(1.0, inf)"),
+            ("gamma-max-1e9", ["--gamma-max", "1e9"], "(1.0, 1000000000.0)"),
+        )
+    ),
+    pytest.param(["experiment", "--runs", "0"], "--runs must be >= 1, got 0", id="runs"),
+    pytest.param(["simulate", "--gamma", "2", "--pair-rate", "0"], "got 0.0", id="simulate-pair-rate"),
+    pytest.param(["experiment", "--pair-rate", "0"], "got 0.0", id="experiment-pair-rate"),
+]
+
+
+@pytest.mark.parametrize(("argv", "shown"), OPTION_ERRORS)
+def test_option_error_exits_2_before_any_work(tmp_path, capsys, argv, shown):
+    counts = tmp_path / "not_counts.csv"
+    counts.write_text("not a counts file\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [str(counts) if arg == "{counts}" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err
+    assert not out.exists()
 
 
 class TestConfigFile:

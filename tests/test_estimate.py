@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oamboost.estimate import (
+    GAMMA_TOL,
+    GRID_POINTS,
     FitResult,
+    _golden_section,
     batch_csv,
     estimate_gamma_fit,
     estimate_gamma_msum,
     gamma_from_m,
-    rapidity_and_velocity,
 )
 from oamboost.simulate import NoiseModel, counts_conditional, simulate_counts
 from oamboost.spectrum import ConditionalSlice, OamWindow, conditional_slice, measurement_sum
@@ -31,25 +35,6 @@ class TestGammaFromM:
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             gamma_from_m(bad)
-
-
-class TestRapidityAndVelocity:
-    def test_rest(self):
-        assert rapidity_and_velocity(1.0) == (0.0, 0.0)
-
-    def test_gamma_twenty(self):
-        eta, beta = rapidity_and_velocity(20.0)
-        assert eta == pytest.approx(3.6882538673612966, rel=1e-12)
-        assert beta == pytest.approx(0.998749217771909, rel=1e-12)
-
-    def test_gamma_two(self):
-        eta, beta = rapidity_and_velocity(2.0)
-        assert eta == pytest.approx(1.3169578969248166, rel=1e-12)
-        assert beta == pytest.approx(0.8660254037844386, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            rapidity_and_velocity(0.5)
 
 
 class TestMsumEstimator:
@@ -97,6 +82,12 @@ class TestMsumEstimator:
         assert result.gamma_meas == 1.0
         assert result.residual == 0.0
 
+    def test_gamma_above_gamma_max_raises(self):
+        # an even-sum of 1e7 inverts to gamma ~ 2e7, beyond GAMMA_MAX
+        cond = ConditionalSlice(l_a=0, window_b=OamWindow(0, 2), values=[1.0, 0.0, 1e7])
+        with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
+            estimate_gamma_msum(cond)
+
     def test_zero_peak(self):
         cond = ConditionalSlice(l_a=0, window_b=OamWindow(-2, 2), values=np.zeros(5))
         with pytest.raises(ValueError, match="peak"):
@@ -137,7 +128,7 @@ class TestLeastSquaresEstimator:
 
     def test_invalid_bounds(self):
         cond = conditional_slice(0, OamWindow.symmetric(10), 2.0)
-        for bounds in ((0.5, 50.0), (2.0, 2.0), (5.0, 1.0)):
+        for bounds in ((0.5, 50.0), (2.0, 2.0), (5.0, 1.0), (1.0, math.inf), (1.0, 1e9), (math.nan, 2.0)):
             with pytest.raises(ValueError):
                 estimate_gamma_fit(cond, bounds)
 
@@ -157,6 +148,59 @@ class TestLeastSquaresEstimator:
             if abs(result.gamma_meas - 10.0) / 10.0 < 0.05:
                 hits += 1
         assert hits >= 18
+
+
+def scalar_grid_fit(conditional, gamma_bounds):
+    """The least-squares fit as written before the shared kernel: one objective call per grid point."""
+    lo, hi = gamma_bounds
+    norm = conditional.values / conditional.values[conditional.window_b.index_of(-conditional.l_a)]
+    sums = conditional.l_a + conditional.window_b.indices()
+    even = (sums % 2) == 0
+    abs_s = np.abs(sums).astype(float)
+
+    def objective(gamma):
+        q = (gamma - 1.0) / (gamma + 1.0)
+        resid = norm - np.where(even, q**abs_s, 0.0)
+        return float(resid @ resid)
+
+    grid = np.geomspace(lo, hi, GRID_POINTS)
+    best = int(np.argmin([objective(float(g)) for g in grid]))
+    a = float(grid[max(best - 1, 0)])
+    b = float(grid[min(best + 1, GRID_POINTS - 1)])
+    gamma = _golden_section(objective, a, b, GAMMA_TOL)
+    return gamma, objective(gamma)
+
+
+@st.composite
+def noisy_slices(draw):
+    l_a = draw(st.integers(-20, 20))
+    below, above = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    window = OamWindow(-l_a - below, -l_a + above)
+    gamma = draw(st.floats(1.0, 60.0))
+    # flat slices and slices with only odd cells beside the peak make the coarse grid tie
+    shape = draw(st.sampled_from(["noisy", "flat", "counts"]))
+    if shape == "flat":
+        values = np.full(len(window), draw(st.floats(0.1, 10.0)))
+    else:
+        model = conditional_slice(l_a, window, gamma).values
+        noise = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=len(window), max_size=len(window))))
+        values = np.maximum(model + noise, 0.0)
+        if shape == "counts":
+            values = np.round(values * draw(st.integers(1, 50)))
+        values[window.index_of(-l_a)] = draw(st.floats(0.5, 2.0))
+    return ConditionalSlice(l_a=l_a, window_b=window, values=values)
+
+
+class TestCoarseGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(cond=noisy_slices(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
+    @example(cond=ConditionalSlice(l_a=0, window_b=OamWindow(0, 0), values=[3.0]), bounds=(1.0, 50.0))
+    @example(cond=ConditionalSlice(l_a=2, window_b=OamWindow(-3, -1), values=[0.4, 1.0, 7.0]), bounds=(1.0, 50.0))
+    def test_broadcast_grid_matches_scalar_objective(self, cond, bounds):
+        # same bracket, hence the same golden-section steps, bit for bit
+        result = estimate_gamma_fit(cond, bounds)
+        gamma, residual = scalar_grid_fit(cond, bounds)
+        assert (result.gamma_meas, result.residual) == (gamma, residual)
 
 
 class TestFitResult:

@@ -26,6 +26,11 @@ class TestFrameFromGamma:
         assert frame.beta == pytest.approx(0.8660254037844386, rel=1e-15)
         assert frame.rapidity == pytest.approx(1.3169578969248166, rel=1e-15)
 
+    def test_gamma_twenty(self):
+        frame = frame_from_gamma(20.0)
+        assert frame.rapidity == pytest.approx(3.6882538673612966, rel=1e-12)
+        assert frame.beta == pytest.approx(0.998749217771909, rel=1e-12)
+
     def test_gamma_ten(self):
         frame = frame_from_gamma(10.0)
         assert frame.beta == pytest.approx(0.99498743710662, rel=1e-12)

@@ -417,23 +417,34 @@ class TestSerialization:
             read_count_spectrum(self.write_counts(tmp_path, rows))
 
     @pytest.mark.parametrize(
-        ("drop", "message"),
+        ("edit", "message"),
         [
             ("model", r"counts\.meta\.json: missing key 'model'"),
             ("windows", r"counts\.meta\.json: missing key 'windows'"),
             ("seed", r"counts\.meta\.json: missing key 'seed'"),
             ("gamma_encoded", r"counts\.meta\.json: missing key 'gamma_encoded'"),
             (None, r"counts\.meta\.json: cannot read sidecar: No such file or directory"),
+            (b"{", r"counts\.meta\.json: Expecting property name"),
+            (b"[1, 2]", r"counts\.meta\.json: list indices must be integers"),
+            (lambda meta: meta["model"].update(bogus=1), r"counts\.meta\.json: .*unexpected keyword argument 'bogus'"),
+            (lambda meta: meta["model"].update(pair_rate=-1), r"counts\.meta\.json: pair_rate must be positive"),
+            (lambda meta: meta["windows"].update(a=[3, -3]), r"counts\.meta\.json: l_min must not exceed l_max"),
+            (lambda meta: meta.update(gamma_encoded="x"), r"counts\.meta\.json: could not convert string to float"),
         ],
     )
-    def test_rejects_bad_sidecar(self, tmp_path, drop, message):
+    def test_rejects_bad_sidecar(self, tmp_path, edit, message):
+        # edit: a key to delete, None to remove the sidecar, bytes to write in its place,
+        # or a function that changes its contents
         csv_file = self.write_counts(tmp_path, [0, 1, 2, 3, 4, 5])
-        meta = json.loads(sidecar_path(csv_file).read_text(encoding="utf-8"))
-        if drop is None:
-            sidecar_path(csv_file).unlink()
+        meta_file = sidecar_path(csv_file)
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        if edit is None:
+            meta_file.unlink()
+        elif isinstance(edit, bytes):
+            meta_file.write_bytes(edit)
         else:
-            del meta[drop]
-            sidecar_path(csv_file).write_text(json.dumps(meta), encoding="utf-8")
+            edit(meta) if callable(edit) else meta.pop(edit)
+            meta_file.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             read_count_spectrum(csv_file)
 

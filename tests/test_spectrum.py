@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oamboost.relativity import GAMMA_MAX
 from oamboost.spectrum import (
     ConditionalSlice,
     OamWindow,
     conditional_slice,
     extract_conditional,
+    geometric_kernel,
     joint_probability,
     joint_probability_quadrature,
     joint_probability_spdc_oracle,
@@ -16,7 +20,6 @@ from oamboost.spectrum import (
     joint_spectrum_to_csv,
     joint_spectrum_to_json_dict,
     measurement_sum,
-    measurement_sum_truncated,
     mode_count_closed,
     mode_count_empirical,
     spectrum_moments,
@@ -123,6 +126,56 @@ class TestConditionalSlice:
             cond.values[0] = 5.0
 
 
+gammas = st.floats(1.0, GAMMA_MAX) | st.sampled_from([1.0, 1.0 + 2**-52, 3.0, 20.0, GAMMA_MAX])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestGeometricKernel:
+    """Properties of the one kernel, checked bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        s=st.lists(st.integers(-500, 500), min_size=1, max_size=40),
+        gamma=st.lists(gammas, min_size=1, max_size=4),
+    )
+    def test_odd_sums_are_exact_zeros(self, s, gamma):
+        s = np.array(s)
+        values = geometric_kernel(s, np.array(gamma)[:, None])
+        assert values.shape == (len(gamma), len(s))
+        assert np.all(bits(values[:, s % 2 != 0]) == 0)
+        for l_b in s[s % 2 != 0]:
+            assert bits(joint_probability(0, int(l_b), gamma[0], 3)) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        l_a=st.integers(-60, 60),
+        l_b=st.integers(-60, 60),
+        pad=st.tuples(*[st.integers(0, 5)] * 4),
+        gamma=gammas,
+        n_modes=st.integers(1, 9),
+    )
+    def test_joint_probability_is_its_joint_spectrum_entry(self, l_a, l_b, pad, gamma, n_modes):
+        window_a = OamWindow(l_a - pad[0], l_a + pad[1])
+        window_b = OamWindow(l_b - pad[2], l_b + pad[3])
+        entry = joint_spectrum(gamma, window_a, window_b, n_modes).values[pad[0], pad[2]]
+        assert bits(joint_probability(l_a, l_b, gamma, n_modes)) == bits(entry)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.tuples(st.integers(-60, 60), st.integers(0, 8)),
+        b=st.tuples(st.integers(-60, 60), st.integers(0, 80)),
+        gamma=gammas,
+    )
+    def test_conditional_rows_are_joint_spectrum_rows(self, a, b, gamma):
+        window_a, window_b = OamWindow(a[0], a[0] + a[1]), OamWindow(b[0], b[0] + b[1])
+        spec = joint_spectrum(gamma, window_a, window_b, 1)
+        for row, l_a in zip(spec.values, window_a.indices()):
+            assert np.array_equal(bits(conditional_slice(int(l_a), window_b, gamma).values), bits(row))
+
+
 class TestQuadratureOracle:
     def test_constant_integrand(self):
         assert joint_probability_quadrature(0, 0, 1.0, 1, 4096) == pytest.approx(1.0, abs=1e-10)
@@ -185,27 +238,24 @@ class TestMeasurementSum:
             assert even == pytest.approx(measurement_sum(gamma), abs=1e-9)
             assert full == pytest.approx(gamma, abs=1e-9)
 
+    # The even-sum over a finite window is the sum of the conditional slice.
     def test_truncated_gamma_five(self):
-        got = measurement_sum_truncated(0, OamWindow(-40, 40), 5.0)
+        got = conditional_slice(0, OamWindow(-40, 40), 5.0).values.sum()
         exact = 1.0 + 1.6 * (1.0 - (4.0 / 9.0) ** 20)
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_truncated_rest_frame(self):
-        assert measurement_sum_truncated(0, OamWindow(-20, 20), 1.0) == 1.0
+        assert conditional_slice(0, OamWindow(-20, 20), 1.0).values.sum() == 1.0
 
     def test_truncated_large_gamma_deficit(self):
-        got = measurement_sum_truncated(0, OamWindow(-20, 20), 20.0)
+        got = conditional_slice(0, OamWindow(-20, 20), 20.0).values.sum()
         assert got < measurement_sum(20.0) - 0.1
 
     def test_truncated_monotone_in_half_width(self):
         gamma = 8.0
-        sums = [measurement_sum_truncated(0, OamWindow.symmetric(h), gamma) for h in range(0, 200, 10)]
+        sums = [conditional_slice(0, OamWindow.symmetric(h), gamma).values.sum() for h in range(0, 200, 10)]
         assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
         assert all(s <= measurement_sum(gamma) + 1e-12 for s in sums)
-
-    def test_truncated_requires_peak(self):
-        with pytest.raises(ValueError):
-            measurement_sum_truncated(30, OamWindow(-20, 20), 2.0)
 
 
 class TestModeCount:
