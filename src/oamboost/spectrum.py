@@ -115,9 +115,20 @@ def geometric_kernel(s, gamma):
     s is an integer array of sums l_a + l_b; gamma may be a float or an
     array that broadcasts against s.  Float 0**0 is 1, which keeps the
     gamma = 1 delta spectrum exact.  Callers validate gamma.
+
+    The power runs over a flat exponent array.  numpy switches to its scalar
+    pow, which can be an ulp off its vector pow, when the exponent is
+    broadcast or has only size-1 axes; flat operands give every shape and
+    window the same bits.
     """
+    s = np.asarray(s)
     q = (gamma - 1.0) / (gamma + 1.0)
-    return np.where(s % 2 == 0, q ** np.abs(s), 0.0)
+    exponent = np.abs(s)
+    if isinstance(q, np.ndarray):
+        q, exponent = np.broadcast_arrays(q, exponent)
+        q = q.ravel()
+    powers = (q ** exponent.ravel()).reshape(exponent.shape)
+    return np.where(s % 2 == 0, powers, 0.0)
 
 
 def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> float:
@@ -130,9 +141,7 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
     """
     gamma = require_gamma(gamma)
     n = _require_n_modes(n_modes)
-    # A one-element array, not a scalar: numpy's scalar power can differ from
-    # its array power by an ulp, and joint_spectrum uses the array power.
-    return float(geometric_kernel(np.array([int(l_a) + int(l_b)]), gamma)[0] / n)
+    return float(geometric_kernel(int(l_a) + int(l_b), gamma) / n)
 
 
 def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalSlice:

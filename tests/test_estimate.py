@@ -37,6 +37,36 @@ class TestGammaFromM:
             gamma_from_m(bad)
 
 
+def even_sum_slice(m):
+    # peak 1 at l_b = 0 and the rest of the even-sum m split over l_b = +-2
+    side = (m - 1.0) / 2.0
+    return ConditionalSlice(l_a=0, window_b=OamWindow(-2, 2), values=[side, 0.0, 1.0, 0.0, side])
+
+
+class TestRapidityAndVelocity:
+    """The rapidity eta and speed ratio beta that a fit reports with its gamma."""
+
+    def test_rest(self):
+        result = estimate_gamma_msum(even_sum_slice(1.0))
+        assert (result.gamma_meas, result.eta, result.beta) == (1.0, 0.0, 0.0)
+
+    def test_gamma_twenty(self):
+        result = estimate_gamma_msum(even_sum_slice(10.025))
+        assert result.eta == pytest.approx(3.6882538673612966, rel=1e-12)
+        assert result.beta == pytest.approx(0.998749217771909, rel=1e-12)
+
+    def test_gamma_two(self):
+        result = estimate_gamma_msum(even_sum_slice(1.25))
+        assert result.gamma_meas == 2.0
+        assert result.eta == pytest.approx(1.3169578969248166, rel=1e-12)
+        assert result.beta == pytest.approx(0.8660254037844386, rel=1e-12)
+
+    def test_domain_error(self):
+        # eta and beta exist only for gamma >= 1, so a fit may not search below it
+        with pytest.raises(ValueError, match="0.5"):
+            estimate_gamma_fit(even_sum_slice(1.25), (0.5, 50.0))
+
+
 class TestMsumEstimator:
     def test_noiseless_round_trip(self):
         for gamma in (1.0, 1.5, 2.0, 5.0, 10.0):

@@ -104,6 +104,10 @@ class TestWinding:
     def test_topological_charge(self, l, gamma):
         assert winding_number(l, gamma, samples=3600) == pytest.approx(float(l), abs=1e-6 / TWO_PI)
 
+    def test_accumulated_phase_l3(self):
+        # one loop round the core at the default sampling accumulates 3 * 2*pi
+        assert winding_number(3, 1.0) * TWO_PI == pytest.approx(6 * math.pi, abs=1e-6)
+
     def test_radius_independent(self):
         # the same pixel directions at radii 100 times apart carry the same phase
         a = generate_hologram(2, 5.0, width=9, height=7, extent=0.1).phase

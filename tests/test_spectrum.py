@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oamboost.relativity import GAMMA_MAX
@@ -157,6 +157,8 @@ class TestGeometricKernel:
         gamma=gammas,
         n_modes=st.integers(1, 9),
     )
+    # a 1x1 spectrum, where numpy once took its scalar pow and moved q**2 by an ulp
+    @example(l_a=56, l_b=-58, pad=(0, 0, 0, 0), gamma=1.0000000000000167, n_modes=1)
     def test_joint_probability_is_its_joint_spectrum_entry(self, l_a, l_b, pad, gamma, n_modes):
         window_a = OamWindow(l_a - pad[0], l_a + pad[1])
         window_b = OamWindow(l_b - pad[2], l_b + pad[3])
@@ -169,6 +171,7 @@ class TestGeometricKernel:
         b=st.tuples(st.integers(-60, 60), st.integers(0, 80)),
         gamma=gammas,
     )
+    @example(a=(56, 0), b=(-58, 0), gamma=1.0000000000000167)
     def test_conditional_rows_are_joint_spectrum_rows(self, a, b, gamma):
         window_a, window_b = OamWindow(a[0], a[0] + a[1]), OamWindow(b[0], b[0] + b[1])
         spec = joint_spectrum(gamma, window_a, window_b, 1)
