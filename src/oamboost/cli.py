@@ -24,7 +24,7 @@ from .estimate import (
     METHOD_M_SUM,
     batch_csv,
     check_gamma_bounds,
-    estimate_gamma_fit,
+    estimate_gamma_fits,
     estimate_gamma_msum,
 )
 from .hologram import export_hologram, generate_hologram, hologram_filename
@@ -333,12 +333,15 @@ def cmd_simulate(opts) -> int:
     return EXIT_OK
 
 
-def _run_estimators(cond, method, bounds):
-    results = []
+def _run_estimators(conds, method, bounds):
+    """Each slice's fits in `method`'s order: m_sum, then least_squares."""
+    results = [[] for _ in conds]
     if method in ("m_sum", "both"):
-        results.append(estimate_gamma_msum(cond))
+        for row, cond in zip(results, conds):
+            row.append(estimate_gamma_msum(cond))
     if method in ("least_squares", "both"):
-        results.append(estimate_gamma_fit(cond, bounds))
+        for row, fit in zip(results, estimate_gamma_fits(conds, bounds)):
+            row.append(fit)
     return results
 
 
@@ -357,7 +360,7 @@ def cmd_estimate(opts) -> int:
         )
     cond = counts_conditional(counts, opts["l_a"], None if subtract == "none" else subtract)
     out = Path(opts["out"])
-    for result in _run_estimators(cond, method, bounds):
+    for result in _run_estimators([cond], method, bounds)[0]:
         _emit(out / f"fit_{result.method}.json", _json_text(result.to_dict()))
     return EXIT_OK
 
@@ -383,15 +386,14 @@ def cmd_experiment(opts) -> int:
     summary_rows = []
     for gamma in gammas:
         per_method = {METHOD_M_SUM: [], METHOD_LEAST_SQUARES: []}
-        omegas = []
-        all_counts = None if model is None else simulate_runs(gamma, windows, model, seeds)
-        for run, seed in enumerate(seeds):
-            if model is None:
-                cond = conditional_slice(0, windows[1], gamma)
-            else:
-                cond = counts_conditional(all_counts[run], 0, None if subtract == "none" else subtract)
-            omegas.append(mode_count_empirical(cond))
-            for result in _run_estimators(cond, "both", bounds):
+        if model is None:
+            conds = [conditional_slice(0, windows[1], gamma) for _ in seeds]
+        else:
+            mode = None if subtract == "none" else subtract
+            conds = [counts_conditional(c, 0, mode) for c in simulate_runs(gamma, windows, model, seeds)]
+        omegas = [mode_count_empirical(cond) for cond in conds]
+        for seed, results in zip(seeds, _run_estimators(conds, "both", bounds)):
+            for result in results:
                 per_method[result.method].append(result)
                 batch.append((seed, gamma, result))
         gamma_fit = float(np.mean([r.gamma_meas for r in per_method[METHOD_LEAST_SQUARES]]))

@@ -72,14 +72,12 @@ def check_gamma_bounds(gamma_bounds) -> tuple[float, float]:
 
 def _peak_normalised(conditional: ConditionalSlice) -> np.ndarray:
     peak_l_b = -conditional.l_a
+    window = f"window [{conditional.window_b.l_min}, {conditional.window_b.l_max}]"
     if peak_l_b not in conditional.window_b:
-        raise ValueError(
-            f"window [{conditional.window_b.l_min}, {conditional.window_b.l_max}] "
-            f"does not contain the spectrum peak at l_b = {peak_l_b}"
-        )
+        raise ValueError(f"{window} does not contain the spectrum peak at l_b = {peak_l_b}")
     peak = float(conditional.values[conditional.window_b.index_of(peak_l_b)])
     if not peak > 0.0:
-        raise ValueError(f"conditional slice peak must be positive, got {peak}")
+        raise ValueError(f"conditional slice peak at l_b = {peak_l_b} in {window} must be positive, got {peak}")
     return conditional.values / peak
 
 
@@ -113,47 +111,58 @@ def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
     return _result(gamma, METHOD_M_SUM, 0.0, conditional)
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimisation of a unimodal f on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _squared_residuals(gammas, norm, sums):
+    """resid @ resid of each gamma's model against its row of norm (or all against a 1-D norm)."""
+    resid = norm - geometric_kernel(sums, gammas[:, None])
+    # one batched dot product, the same for any number of rows
+    return (resid[:, None, :] @ resid[:, :, None]).ravel()
+
+
+def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list[FitResult]:
+    """Least-squares fits of the geometric conditional model, one per slice, in input order.
+
+    Equal weighting over all cells.  A coarse logarithmic grid over the
+    bounds locates each slice's basin, then one golden-section search
+    narrows every slice's minimiser below GAMMA_TOL at once.  The slices
+    must all have the same length; their l_a may differ.
+    """
+    lo, hi = check_gamma_bounds(gamma_bounds)
+    conditionals = list(conditionals)
+    lengths = sorted({len(cond.window_b) for cond in conditionals})
+    if len(lengths) != 1:
+        raise ValueError(f"need one or more slices of one length to fit together, got lengths {lengths}")
+    all_norm = norm = np.array([_peak_normalised(cond) for cond in conditionals])
+    all_sums = sums = np.array([cond.l_a + cond.window_b.indices() for cond in conditionals])
+    grid = np.geomspace(lo, hi, GRID_POINTS)
+    best = np.array([np.argmin(_squared_residuals(grid, n, s)) for n, s in zip(norm, sums)])
+    a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = _squared_residuals(c, norm, sums), _squared_residuals(d, norm, sums)
+    rows, gammas = np.arange(len(norm)), np.empty(len(norm))
+    while rows.size:
+        closed = b - a <= GAMMA_TOL
+        if closed.any():
+            gammas[rows[closed]] = 0.5 * (a[closed] + b[closed])
+            rows, a, b, c, d, fc, fd, norm, sums = (v[~closed] for v in (rows, a, b, c, d, fc, fd, norm, sums))
+            continue
+        # where fc < fd the minimum lies in [a, d] and c becomes d, else in [c, b] and d becomes c
+        left = fc < fd
+        right = ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        f_new = _squared_residuals(new, norm, sums)
+        c[left], fc[left], d[right], fd[right] = new[left], f_new[left], new[right], f_new[right]
+    residuals = _squared_residuals(gammas, all_norm, all_sums)
+    return [
+        _result(gamma, METHOD_LEAST_SQUARES, residual, cond)
+        for gamma, residual, cond in zip(gammas.tolist(), residuals.tolist(), conditionals)
+    ]
 
 
 def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> FitResult:
-    """Least-squares fit of the geometric conditional model to the slice.
-
-    Equal weighting over all cells; a coarse logarithmic grid over the
-    bounds locates the basin, then golden-section refinement narrows the
-    minimiser below GAMMA_TOL.
-    """
-    lo, hi = check_gamma_bounds(gamma_bounds)
-    norm = _peak_normalised(conditional)
-    sums = conditional.l_a + conditional.window_b.indices()
-
-    def objective(gamma: float) -> float:
-        resid = norm - geometric_kernel(sums, gamma)
-        return float(resid @ resid)
-
-    grid = np.geomspace(lo, hi, GRID_POINTS)
-    resids = norm - geometric_kernel(sums, grid[:, None])
-    # each row's resid @ resid, the same dot product as objective's, in one call
-    coarse = (resids[:, None, :] @ resids[:, :, None]).ravel()
-    best = int(np.argmin(coarse))
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, GRID_POINTS - 1)])
-    gamma = _golden_section(objective, a, b, GAMMA_TOL)
-    return _result(gamma, METHOD_LEAST_SQUARES, objective(gamma), conditional)
+    """Least-squares fit of the geometric conditional model to one slice (see estimate_gamma_fits)."""
+    return estimate_gamma_fits([conditional], gamma_bounds)[0]
 
 
 def batch_csv(records) -> str:

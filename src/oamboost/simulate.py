@@ -412,6 +412,13 @@ def sidecar_path(csv_path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def _json_int(value) -> int:
+    # int() would truncate 7.9 to 7 and read true as 1
+    if type(value) is not int:
+        raise ValueError(f"seed and window bounds must be JSON integers, got {value!r}")
+    return value
+
+
 def read_count_spectrum(csv_path) -> CountSpectrum:
     """Rebuild a CountSpectrum from a counts CSV and its JSON sidecar.
 
@@ -423,8 +430,8 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
     meta_path = sidecar_path(csv_path)
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        window_a, window_b = (OamWindow(*meta["windows"][side]) for side in "ab")
-        model, seed, gamma = NoiseModel(**meta["model"]), int(meta["seed"]), float(meta["gamma_encoded"])
+        window_a, window_b = (OamWindow(*map(_json_int, meta["windows"][side])) for side in "ab")
+        model, seed, gamma = NoiseModel(**meta["model"]), _json_int(meta["seed"]), float(meta["gamma_encoded"])
     except OSError as exc:
         raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None
     except KeyError as exc:

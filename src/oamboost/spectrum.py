@@ -11,6 +11,7 @@ conditional spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -125,8 +126,11 @@ def geometric_kernel(s, gamma):
     q = (gamma - 1.0) / (gamma + 1.0)
     exponent = np.abs(s)
     if isinstance(q, np.ndarray):
-        q, exponent = np.broadcast_arrays(q, exponent)
-        q = q.ravel()
+        # contiguous copies at the broadcast shape, cheaper than np.broadcast_arrays and ravel
+        shape = np.broadcast(q, exponent).shape
+        q_full, exponent_full = np.empty(shape, q.dtype), np.empty(shape, exponent.dtype)
+        q_full[...], exponent_full[...] = q, exponent
+        q, exponent = q_full.ravel(), exponent_full
     powers = (q ** exponent.ravel()).reshape(exponent.shape)
     return np.where(s % 2 == 0, powers, 0.0)
 
@@ -192,6 +196,15 @@ def joint_probability_quadrature(
     return float(abs(amplitude) ** 2)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per point count."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def joint_probability_spdc_oracle(
     l_a: int, l_b: int, gamma: float, radial_cutoff: float = 6.0, grid: int = 256
 ) -> float:
@@ -212,7 +225,7 @@ def joint_probability_spdc_oracle(
     if grid < 256:
         raise ValueError(f"grid must be >= 256, got {grid}")
     s = int(l_a) + int(l_b)
-    nodes, weights = np.polynomial.legendre.leggauss(grid)
+    nodes, weights = _gauss_legendre(grid)
     r = 0.5 * radial_cutoff * (nodes + 1.0)
     wr = 0.5 * radial_cutoff * weights
     phi = np.arange(grid) * (TWO_PI / grid)

@@ -223,6 +223,15 @@ class TestSimulateAndEstimateCommands:
         assert f"error: {meta_file}: Expecting property name" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit_*.json"))
 
+    def test_estimate_rejects_a_float_seed_in_the_sidecar(self, tmp_path, capsys):
+        assert self.run_simulate(tmp_path) == 0
+        meta_file = tmp_path / "counts_g5_seed7.meta.json"
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        meta_file.write_text(json.dumps(dict(meta, seed=7.9)), encoding="utf-8")
+        assert main(["estimate", "--counts", str(tmp_path / "counts_g5_seed7.csv"), "--out", str(tmp_path)]) == 1
+        assert f"error: {meta_file}: seed and window bounds must be JSON integers, got 7.9" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit_*.json"))
+
 
 class TestExperimentCommand:
     def test_noiseless_recovery(self, tmp_path):

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oamboost import estimate
 from oamboost.estimate import (
     GAMMA_TOL,
     GRID_POINTS,
     FitResult,
-    _golden_section,
     batch_csv,
     estimate_gamma_fit,
+    estimate_gamma_fits,
     estimate_gamma_msum,
     gamma_from_m,
 )
 from oamboost.simulate import NoiseModel, counts_conditional, simulate_counts
-from oamboost.spectrum import ConditionalSlice, OamWindow, conditional_slice, measurement_sum
+from oamboost.spectrum import ConditionalSlice, OamWindow, conditional_slice, geometric_kernel, measurement_sum
 
 
 class TestGammaFromM:
@@ -180,8 +181,29 @@ class TestLeastSquaresEstimator:
         assert hits >= 18
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, a: float, b: float, tol: float) -> float:
+    """Golden-section minimisation of a unimodal f on [a, b]."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def scalar_grid_fit(conditional, gamma_bounds):
-    """The least-squares fit as written before the shared kernel: one objective call per grid point."""
+    """The least-squares fit as written before the shared kernel and the batched search: one
+    objective call per grid point, then one scalar golden-section search."""
     lo, hi = gamma_bounds
     norm = conditional.values / conditional.values[conditional.window_b.index_of(-conditional.l_a)]
     sums = conditional.l_a + conditional.window_b.indices()
@@ -202,9 +224,13 @@ def scalar_grid_fit(conditional, gamma_bounds):
 
 
 @st.composite
-def noisy_slices(draw):
+def noisy_slices(draw, length=None):
     l_a = draw(st.integers(-20, 20))
-    below, above = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    if length is None:
+        below, above = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    else:
+        below = draw(st.integers(0, length - 1))
+        above = length - 1 - below
     window = OamWindow(-l_a - below, -l_a + above)
     gamma = draw(st.floats(1.0, 60.0))
     # flat slices and slices with only odd cells beside the peak make the coarse grid tie
@@ -231,6 +257,114 @@ class TestCoarseGrid:
         result = estimate_gamma_fit(cond, bounds)
         gamma, residual = scalar_grid_fit(cond, bounds)
         assert (result.gamma_meas, result.residual) == (gamma, residual)
+
+
+@st.composite
+def slice_batches(draw):
+    # one shared length, each slice with its own l_a, shape and gamma
+    length = draw(st.integers(1, 121))
+    return draw(st.lists(noisy_slices(length), min_size=1, max_size=12))
+
+
+def fits_of(results):
+    return [(r.gamma_meas, r.residual, r.method, r.l_a, r.window) for r in results]
+
+
+def scalar_fits_of(conds, bounds):
+    return [(*scalar_grid_fit(c, bounds), "least_squares", c.l_a, c.window_b) for c in conds]
+
+
+class TestBatchedFit:
+    @settings(max_examples=100, deadline=None)
+    @given(conds=slice_batches(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
+    @example(conds=[conditional_slice(3, OamWindow(-103, 97), 5.0)], bounds=(1.0, 50.0))
+    @example(
+        conds=[conditional_slice(l_a, OamWindow(-l_a - 20, -l_a + 20), g) for l_a, g in ((0, 1.0), (-4, 2.0), (7, 45.0))],
+        bounds=(1.0, 50.0),
+    )
+    def test_matches_the_scalar_fit_on_each_slice(self, conds, bounds):
+        assert fits_of(estimate_gamma_fits(conds, bounds)) == scalar_fits_of(conds, bounds)
+
+    def test_slices_leave_the_search_as_their_brackets_close(self, monkeypatch):
+        # gamma = 1 brackets one step of the coarse grid at its end, the others two
+        # steps of the geometric grid, which are wider at larger gamma
+        conds = [conditional_slice(0, OamWindow.symmetric(20), g) for g in (45.0, 1.0, 2.0, 45.0)]
+        batch_sizes = []
+
+        def spy(s, gamma):
+            batch_sizes.append(len(gamma))
+            return geometric_kernel(s, gamma)
+
+        monkeypatch.setattr(estimate, "geometric_kernel", spy)
+        results = estimate_gamma_fits(conds, (1.0, 50.0))
+        assert batch_sizes[:4] == [GRID_POINTS] * 4
+        search = batch_sizes[4:-1]
+        assert search[:2] == [4, 4] and sorted(set(search)) == [2, 3, 4]
+        assert search == sorted(search, reverse=True)
+        assert fits_of(results) == scalar_fits_of(conds, (1.0, 50.0))
+
+    def test_nan_cells_take_the_scalar_path(self):
+        # every comparison with a NaN residual is false, so the scalar search always moves right
+        values = conditional_slice(0, OamWindow.symmetric(8), 4.0).values.copy()
+        values[3] = np.nan
+        conds = [
+            ConditionalSlice(l_a=0, window_b=OamWindow.symmetric(8), values=values),
+            conditional_slice(1, OamWindow(-9, 7), 4.0),
+        ]
+        nan_fit, fit = estimate_gamma_fits(conds, (1.0, 50.0))
+        gamma, residual = scalar_grid_fit(conds[0], (1.0, 50.0))
+        assert nan_fit.gamma_meas == gamma and math.isnan(nan_fit.residual) and math.isnan(residual)
+        assert (fit.gamma_meas, fit.residual) == scalar_grid_fit(conds[1], (1.0, 50.0))
+
+    def test_batch_of_one_is_the_single_fit(self):
+        cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
+        single = fits_of([estimate_gamma_fit(cond, (1.0, 50.0))])
+        assert fits_of(estimate_gamma_fits([cond], (1.0, 50.0))) == single
+        assert fits_of(estimate_gamma_fits(iter([cond]), (1.0, 50.0))) == single
+
+    @pytest.mark.parametrize(
+        ("conds", "bounds", "message"),
+        [
+            ([], (1.0, 50.0), r"one or more slices of one length to fit together, got lengths \[\]"),
+            ([OamWindow.symmetric(h) for h in (5, 6, 5)], (1.0, 50.0), r"got lengths \[11, 13\]"),
+            ([OamWindow.symmetric(5)], (0.5, 50.0), "gamma bounds"),
+            ([OamWindow.symmetric(5)], (2.0, 2.0), "gamma bounds"),
+            ([OamWindow.symmetric(5)], (1.0, math.inf), "gamma bounds"),
+            ([], (1.0, math.nan), "gamma bounds"),
+            ([OamWindow.symmetric(5), OamWindow.symmetric(6)], (5.0, 1.0), "gamma bounds"),
+        ],
+    )
+    def test_argument_errors_come_before_any_kernel_work(self, monkeypatch, conds, bounds, message):
+        conds = [conditional_slice(0, window, 2.0) for window in conds]
+
+        def no_kernel(s, gamma):
+            raise AssertionError("the kernel ran before the arguments were checked")
+
+        monkeypatch.setattr(estimate, "geometric_kernel", no_kernel)
+        with pytest.raises(ValueError, match=message):
+            estimate_gamma_fits(conds, bounds)
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            (conditional_slice(0, OamWindow(5, 15), 3.0), r"window \[5, 15\] does not contain the spectrum peak at l_b = 0"),
+            (
+                ConditionalSlice(l_a=2, window_b=OamWindow(-7, 3), values=np.zeros(11)),
+                r"peak at l_b = -2 in window \[-7, 3\] must be positive, got 0\.0",
+            ),
+            (
+                ConditionalSlice(l_a=-1, window_b=OamWindow(-4, 6), values=np.full(11, np.nan)),
+                r"peak at l_b = 1 in window \[-4, 6\] must be positive, got nan",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_bad_peak_names_its_slice_window(self, monkeypatch, bad, message, position):
+        conds = [conditional_slice(l_a, OamWindow(-l_a - 5, -l_a + 5), 3.0) for l_a in (0, 1, -3)]
+        conds[position] = bad
+        monkeypatch.setattr(estimate, "geometric_kernel", None)
+        with pytest.raises(ValueError, match=message):
+            estimate_gamma_fits(conds)
 
 
 class TestFitResult:

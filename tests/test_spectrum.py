@@ -220,6 +220,22 @@ class TestSpdcOracle:
     def test_rest_frame_off_diagonal(self):
         assert joint_probability_spdc_oracle(0, 2, 1.0) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("grid", [256, 300])
+    def test_cached_nodes_give_the_former_values(self, grid):
+        # the oracle as written before its Gauss-Legendre nodes were cached
+        def former(s, gamma, radial_cutoff=6.0):
+            nodes, weights = np.polynomial.legendre.leggauss(grid)
+            r = 0.5 * radial_cutoff * (nodes + 1.0)
+            wr = 0.5 * radial_cutoff * weights
+            phi = np.arange(grid) * (2.0 * np.pi / grid)
+            shear = (gamma * gamma - 1.0) * np.cos(phi) ** 2 + 1.0
+            radial = np.exp(-np.outer(shear, r * r)) @ (r * wr)
+            integral = (radial * np.exp(-1j * s * phi)).sum() * (2.0 * np.pi / grid)
+            return float(abs(integral) ** 2)
+
+        for gamma, s, cutoff in ((2.0, 0, 6.0), (5.0, -4, 6.0), (1.3, 2, 3.5), (2.0, 0, 6.0)):
+            assert joint_probability_spdc_oracle(0, s, gamma, cutoff, grid) == former(s, gamma, cutoff)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             joint_probability_spdc_oracle(0, 0, 2.0, radial_cutoff=-1.0)
