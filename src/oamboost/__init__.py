@@ -13,7 +13,7 @@ from .estimate import (
     estimate_gamma_msum,
     gamma_from_m,
 )
-from .hologram import HologramField, export_hologram, generate_hologram, parse_hologram_csv
+from .hologram import HologramField, export_hologram, generate_hologram
 from .relativity import (
     Frame,
     azimuth_jacobian,
@@ -65,7 +65,6 @@ __all__ = [
     "measurement_sum",
     "mode_count_closed",
     "mode_count_empirical",
-    "parse_hologram_csv",
     "simulate_counts",
     "spectrum_moments",
     "subtract_background",

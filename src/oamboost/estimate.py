@@ -78,6 +78,11 @@ def _peak_normalised(conditional: ConditionalSlice) -> np.ndarray:
     peak = float(conditional.values[conditional.window_b.index_of(peak_l_b)])
     if not peak > 0.0:
         raise ValueError(f"conditional slice peak at l_b = {peak_l_b} in {window} must be positive, got {peak}")
+    # a sum of squares is finite unless a value is not (or it overflows), and costs less than isfinite
+    if not math.isfinite(conditional.values @ conditional.values) and not np.isfinite(conditional.values).all():
+        first = int(np.argmin(np.isfinite(conditional.values)))
+        l_b, value = conditional.window_b.l_min + first, conditional.values[first]
+        raise ValueError(f"conditional slice value at l_b = {l_b} in {window} must be finite, got {value}")
     return conditional.values / peak
 
 

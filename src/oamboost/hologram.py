@@ -18,6 +18,9 @@ DEFAULT_EXTENT = 1.0
 
 EXPORT_FORMATS = ("pgm8", "csv")
 
+MAX_PIXELS = 8192 * 8192  # 512 MB of float64; width * height is checked before any allocation
+_BLOCK_CELLS = 1 << 16  # cells in a row block of generation and export: 32 rows at 2048 wide
+
 
 @dataclass(frozen=True)
 class HologramField:
@@ -43,6 +46,13 @@ def grid_coordinates(n: int, extent: float) -> np.ndarray:
     return (np.arange(n) - (n - 1) / 2.0) * (2.0 * extent / (n - 1))
 
 
+def _wrap(phase: np.ndarray) -> np.ndarray:
+    """numpy's float remainder by 2*pi in place, bit for bit: fmod, +2*pi below 0, -0.0 made +0.0."""
+    np.fmod(phase, TWO_PI, out=phase)
+    np.add(phase, TWO_PI, out=phase, where=phase < 0.0)
+    return np.add(phase, 0.0, out=phase)
+
+
 def generate_hologram(
     l: int,
     gamma: float,
@@ -60,13 +70,19 @@ def generate_hologram(
     height = int(height)
     if width < 2 or height < 2:
         raise ValueError(f"width and height must be >= 2, got {width}x{height}")
+    if width * height > MAX_PIXELS:
+        raise ValueError(f"width x height must be at most {MAX_PIXELS} pixels, got {width}x{height}")
     extent = float(extent)
     if not 0.0 < extent < np.inf:
         raise ValueError(f"extent must be positive and finite, got {extent}")
-    x = grid_coordinates(width, extent)
-    y = grid_coordinates(height, extent)
-    phase = np.mod(int(l) * np.arctan2(gamma * y[:, None], x[None, :]), TWO_PI)
-    phase[phase >= TWO_PI] = 0.0
+    x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)
+    phase = np.empty((height, width))
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, height, step):
+        block = np.arctan2(gamma * y[start : start + step, None], x, out=phase[start : start + step])
+        block *= int(l)
+        _wrap(block)
+        block[block >= TWO_PI] = 0.0
     return HologramField(width=width, height=height, extent=extent, l=int(l), gamma=gamma, phase=phase)
 
 
@@ -78,22 +94,23 @@ def export_hologram(field: HologramField, format: str) -> bytes:
     per pixel row, 17 significant digits.
     """
     if format == "pgm8":
-        # phase < 2*pi, so the scaled value never reaches 256
-        pixels = np.floor(field.phase / TWO_PI * 255.0 + 0.5).astype(np.uint8)
         header = f"P5\n{field.width} {field.height}\n255\n".encode("ascii")
-        return header + pixels.tobytes()
+        buf = np.empty(len(header) + field.phase.size, dtype=np.uint8)
+        buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+        pixels = buf[len(header) :].reshape(field.phase.shape)
+        step = max(1, _BLOCK_CELLS // field.width)
+        scaled = np.empty((min(step, field.height), field.width))
+        for start in range(0, field.height, step):
+            rows = field.phase[start : start + step]
+            block = np.divide(rows, TWO_PI, out=scaled[: len(rows)])
+            block *= 255.0
+            block += 0.5  # phase < 2*pi, so the scaled value never reaches 256
+            pixels[start : start + step] = np.floor(block, out=block)
+        return buf.tobytes()
     if format == "csv":
         lines = [",".join(f"{v:.17g}" for v in row) for row in field.phase]
         return ("\n".join(lines) + "\n").encode("ascii")
     raise ValueError(f"unsupported hologram format {format!r}; expected one of {EXPORT_FORMATS}")
-
-
-def parse_hologram_csv(data) -> np.ndarray:
-    """Inverse of the csv export: recover the phase matrix."""
-    if isinstance(data, bytes):
-        data = data.decode("ascii")
-    rows = [[float(tok) for tok in line.split(",")] for line in data.strip().splitlines()]
-    return np.array(rows, dtype=float)
 
 
 def hologram_filename(field: HologramField, ext: str) -> str:
@@ -105,6 +122,5 @@ def winding_number(l: int, gamma: float, samples: int = 3600) -> float:
     """Accumulated mask phase around the core divided by 2*pi; equals l for any gamma."""
     gamma = require_gamma(gamma)
     angles = np.linspace(0.0, TWO_PI, int(samples) + 1)
-    phase = np.mod(int(l) * np.arctan2(gamma * np.sin(angles), np.cos(angles)), TWO_PI)
-    unwrapped = np.unwrap(phase)
+    unwrapped = np.unwrap(_wrap(int(l) * np.arctan2(gamma * np.sin(angles), np.cos(angles))))
     return float((unwrapped[-1] - unwrapped[0]) / TWO_PI)

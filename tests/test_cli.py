@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,19 @@ class TestHologramCommand:
     def test_invalid_gamma(self, tmp_path, capsys):
         assert main(["hologram", "--l", "1", "--gamma", "0.2", "--out", str(tmp_path)]) == 2
         assert "gamma must be >= 1" in capsys.readouterr().err
+
+    def test_size_cap_exits_2_before_allocating(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["hologram", "--l", "1", "--gamma", "2", "--width", "1000000", "--height", "1000000",
+                         "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "at most 67108864 pixels, got 1000000x1000000" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateAndEstimateCommands:

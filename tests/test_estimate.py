@@ -303,18 +303,28 @@ class TestBatchedFit:
         assert search == sorted(search, reverse=True)
         assert fits_of(results) == scalar_fits_of(conds, (1.0, 50.0))
 
-    def test_nan_cells_take_the_scalar_path(self):
-        # every comparison with a NaN residual is false, so the scalar search always moves right
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_non_finite_cells_reject_the_slice(self, monkeypatch, bad, position):
+        # a NaN residual fails every comparison, so the search would drift right to a plausible gamma
+        conds = [conditional_slice(l_a, OamWindow(-l_a - 8, -l_a + 8), 4.0) for l_a in (0, 1, -3)]
+        values = conds[position].values.copy()
+        values[[3, 12]] = bad
+        conds[position] = ConditionalSlice(l_a=conds[position].l_a, window_b=conds[position].window_b, values=values)
+        window = conds[position].window_b
+        message = rf"value at l_b = {window.l_min + 3} in window \[{window.l_min}, {window.l_max}\] must be finite, got {bad}"
+        monkeypatch.setattr(estimate, "geometric_kernel", None)
+        with pytest.raises(ValueError, match=message):
+            estimate_gamma_fits(conds, (1.0, 50.0))
+        with pytest.raises(ValueError, match=message):
+            estimate_gamma_msum(conds[position])
+
+    def test_squares_that_overflow_are_not_non_finite(self):
         values = conditional_slice(0, OamWindow.symmetric(8), 4.0).values.copy()
-        values[3] = np.nan
-        conds = [
-            ConditionalSlice(l_a=0, window_b=OamWindow.symmetric(8), values=values),
-            conditional_slice(1, OamWindow(-9, 7), 4.0),
-        ]
-        nan_fit, fit = estimate_gamma_fits(conds, (1.0, 50.0))
-        gamma, residual = scalar_grid_fit(conds[0], (1.0, 50.0))
-        assert nan_fit.gamma_meas == gamma and math.isnan(nan_fit.residual) and math.isnan(residual)
-        assert (fit.gamma_meas, fit.residual) == scalar_grid_fit(conds[1], (1.0, 50.0))
+        values[3] = -1e200
+        cond = ConditionalSlice(l_a=0, window_b=OamWindow.symmetric(8), values=values)
+        with np.errstate(over="ignore"):  # the sum of squares overflows to inf
+            assert estimate._peak_normalised(cond).tobytes() == values.tobytes()
 
     def test_batch_of_one_is_the_single_fit(self):
         cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)

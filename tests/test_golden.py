@@ -56,6 +56,12 @@ GOLDEN = {
         [["hologram", "--l", "-2", "--gamma", "4", "--width", "64", "--height", "48"]],
         {"holo_l-2_g4_64x48.pgm": "9654a9dbde39224102cea756d49f02c8688a5742f848324b31625c7f6c0604fc"},
     ),
+    # recorded on the whole-array hologram code; at 2048 wide its 130 rows cross
+    # four seams of the row blocks that generate_hologram and export_hologram use
+    "hologram_pgm_block_seams": (
+        [["hologram", "--l", "5", "--gamma", "7", "--width", "2048", "--height", "130"]],
+        {"holo_l5_g7_2048x130.pgm": "90e42e655451b19b2fe3702971838c208268171df412d5dc8ba59b6ddad36460"},
+    ),
     "simulate": (
         [["simulate", "--gamma", "5", "--half-width", "15", "--half-width-a", "3", "--seed", "7"]],
         {

@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oamboost import hologram
 from oamboost.hologram import (
     HologramField,
     export_hologram,
     generate_hologram,
     grid_coordinates,
     hologram_filename,
-    parse_hologram_csv,
     winding_number,
 )
-from oamboost.relativity import TWO_PI, boosted_azimuth
+from oamboost.relativity import TWO_PI, boosted_azimuth, require_gamma
 
 # Golden 4x4 unit-charge rest-frame mask, computed from wrap(atan2(y, x))
 # on the documented grid and frozen after verification by hand.
@@ -22,6 +25,52 @@ GOLDEN_4X4_L1_G1 = [
     [114, 96, 32, 13],
     [96, 77, 51, 32],
 ]
+
+
+def parse_hologram_csv(data) -> np.ndarray:
+    """Inverse of the csv export: recover the phase matrix."""
+    if isinstance(data, bytes):
+        data = data.decode("ascii")
+    rows = [[float(tok) for tok in line.split(",")] for line in data.strip().splitlines()]
+    return np.array(rows, dtype=float)
+
+
+# The former whole-array expressions, kept verbatim as the bit-for-bit reference
+# for the in-place row-block versions.
+def reference_phase(l, gamma, width, height, extent):
+    x = grid_coordinates(width, extent)
+    y = grid_coordinates(height, extent)
+    phase = np.mod(int(l) * np.arctan2(gamma * y[:, None], x[None, :]), TWO_PI)
+    phase[phase >= TWO_PI] = 0.0
+    return phase
+
+
+def reference_pgm(phase):
+    height, width = phase.shape
+    pixels = np.floor(phase / TWO_PI * 255.0 + 0.5).astype(np.uint8)
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+def reference_winding_number(l, gamma, samples=3600):
+    gamma = require_gamma(gamma)
+    angles = np.linspace(0.0, TWO_PI, int(samples) + 1)
+    phase = np.mod(int(l) * np.arctan2(gamma * np.sin(angles), np.cos(angles)), TWO_PI)
+    unwrapped = np.unwrap(phase)
+    return float((unwrapped[-1] - unwrapped[0]) / TWO_PI)
+
+
+@st.composite
+def block_shapes(draw):
+    """(width, height) with the height at, next to or across the row-block seams."""
+    width = draw(st.one_of(st.integers(2, 9), st.integers(10, 700), st.sampled_from([511, 2048, 2049, 5000])))
+    rows = max(1, hologram._BLOCK_CELLS // width)
+    height = draw(
+        st.one_of(
+            st.sampled_from([rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1, 3 * rows - 1]).filter(lambda h: h >= 2),
+            st.integers(2, 40),
+        )
+    )
+    return width, height
 
 
 def circular_diff(a, b):
@@ -96,6 +145,77 @@ class TestGenerateHologram:
         field = generate_hologram(1, 1.0, width=4, height=4)
         with pytest.raises(ValueError):
             field.phase[0, 0] = 1.0
+
+
+class TestSameBitsAsWholeArray:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=block_shapes(),
+        l=st.integers(-12, 12),
+        gamma=st.one_of(st.just(1.0), st.floats(1.0, 1e6)),
+        extent=st.floats(0.01, 10.0),
+    )
+    @example(shape=(2, 2), l=0, gamma=1.0, extent=1.0)
+    @example(shape=(2048, 65), l=5, gamma=7.0, extent=1.0)
+    @example(shape=(5, 2 * (hologram._BLOCK_CELLS // 5) + 1), l=-3, gamma=1e6, extent=0.01)
+    def test_phase_and_pgm_bytes(self, shape, l, gamma, extent):
+        width, height = shape
+        field = generate_hologram(l, gamma, width=width, height=height, extent=extent)
+        expected = reference_phase(l, gamma, width, height, extent)
+        # tobytes also compares the sign of every zero
+        assert field.phase.tobytes() == expected.tobytes()
+        assert export_hologram(field, "pgm8") == reference_pgm(expected)
+
+    def test_wrap_is_numpy_mod(self):
+        # signed zeros, remainders that round up to 2*pi, huge values and NaN payloads included
+        edges = [0.0, -0.0, -1e-300, -1e-20, 1e-20, TWO_PI, -TWO_PI, 2 * TWO_PI, -3 * TWO_PI, math.pi, -math.pi]
+        edges += [1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan]
+        values = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 100.0, 1000)])
+        with np.errstate(invalid="ignore"):
+            assert hologram._wrap(values.copy()).tobytes() == np.mod(values, TWO_PI).tobytes()
+
+    def test_pgm_of_any_field_phase(self):
+        # a hand-built field quantises as the whole-array formula, also just below 2*pi and at rounding halves
+        rng = np.random.default_rng(5)
+        phase = rng.uniform(0.0, TWO_PI, (3 * (hologram._BLOCK_CELLS // 37) + 2, 37))
+        phase[0, :4] = [0.0, np.nextafter(TWO_PI, 0.0), 0.5 / 255.0 * TWO_PI, 254.5 / 255.0 * TWO_PI]
+        field = HologramField(width=37, height=phase.shape[0], extent=1.0, l=1, gamma=1.0, phase=phase)
+        assert export_hologram(field, "pgm8") == reference_pgm(field.phase)
+
+    @pytest.mark.parametrize("l", [-12, -1, 0, 1, 3, 12])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5, 1e6])
+    @pytest.mark.parametrize("samples", [8, 3600])
+    def test_winding_number(self, l, gamma, samples):
+        assert winding_number(l, gamma, samples) == reference_winding_number(l, gamma, samples)
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("size", [512, 1000])
+    def test_traced_peak(self, size):
+        tracemalloc.start()
+        try:
+            field = generate_hologram(3, 5.0, width=size, height=size)
+            generate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            export_hologram(field, "pgm8")
+            export_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # one float64 field plus one row block; the PGM holds one byte per pixel
+        assert generate_peak <= 1.25 * field.phase.nbytes
+        assert export_peak <= 0.6 * field.phase.nbytes
+
+    def test_size_cap_comes_before_any_allocation(self, monkeypatch):
+        def no_grid(n, extent):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(hologram, "grid_coordinates", no_grid)
+        with pytest.raises(ValueError, match="at most 67108864 pixels, got 8193x8192"):
+            generate_hologram(1, 2.0, width=8193, height=8192)
+        # 8192 x 8192 itself passes the cap and reaches the grid
+        with pytest.raises(AssertionError, match="the grid was built"):
+            generate_hologram(1, 2.0, width=8192, height=8192)
 
 
 class TestWinding:
