@@ -36,6 +36,7 @@ from .simulate import (
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
+    counts_conditionals,
     read_count_spectrum,
     sidecar_path,
     simulate_counts,
@@ -43,6 +44,7 @@ from .simulate import (
 )
 from .spectrum import (
     OamWindow,
+    check_cells,
     conditional_slice,
     joint_spectrum,
     joint_spectrum_to_csv,
@@ -324,6 +326,7 @@ def cmd_simulate(opts) -> int:
     windows = tuple(_library_check(OamWindow.symmetric, h) for h in (half_width_a, half_width))
     model = _noise_model(opts)
     _library_check(check_stream_keys, windows, (opts["seed"],))
+    _library_check(check_cells, *windows)
     counts = simulate_counts(gamma, windows, model, opts["seed"])
     out = Path(opts["out"])
     name = f"counts_g{gamma:g}_seed{opts['seed']}"
@@ -381,6 +384,7 @@ def cmd_experiment(opts) -> int:
     seeds = range(opts["seed"], opts["seed"] + runs)
     if model is not None:
         _library_check(check_stream_keys, windows, (seeds[0], seeds[-1]))
+    _library_check(check_cells, *windows, runs)
 
     batch = []
     summary_rows = []
@@ -390,7 +394,7 @@ def cmd_experiment(opts) -> int:
             conds = [conditional_slice(0, windows[1], gamma) for _ in seeds]
         else:
             mode = None if subtract == "none" else subtract
-            conds = [counts_conditional(c, 0, mode) for c in simulate_runs(gamma, windows, model, seeds)]
+            conds = counts_conditionals(simulate_runs(gamma, windows, model, seeds), 0, mode)
         omegas = [mode_count_empirical(cond) for cond in conds]
         for seed, results in zip(seeds, _run_estimators(conds, "both", bounds)):
             for result in results:

@@ -116,9 +116,9 @@ def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
     return _result(gamma, METHOD_M_SUM, 0.0, conditional)
 
 
-def _squared_residuals(gammas, norm, sums):
-    """resid @ resid of each gamma's model against its row of norm (or all against a 1-D norm)."""
-    resid = norm - geometric_kernel(sums, gammas[:, None])
+def _squared_residuals(gammas, norm, sums, kernel=None):
+    """resid @ resid of each gamma's model (or a prebuilt kernel) against its row of norm, or a 1-D norm."""
+    resid = norm - (geometric_kernel(sums, gammas[:, None]) if kernel is None else kernel)
     # one batched dot product, the same for any number of rows
     return (resid[:, None, :] @ resid[:, :, None]).ravel()
 
@@ -128,7 +128,8 @@ def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list
 
     Equal weighting over all cells.  A coarse logarithmic grid over the
     bounds locates each slice's basin, then one golden-section search
-    narrows every slice's minimiser below GAMMA_TOL at once.  The slices
+    narrows every slice's minimiser below GAMMA_TOL at once.  The grid's
+    model is built once per distinct row of sums l_a + l_b.  The slices
     must all have the same length; their l_a may differ.
     """
     lo, hi = check_gamma_bounds(gamma_bounds)
@@ -139,7 +140,12 @@ def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list
     all_norm = norm = np.array([_peak_normalised(cond) for cond in conditionals])
     all_sums = sums = np.array([cond.l_a + cond.window_b.indices() for cond in conditionals])
     grid = np.geomspace(lo, hi, GRID_POINTS)
-    best = np.array([np.argmin(_squared_residuals(grid, n, s)) for n, s in zip(norm, sums)])
+    # the grid's model depends only on a slice's sums, an arange named by its first sum
+    best, first, kernel = np.empty(len(norm), dtype=np.intp), None, None
+    for i in np.argsort(sums[:, 0], kind="stable"):
+        if sums[i, 0] != first:
+            first, kernel = sums[i, 0], geometric_kernel(sums[i], grid[:, None])
+        best[i] = np.argmin(_squared_residuals(grid, norm[i], sums[i], kernel))
     a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = _squared_residuals(c, norm, sums), _squared_residuals(d, norm, sums)

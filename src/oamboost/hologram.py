@@ -46,9 +46,10 @@ def grid_coordinates(n: int, extent: float) -> np.ndarray:
     return (np.arange(n) - (n - 1) / 2.0) * (2.0 * extent / (n - 1))
 
 
-def _wrap(phase: np.ndarray) -> np.ndarray:
+def _wrap(phase: np.ndarray, fmod: bool = True) -> np.ndarray:
     """numpy's float remainder by 2*pi in place, bit for bit: fmod, +2*pi below 0, -0.0 made +0.0."""
-    np.fmod(phase, TWO_PI, out=phase)
+    if fmod:
+        np.fmod(phase, TWO_PI, out=phase)
     np.add(phase, TWO_PI, out=phase, where=phase < 0.0)
     return np.add(phase, 0.0, out=phase)
 
@@ -81,7 +82,7 @@ def generate_hologram(
     for start in range(0, height, step):
         block = np.arctan2(gamma * y[start : start + step, None], x, out=phase[start : start + step])
         block *= int(l)
-        _wrap(block)
+        _wrap(block, fmod=abs(int(l)) > 1)  # |atan2| <= pi < 2*pi, so for |l| <= 1 the fmod is the identity
         block[block >= TWO_PI] = 0.0
     return HologramField(width=width, height=height, extent=extent, l=int(l), gamma=gamma, phase=phase)
 

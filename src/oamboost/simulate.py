@@ -35,7 +35,7 @@ import numpy as np
 
 from ._table import format_table, parse_int_rows
 from .relativity import require_gamma
-from .spectrum import ConditionalSlice, OamWindow, extract_conditional, geometric_kernel
+from .spectrum import ConditionalSlice, OamWindow, check_cells, geometric_kernel
 
 SUBTRACT_MODES = ("accidental", "minimum", "both")
 
@@ -328,6 +328,7 @@ def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[Count
     seeds = [int(seed) for seed in seeds]
     check_stream_keys(windows, seeds)
     window_a, window_b = windows
+    check_cells(window_a, window_b, len(seeds))
     scale = model.pair_rate * model.integration
     offset = model.accidental_rate * model.integration
     mu = scale * geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) + offset
@@ -361,6 +362,16 @@ def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> Coun
     return simulate_runs(gamma, windows, model, (seed,))[0]
 
 
+def _subtract(values: np.ndarray, model: NoiseModel, mode: str) -> np.ndarray:
+    if mode not in SUBTRACT_MODES:
+        raise ValueError(f"unknown subtraction mode {mode!r}; expected one of {SUBTRACT_MODES}")
+    if mode in ("accidental", "both"):
+        values = np.maximum(values - model.accidental_rate * model.integration, 0.0)
+    if mode in ("minimum", "both"):
+        values = np.maximum(values - values.min(axis=1, keepdims=True), 0.0)
+    return values
+
+
 def subtract_background(counts: CountSpectrum, mode: str) -> np.ndarray:
     """Clean a count matrix, clamping at zero after each subtraction step.
 
@@ -368,20 +379,26 @@ def subtract_background(counts: CountSpectrum, mode: str) -> np.ndarray:
     minimum removes the smallest value of each conditional slice (each
     fixed-l_a row); both applies accidental then minimum.
     """
-    if mode not in SUBTRACT_MODES:
-        raise ValueError(f"unknown subtraction mode {mode!r}; expected one of {SUBTRACT_MODES}")
-    values = counts.counts.astype(float)
-    if mode in ("accidental", "both"):
-        values = np.maximum(values - counts.model.accidental_rate * counts.model.integration, 0.0)
-    if mode in ("minimum", "both"):
-        values = np.maximum(values - values.min(axis=1, keepdims=True), 0.0)
-    return values
+    return _subtract(counts.counts.astype(float), counts.model, mode)
+
+
+def counts_conditionals(spectra, l_a: int, mode: str | None = None) -> list[ConditionalSlice]:
+    """counts_conditional of each spectrum, all of one window pair and noise model, in input order."""
+    spectra = list(spectra)
+    setups = {(c.window_a, c.window_b, c.model) for c in spectra}
+    if len(setups) != 1:
+        raise ValueError(f"need one or more spectra of one window pair and noise model, got {len(setups)} setups")
+    [(window_a, window_b, model)] = setups
+    row = window_a.index_of(l_a)
+    values = np.array([c.counts[row] for c in spectra], dtype=float)
+    if mode is not None:  # each step is per cell or per row, so subtracting the stacked rows moves no bit
+        values = _subtract(values, model, mode)
+    return [ConditionalSlice(l_a=l_a, window_b=window_b, values=v) for v in values]
 
 
 def counts_conditional(counts: CountSpectrum, l_a: int, mode: str | None = None) -> ConditionalSlice:
     """Conditional slice of a count spectrum, optionally background-subtracted."""
-    values = counts.counts.astype(float) if mode is None else subtract_background(counts, mode)
-    return extract_conditional(values, counts.window_a, counts.window_b, l_a)
+    return counts_conditionals([counts], l_a, mode)[0]
 
 
 def count_spectrum_to_csv(counts: CountSpectrum) -> str:

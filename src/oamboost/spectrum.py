@@ -23,6 +23,7 @@ from .relativity import TWO_PI, require_gamma
 
 DEFAULT_HALF_WIDTH = 20
 DEFAULT_PANELS = 4096
+MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
 
 
 def _require_n_modes(n_modes) -> int:
@@ -110,6 +111,13 @@ class ConditionalSlice:
         object.__setattr__(self, "l_a", int(self.l_a))
 
 
+def check_cells(window_a: OamWindow, window_b: OamWindow, runs: int = 1) -> None:
+    """Raise ValueError if runs spectra over the windows hold more than MAX_CELLS cells in all."""
+    if len(window_a) * len(window_b) * runs > MAX_CELLS:
+        cells = f"{len(window_a)} x {len(window_b)} x {runs}"
+        raise ValueError(f"window cells x runs must be at most {MAX_CELLS}, got {cells}")
+
+
 def geometric_kernel(s, gamma):
     """The spectrum's one formula: q**|s| with q = (gamma - 1)/(gamma + 1), 0 on odd s.
 
@@ -158,19 +166,9 @@ def joint_spectrum(gamma: float, window_a: OamWindow, window_b: OamWindow, n_mod
     """Closed-form joint spectrum over a pair of detection windows."""
     gamma = require_gamma(gamma)
     n = _require_n_modes(n_modes)
+    check_cells(window_a, window_b)
     values = geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) / n
     return JointSpectrum(window_a=window_a, window_b=window_b, values=values, n_modes=n, gamma=gamma)
-
-
-def extract_conditional(values, window_a: OamWindow, window_b: OamWindow, l_a: int) -> ConditionalSlice:
-    """Pull one Alice row out of a joint-valued matrix as a ConditionalSlice."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(window_a), len(window_b)):
-        raise ValueError(
-            f"matrix shape {values.shape} does not match windows ({len(window_a)}, {len(window_b)})"
-        )
-    row = values[window_a.index_of(int(l_a))].copy()
-    return ConditionalSlice(l_a=int(l_a), window_b=window_b, values=row)
 
 
 def joint_probability_quadrature(

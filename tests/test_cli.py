@@ -126,6 +126,30 @@ class TestHologramCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCellCap:
+    @pytest.mark.parametrize(
+        ("argv", "cells"),
+        [
+            (["spectrum", "--gamma", "2", "--half-width", "5000"], "10001 x 10001 x 1"),
+            (["simulate", "--gamma", "2", "--half-width", "4096"], "8193 x 8193 x 1"),
+            (["simulate", "--gamma", "2", "--half-width", "1", "--half-width-a", "11184811"], "22369623 x 3 x 1"),
+            (["experiment", "--runs", "1000000"], "1 x 81 x 1000000"),
+            (["experiment", "--runs", "1000000", "--noiseless"], "1 x 81 x 1000000"),
+        ],
+    )
+    def test_exits_2_before_allocating(self, tmp_path, capsys, argv, cells):
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"window cells x runs must be at most 67108864, got {cells}" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulateAndEstimateCommands:
     def run_simulate(self, tmp_path, seed="7"):
         return main(

@@ -224,12 +224,12 @@ def scalar_grid_fit(conditional, gamma_bounds):
 
 
 @st.composite
-def noisy_slices(draw, length=None):
-    l_a = draw(st.integers(-20, 20))
+def noisy_slices(draw, length=None, l_a=None, below=None):
+    l_a = draw(st.integers(-20, 20)) if l_a is None else l_a
     if length is None:
         below, above = draw(st.integers(0, 60)), draw(st.integers(0, 60))
     else:
-        below = draw(st.integers(0, length - 1))
+        below = draw(st.integers(0, length - 1)) if below is None else below
         above = length - 1 - below
     window = OamWindow(-l_a - below, -l_a + above)
     gamma = draw(st.floats(1.0, 60.0))
@@ -266,6 +266,16 @@ def slice_batches(draw):
     return draw(st.lists(noisy_slices(length), min_size=1, max_size=12))
 
 
+@st.composite
+def shared_row_batches(draw):
+    # many slices with one l_a and window, hence one sums row and one coarse-grid model, among a few others
+    length = draw(st.integers(1, 121))
+    l_a, below = draw(st.integers(-20, 20)), draw(st.integers(0, length - 1))
+    shared = draw(st.lists(noisy_slices(length, l_a, below), min_size=2, max_size=30))
+    others = draw(st.lists(noisy_slices(length), max_size=3))
+    return draw(st.permutations(shared + others))
+
+
 def fits_of(results):
     return [(r.gamma_meas, r.residual, r.method, r.l_a, r.window) for r in results]
 
@@ -285,6 +295,38 @@ class TestBatchedFit:
     def test_matches_the_scalar_fit_on_each_slice(self, conds, bounds):
         assert fits_of(estimate_gamma_fits(conds, bounds)) == scalar_fits_of(conds, bounds)
 
+    @settings(max_examples=40, deadline=None)
+    @given(conds=shared_row_batches(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
+    @example(
+        # l_a = 3 over [-43, 37] has the sums row of l_a = 0 over [-40, 40]; l_a = -2 has its own
+        conds=[conditional_slice(0, OamWindow.symmetric(40), g) for g in (1.0, 2.0, 5.0, 10.0, 20.0, 45.0)]
+        + [conditional_slice(3, OamWindow(-43, 37), 5.0), conditional_slice(-2, OamWindow.symmetric(40), 2.0)]
+        + [conditional_slice(0, OamWindow.symmetric(40), 3.0)],
+        bounds=(1.0, 50.0),
+    )
+    def test_slices_sharing_a_sums_row_match_the_scalar_fit(self, conds, bounds):
+        assert fits_of(estimate_gamma_fits(conds, bounds)) == scalar_fits_of(conds, bounds)
+
+    # beside 100 slices on one sums row: l_a = 3 over [-43, 37] shares it, the others make two more rows
+    @pytest.mark.parametrize("others", [[], [(3, (-43, 37)), (-2, (-40, 40)), (1, (-40, 40)), (-2, (-40, 40))]])
+    def test_coarse_grid_is_built_once_per_sums_row(self, monkeypatch, others):
+        conds = [conditional_slice(0, OamWindow.symmetric(40), g) for g in np.linspace(1.0, 30.0, 100)]
+        conds[50:50] = [conditional_slice(l_a, OamWindow(*bounds), 4.0) for l_a, bounds in others]
+        grid_rows = []
+
+        def spy(s, gamma):
+            if np.ndim(s) == 1:  # the coarse grid; the search passes one sums row per slice
+                assert np.shape(gamma) == (GRID_POINTS, 1)
+                grid_rows.append(int(s[0]))
+            return geometric_kernel(s, gamma)
+
+        monkeypatch.setattr(estimate, "geometric_kernel", spy)
+        results = estimate_gamma_fits(conds, (1.0, 50.0))
+        assert sorted(grid_rows) == sorted({c.l_a + c.window_b.l_min for c in conds})
+        assert len(grid_rows) == (1 if not others else 3)
+        monkeypatch.undo()
+        assert fits_of(results) == fits_of([estimate_gamma_fit(c, (1.0, 50.0)) for c in conds])
+
     def test_slices_leave_the_search_as_their_brackets_close(self, monkeypatch):
         # gamma = 1 brackets one step of the coarse grid at its end, the others two
         # steps of the geometric grid, which are wider at larger gamma
@@ -297,8 +339,9 @@ class TestBatchedFit:
 
         monkeypatch.setattr(estimate, "geometric_kernel", spy)
         results = estimate_gamma_fits(conds, (1.0, 50.0))
-        assert batch_sizes[:4] == [GRID_POINTS] * 4
-        search = batch_sizes[4:-1]
+        # one coarse grid for the four slices, which share their sums row
+        assert batch_sizes[:2] == [GRID_POINTS, 4]
+        search = batch_sizes[1:-1]
         assert search[:2] == [4, 4] and sorted(set(search)) == [2, 3, 4]
         assert search == sorted(search, reverse=True)
         assert fits_of(results) == scalar_fits_of(conds, (1.0, 50.0))

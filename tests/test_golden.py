@@ -88,6 +88,28 @@ GOLDEN = {
             "experiment_summary.json": "ddf5021bff73c8ee6fd1576ee1181a86632893c78628319246769f6a1acd0dcd",
         },
     ),
+    # recorded before the runs of a gamma were background-subtracted as one stacked array
+    "experiment_subtract_accidental": (
+        [["experiment", "--gamma", "1,2,5", "--seed", "42", "--runs", "3", "--half-width", "25", "--subtract", "accidental"]],
+        {
+            "experiment_batch.csv": "edf35b068b821c95d561dbdf3b01b0d4598c2391c7aaeeb4c7c313a24bf78db1",
+            "experiment_summary.json": "72ab95ebfd1950fca7450f3371c1624ca1090d615e1e53c29707ff904d98e35b",
+        },
+    ),
+    "experiment_subtract_minimum": (
+        [["experiment", "--gamma", "1,2,5", "--seed", "42", "--runs", "3", "--half-width", "25", "--subtract", "minimum"]],
+        {
+            "experiment_batch.csv": "49e28972ce03e9c137a95491edc3edf10473d402009dffce63085a98b0911aba",
+            "experiment_summary.json": "14bc362a8b9bc581a3f7b695053e2ea6135bfe6b71d655ce1774b2e8bae026bb",
+        },
+    ),
+    "experiment_subtract_none": (
+        [["experiment", "--gamma", "1,2,5", "--seed", "42", "--runs", "3", "--half-width", "25", "--subtract", "none"]],
+        {
+            "experiment_batch.csv": "a04b38d95e2dfb0ffb1e76659fea4cd68c0aa3551b2fbf5c0e4ee00b54f5ad9b",
+            "experiment_summary.json": "d50d8bcc4361369bafad7d6046a0eca550ffbdfa3a655b17b5843951862c8b69",
+        },
+    ),
     "experiment_noiseless": (
         [["experiment", "--gamma", "1.5,20", "--noiseless", "--half-width", "30"]],
         {

@@ -158,6 +158,10 @@ class TestSameBitsAsWholeArray:
     @example(shape=(2, 2), l=0, gamma=1.0, extent=1.0)
     @example(shape=(2048, 65), l=5, gamma=7.0, extent=1.0)
     @example(shape=(5, 2 * (hologram._BLOCK_CELLS // 5) + 1), l=-3, gamma=1e6, extent=0.01)
+    # |l| <= 1 skips the fmod; odd sizes put x = 0 and y = 0 on the grid
+    @example(shape=(2049, 2 * (hologram._BLOCK_CELLS // 2049) + 1), l=-1, gamma=1.0, extent=1.0)
+    @example(shape=(2048, 65), l=0, gamma=3.0, extent=1.0)
+    @example(shape=(5, 2 * (hologram._BLOCK_CELLS // 5) + 1), l=1, gamma=1e6, extent=0.01)
     def test_phase_and_pgm_bytes(self, shape, l, gamma, extent):
         width, height = shape
         field = generate_hologram(l, gamma, width=width, height=height, extent=extent)

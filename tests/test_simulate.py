@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oamboost.simulate as simulate_module
 from oamboost.estimate import estimate_gamma_msum
@@ -15,13 +16,14 @@ from oamboost.simulate import (
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
+    counts_conditionals,
     read_count_spectrum,
     sidecar_path,
     simulate_counts,
     simulate_runs,
     subtract_background,
 )
-from oamboost.spectrum import OamWindow, conditional_slice
+from oamboost.spectrum import MAX_CELLS, OamWindow, conditional_slice
 
 U64_MAX = 2**64 - 1
 
@@ -186,6 +188,21 @@ class TestSimulateCounts:
         band = 3.0 * np.sqrt(mean) / np.sqrt(200.0)
         assert abs(np.mean(draws) - mean) < band
 
+    def test_cell_cap_comes_before_any_allocation(self, monkeypatch):
+        def no_indices(window):
+            raise AssertionError("the window indices were built")
+
+        monkeypatch.setattr(OamWindow, "indices", no_indices)
+        windows = (OamWindow(0, 0), OamWindow(0, 8191))
+        assert 8192 * 8192 == MAX_CELLS
+        with pytest.raises(ValueError, match=r"at most 67108864, got 1 x 8192 x 8193"):
+            simulate_runs(2.0, windows, NoiseModel(), range(8193))
+        with pytest.raises(ValueError, match=r"at most 67108864, got 8193 x 8193 x 1"):
+            simulate_counts(2.0, square_windows(4096), NoiseModel(), 0)
+        # 8192 runs of 8192 cells pass the cap and reach the windows' indices
+        with pytest.raises(AssertionError, match="indices were built"):
+            simulate_runs(2.0, windows, NoiseModel(), range(8192))
+
     def test_counts_read_only(self):
         counts = simulate_counts(2.0, square_windows(2), NoiseModel(), 0)
         with pytest.raises(ValueError):
@@ -345,6 +362,49 @@ class TestSubtractBackground:
             with_sub.append(estimate_gamma_msum(cleaned).gamma_meas - 10.0)
             without.append(estimate_gamma_msum(raw).gamma_meas - 10.0)
         assert abs(np.mean(with_sub)) < abs(np.mean(without))
+
+
+@st.composite
+def run_batches(draw):
+    """(spectra, l_a): count spectra of several runs on one pair of windows and one noise model."""
+    a_lo, b_lo = draw(st.integers(-6, 6)), draw(st.integers(-40, 10))
+    window_a = OamWindow(a_lo, a_lo + draw(st.integers(0, 4)))
+    window_b = OamWindow(b_lo, b_lo + draw(st.integers(0, 30)))
+    model = NoiseModel(accidental_rate=draw(st.floats(0.0, 60.0)), integration=draw(st.floats(0.1, 3.0)))
+    shape = (draw(st.integers(1, 6)), len(window_a), len(window_b))
+    counts = draw(arrays(np.int64, shape, elements=st.integers(0, 120)))
+    spectra = [CountSpectrum(window_a, window_b, c, seed, model, 2.0) for seed, c in enumerate(counts)]
+    return spectra, draw(st.integers(window_a.l_min, window_a.l_max))
+
+
+class TestCountsConditionals:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=run_batches(), mode=st.sampled_from([None, "accidental", "minimum", "both"]))
+    def test_stacked_rows_are_the_whole_matrix_rows(self, batch, mode):
+        spectra, l_a = batch
+        row = spectra[0].window_a.index_of(l_a)
+        conds = counts_conditionals(spectra, l_a, mode)
+        assert len(conds) == len(spectra)
+        for cond, counts in zip(conds, spectra):
+            whole = counts.counts.astype(float) if mode is None else subtract_background(counts, mode)
+            assert (cond.l_a, cond.window_b) == (l_a, counts.window_b)
+            # tobytes also compares the sign of every zero
+            assert cond.values.tobytes() == whole[row].tobytes()
+            assert cond.values.min() >= 0.0
+            assert counts_conditional(counts, l_a, mode).values.tobytes() == cond.values.tobytes()
+
+    def test_one_setup_per_call(self):
+        model = NoiseModel(accidental_rate=3.0)
+        base = simulate_counts(2.0, square_windows(3), model, 1)
+        other_window = simulate_counts(2.0, (OamWindow(-3, 3), OamWindow(-4, 2)), model, 1)
+        other_model = simulate_counts(2.0, square_windows(3), NoiseModel(accidental_rate=4.0), 1)
+        for spectra in ([base, other_window], [base, other_model], []):
+            with pytest.raises(ValueError, match="one window pair and noise model"):
+                counts_conditionals(spectra, 0, "both")
+        with pytest.raises(ValueError, match="unknown subtraction mode"):
+            counts_conditionals([base, base], 0, "median")
+        with pytest.raises(ValueError, match=r"l = 4 lies outside the window \[-3, 3\]"):
+            counts_conditionals([base, base], 4, None)
 
 
 class TestSerialization:

@@ -11,7 +11,6 @@ from oamboost.spectrum import (
     ConditionalSlice,
     OamWindow,
     conditional_slice,
-    extract_conditional,
     geometric_kernel,
     joint_probability,
     joint_probability_quadrature,
@@ -369,11 +368,16 @@ class TestJointSpectrumMatrix:
                 expected = 1.0 / n if l_a == -l_b else 0.0
                 assert spec.values[i, j] == expected
 
-    def test_extract_conditional(self):
-        spec = joint_spectrum(4.0, OamWindow(-3, 3), OamWindow(-8, 8), 5)
-        cond = extract_conditional(spec.values, spec.window_a, spec.window_b, 2)
-        ref = conditional_slice(2, OamWindow(-8, 8), 4.0)
-        np.testing.assert_allclose(cond.values * 5, ref.values, rtol=1e-14)
+    def test_cell_cap_comes_before_any_allocation(self, monkeypatch):
+        def no_indices(window):
+            raise AssertionError("the window indices were built")
+
+        monkeypatch.setattr(OamWindow, "indices", no_indices)
+        with pytest.raises(ValueError, match=r"at most 67108864, got 8193 x 8192 x 1"):
+            joint_spectrum(2.0, OamWindow(0, 8192), OamWindow(0, 8191))
+        # 8192 x 8192 itself passes the cap and reaches the indices
+        with pytest.raises(AssertionError, match="indices were built"):
+            joint_spectrum(2.0, OamWindow(0, 8191), OamWindow(0, 8191))
 
     def test_values_read_only(self):
         spec = joint_spectrum(2.0, OamWindow(-2, 2), OamWindow(-2, 2), 1)
