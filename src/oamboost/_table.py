@@ -16,32 +16,39 @@ _BLOCK_ROWS = 4096
 _INT64 = np.iinfo(np.int64)
 
 
-def _distinct_texts(column):
-    """Texts of column's distinct values, each formatted once, and each element's index into them.
+def _distinct_texts(column, end: str):
+    """Texts of column's distinct values, each formatted once and followed by end, and each element's index into them.
 
-    Floats are told apart by bit pattern, so -0.0 and each NaN keep their own text.
+    An integer column whose range is shorter than the column is indexed by value - min, with no sort.  Floats
+    are told apart by bit pattern, so -0.0 and each NaN keep their own text.
     """
     values = np.asarray(column).ravel()
+    if values.dtype.kind in "iu" and values.size and int(values.max()) - int(values.min()) < values.size:
+        low = values.min()
+        inverse = np.subtract(values, low, dtype=np.intp, casting="unsafe")  # exact mod 2**64, and in [0, size)
+        texts = np.empty(int(inverse.max()) + 1, dtype=object)
+        present = np.flatnonzero(np.bincount(inverse))
+        texts[present] = [str(int(low) + v) + end for v in present.tolist()]
+        return texts, inverse
     if values.dtype.kind == "f":
         distinct, inverse = np.unique(values.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
-        texts = [format(v, ".17g") for v in distinct.view(np.float64).tolist()]
+        texts = [format(v, ".17g") + end for v in distinct.view(np.float64).tolist()]
     else:
         distinct, inverse = np.unique(values, return_inverse=True)
-        texts = list(map(str, distinct.tolist()))
+        texts = [str(v) + end for v in distinct.tolist()]
     return np.array(texts, dtype=object), inverse
 
 
 def format_table(header: str, *columns) -> str:
     """CSV text of header and the rows zip(*columns), each column flattened in C order."""
-    fields = [_distinct_texts(column) for column in columns]
-    step, rows = 2 * len(fields), len(fields[0][1])
+    fields = [_distinct_texts(column, end) for column, end in zip(columns, [","] * (len(columns) - 1) + ["\n"])]
+    step, rows = len(fields), len(fields[0][1])
     parts = [header + "\n"]
     for start in range(0, rows, _BLOCK_ROWS):
         block = min(_BLOCK_ROWS, rows - start)
-        cells = [","] * (step * block)
+        cells = [""] * (step * block)
         for k, (texts, inverse) in enumerate(fields):
-            cells[2 * k :: step] = texts[inverse[start : start + block]].tolist()
-        cells[step - 1 :: step] = ["\n"] * block
+            cells[k::step] = texts[inverse[start : start + block]].tolist()
         parts.append("".join(cells))
     return "".join(parts)
 

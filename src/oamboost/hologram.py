@@ -46,10 +46,22 @@ def grid_coordinates(n: int, extent: float) -> np.ndarray:
     return (np.arange(n) - (n - 1) / 2.0) * (2.0 * extent / (n - 1))
 
 
-def _wrap(phase: np.ndarray, fmod: bool = True) -> np.ndarray:
-    """numpy's float remainder by 2*pi in place, bit for bit: fmod, +2*pi below 0, -0.0 made +0.0."""
-    if fmod:
+def _wrap(phase: np.ndarray, l: int | None = None) -> np.ndarray:
+    """numpy's float remainder by 2*pi in place, bit for bit: fmod, +2*pi below 0, -0.0 made +0.0.
+
+    For |phase| <= |l|*pi, fmod is |phase| less k*2*pi where it is at least k*2*pi, for k = 2**j down to 1:
+    each k*2*pi is exact and each difference is exact (Sterbenz), so the remainder is exact, -0.0 included.
+    """
+    if l is None:
         np.fmod(phase, TWO_PI, out=phase)
+    elif abs(l) > 1:
+        negative = np.signbit(phase)
+        np.abs(phase, out=phase)
+        k = 1 << (abs(l).bit_length() - 2)  # the largest power of two with 2k <= |l|
+        while k:
+            np.subtract(phase, k * TWO_PI, out=phase, where=phase >= k * TWO_PI)
+            k >>= 1
+        np.negative(phase, out=phase, where=negative)
     np.add(phase, TWO_PI, out=phase, where=phase < 0.0)
     return np.add(phase, 0.0, out=phase)
 
@@ -77,14 +89,15 @@ def generate_hologram(
     if not 0.0 < extent < np.inf:
         raise ValueError(f"extent must be positive and finite, got {extent}")
     x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)
+    l = int(l)
     phase = np.empty((height, width))
     step = max(1, _BLOCK_CELLS // width)
     for start in range(0, height, step):
         block = np.arctan2(gamma * y[start : start + step, None], x, out=phase[start : start + step])
-        block *= int(l)
-        _wrap(block, fmod=abs(int(l)) > 1)  # |atan2| <= pi < 2*pi, so for |l| <= 1 the fmod is the identity
+        block *= l
+        _wrap(block, l)  # |l * atan2| <= |l| * pi bounds the remainder's steps
         block[block >= TWO_PI] = 0.0
-    return HologramField(width=width, height=height, extent=extent, l=int(l), gamma=gamma, phase=phase)
+    return HologramField(width=width, height=height, extent=extent, l=l, gamma=gamma, phase=phase)
 
 
 def export_hologram(field: HologramField, format: str) -> bytes:
@@ -120,8 +133,17 @@ def hologram_filename(field: HologramField, ext: str) -> str:
 
 
 def winding_number(l: int, gamma: float, samples: int = 3600) -> float:
-    """Accumulated mask phase around the core divided by 2*pi; equals l for any gamma."""
+    """Accumulated mask phase around the core divided by 2*pi; equals l for any gamma, or raises if undersampled."""
     gamma = require_gamma(gamma)
-    angles = np.linspace(0.0, TWO_PI, int(samples) + 1)
-    unwrapped = np.unwrap(_wrap(int(l) * np.arctan2(gamma * np.sin(angles), np.cos(angles))))
+    l, samples = int(l), int(samples)
+    angles = np.linspace(0.0, TWO_PI, samples + 1)
+    azimuth = np.arctan2(gamma * np.sin(angles), np.cos(angles))
+    # unwrap cannot resolve a mask-phase step of pi; the l = 1 azimuth's steps stay below pi from 3 samples on
+    if samples < 3 or abs(l) * np.abs(np.diff(np.unwrap(azimuth))).max() >= np.pi:
+        # a step of n samples spans at most 2*atan(gamma*tan(pi/n)) (centred on angle 0 or pi): below pi/|l| from
+        # n > pi / atan(tan(pi/2|l|) / gamma) on, taken here with a 1e-9 margin
+        need = int(np.ceil(1.000000001 * np.pi / np.arctan(np.tan(np.pi / 2 / max(1, abs(l))) / gamma)))
+        raise ValueError(f"winding_number cannot resolve l = {l} at gamma = {gamma} with {samples} samples: "
+                         f"a sampled mask-phase step reaches pi; {need} samples would suffice")
+    unwrapped = np.unwrap(_wrap(l * azimuth))
     return float((unwrapped[-1] - unwrapped[0]) / TWO_PI)

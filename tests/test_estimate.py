@@ -37,6 +37,19 @@ class TestGammaFromM:
         with pytest.raises(ValueError):
             gamma_from_m(bad)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(1.0, 1.0 + 1e-6), st.floats(1.0, 1e6)))
+    @example(1.0 + 1e-8)  # m rounds to 1 near gamma = 1, the worst cancellation (about 1.7e-8)
+    @example(1e6)
+    def test_gamma_round_trips_through_m(self, gamma):
+        assert abs(gamma_from_m(measurement_sum(gamma)) - gamma) <= 1e-7 * gamma
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(1.0, 1.0 + 1e-9), st.floats(1.0, 4.9e5)))
+    @example(1.0)
+    def test_m_round_trips_through_gamma(self, m):
+        assert abs(measurement_sum(gamma_from_m(m)) - m) <= 2 * math.ulp(m)
+
 
 def even_sum_slice(m):
     # peak 1 at l_b = 0 and the rest of the even-sum m split over l_b = +-2

@@ -1,9 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oamboost import hologram
@@ -51,12 +52,22 @@ def reference_pgm(phase):
     return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
 
 
+def parse_pgm(data) -> np.ndarray:
+    """Pixel rows of a binary P5 file with maxval 255; the size must match the header."""
+    header = re.match(rb"P5\n([0-9]+) ([0-9]+)\n255\n", data)
+    return np.frombuffer(data[header.end() :], dtype=np.uint8).reshape(int(header[2]), int(header[1]))
+
+
 def reference_winding_number(l, gamma, samples=3600):
     gamma = require_gamma(gamma)
     angles = np.linspace(0.0, TWO_PI, int(samples) + 1)
     phase = np.mod(int(l) * np.arctan2(gamma * np.sin(angles), np.cos(angles)), TWO_PI)
     unwrapped = np.unwrap(phase)
     return float((unwrapped[-1] - unwrapped[0]) / TWO_PI)
+
+
+# (|l|, gamma, samples) of test_winding_number where a sampled mask-phase step reaches pi
+UNRESOLVED_WINDINGS = {(3, 2.5, 8), (3, 1e6, 8), (3, 1e6, 3600), (12, 1.0, 8), (12, 2.5, 8), (12, 1e6, 8), (12, 1e6, 3600)}
 
 
 @st.composite
@@ -162,6 +173,12 @@ class TestSameBitsAsWholeArray:
     @example(shape=(2049, 2 * (hologram._BLOCK_CELLS // 2049) + 1), l=-1, gamma=1.0, extent=1.0)
     @example(shape=(2048, 65), l=0, gamma=3.0, extent=1.0)
     @example(shape=(5, 2 * (hologram._BLOCK_CELLS // 5) + 1), l=1, gamma=1e6, extent=0.01)
+    # |l| >= 2 runs the bounded remainder: one step for |l| = 2 and 3, three for 8, four for 17
+    @example(shape=(2049, 2 * (hologram._BLOCK_CELLS // 2049) + 1), l=2, gamma=1.0, extent=1.0)
+    @example(shape=(2048, 65), l=-2, gamma=3.0, extent=1.0)
+    @example(shape=(2049, 2 * (hologram._BLOCK_CELLS // 2049) + 1), l=8, gamma=2.5, extent=1.0)
+    @example(shape=(5, 2 * (hologram._BLOCK_CELLS // 5) + 1), l=-8, gamma=1e6, extent=0.01)
+    @example(shape=(511, 2 * (hologram._BLOCK_CELLS // 511) + 1), l=17, gamma=11.0, extent=3.0)
     def test_phase_and_pgm_bytes(self, shape, l, gamma, extent):
         width, height = shape
         field = generate_hologram(l, gamma, width=width, height=height, extent=extent)
@@ -169,6 +186,15 @@ class TestSameBitsAsWholeArray:
         # tobytes also compares the sign of every zero
         assert field.phase.tobytes() == expected.tobytes()
         assert export_hologram(field, "pgm8") == reference_pgm(expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=block_shapes(), l=st.integers(-12, 12), gamma=st.floats(1.0, 1e6))
+    def test_pgm_parses_back(self, shape, l, gamma):
+        width, height = shape
+        pixels = parse_pgm(export_hologram(generate_hologram(l, gamma, width=width, height=height), "pgm8"))
+        expected = parse_pgm(reference_pgm(reference_phase(l, gamma, width, height, hologram.DEFAULT_EXTENT)))
+        assert pixels.shape == expected.shape == (height, width)
+        assert pixels.tobytes() == expected.tobytes()
 
     def test_wrap_is_numpy_mod(self):
         # signed zeros, remainders that round up to 2*pi, huge values and NaN payloads included
@@ -186,11 +212,31 @@ class TestSameBitsAsWholeArray:
         field = HologramField(width=37, height=phase.shape[0], extent=1.0, l=1, gamma=1.0, phase=phase)
         assert export_hologram(field, "pgm8") == reference_pgm(field.phase)
 
+    @settings(max_examples=200, deadline=None)
+    @given(l=st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 2**19 + 1, 2**20 - 1, 2**20]),
+                       st.integers(0, 2**20)),
+           sign=st.sampled_from([1, -1]), data=st.data())
+    def test_bounded_wrap_is_numpy_mod(self, l, sign, data):
+        # |x| <= |l|*pi, with multiples of 2*pi, their neighbours and both zeros drawn often
+        bound = l * math.pi
+        k = data.draw(st.lists(st.integers(-(l // 2), l // 2), max_size=20))
+        multiples = [m * TWO_PI for m in k]
+        values = multiples + [np.nextafter(v, np.inf) for v in multiples] + [np.nextafter(v, -np.inf) for v in multiples]
+        values += data.draw(st.lists(st.floats(-bound, bound), max_size=40)) + [0.0, -0.0, bound, -bound]
+        values = np.array([v for v in values if abs(v) <= bound])
+        assert hologram._wrap(values.copy(), sign * l).tobytes() == np.mod(values, TWO_PI).tobytes()
+
     @pytest.mark.parametrize("l", [-12, -1, 0, 1, 3, 12])
     @pytest.mark.parametrize("gamma", [1.0, 2.5, 1e6])
     @pytest.mark.parametrize("samples", [8, 3600])
     def test_winding_number(self, l, gamma, samples):
-        assert winding_number(l, gamma, samples) == reference_winding_number(l, gamma, samples)
+        if (abs(l), gamma, samples) in UNRESOLVED_WINDINGS:
+            # the former code returned a wrong count here, without an error
+            assert round(reference_winding_number(l, gamma, samples)) != l
+            with pytest.raises(ValueError, match=f"cannot resolve l = {l} at gamma = {gamma} with {samples} samples"):
+                winding_number(l, gamma, samples)
+        else:
+            assert winding_number(l, gamma, samples) == reference_winding_number(l, gamma, samples)
 
 
 class TestMemoryBudget:
@@ -231,6 +277,42 @@ class TestWinding:
     def test_accumulated_phase_l3(self):
         # one loop round the core at the default sampling accumulates 3 * 2*pi
         assert winding_number(3, 1.0) * TWO_PI == pytest.approx(6 * math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        ("l", "gamma", "need"), [(3, 1e6, 5441399), (12, 1e6, 23862766), (181, 10.0, 3620), (1800, 1.0, 3601)]
+    )
+    def test_unresolvable_sampling_raises(self, l, gamma, need):
+        # the former code returned -1.0000000001, about 0, 165 and 579 here
+        message = f"l = {l} at gamma = {gamma} with 3600 samples: .* reaches pi; {need} samples would suffice"
+        with pytest.raises(ValueError, match=message):
+            winding_number(l, gamma)
+        if need < 10**4:
+            assert winding_number(l, gamma, need) == pytest.approx(l, abs=1e-9)
+
+    def test_a_step_of_exactly_pi_raises(self):
+        # four samples at gamma = 1 step by pi/2 exactly, so l = 2 steps by pi, which unwrap cannot resolve
+        with pytest.raises(ValueError, match="l = 2 at gamma = 1.0 with 4 samples: .* 5 samples would suffice"):
+            winding_number(2, 1.0, 4)
+        assert winding_number(2, 1.0, 5) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("samples", [0, 1, 2])
+    def test_fewer_than_three_samples_raise(self, samples):
+        for l in (0, 1):
+            with pytest.raises(ValueError, match="3 samples would suffice"):
+                winding_number(l, 1e6, samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(-400, 400), gamma=st.one_of(st.just(1.0), st.floats(1.0, 50.0)))
+    def test_suggested_samples_suffice(self, l, gamma):
+        with pytest.raises(ValueError) as info:
+            winding_number(l, gamma, 2)
+        need = int(re.search(r"(\d+) samples would suffice", str(info.value)).group(1))
+        assume(need <= 2 * 10**5)
+        assert winding_number(l, gamma, need) == pytest.approx(l, abs=1e-6)
+        if gamma == 1.0 and l:
+            # every step is 2*pi/samples at gamma = 1, so one sample fewer leaves a step of pi
+            with pytest.raises(ValueError):
+                winding_number(l, gamma, need - 1)
 
     def test_radius_independent(self):
         # the same pixel directions at radii 100 times apart carry the same phase

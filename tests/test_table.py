@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oamboost._table import format_table, parse_int_rows
+from oamboost._table import _BLOCK_ROWS, format_table, parse_int_rows
 from oamboost.cli import main
 from oamboost.estimate import FitResult, batch_csv
 from oamboost.relativity import frame_from_gamma
@@ -137,6 +137,32 @@ floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow
 int64s = st.one_of(st.sampled_from([0, -1, 1, INT64.min, INT64.max]), st.integers(INT64.min, INT64.max))
 
 
+def table_column(kind, rows, rng):
+    """A column of one kind: integer columns whose range is shorter than the column take the sort-free path."""
+    if kind == "narrow int64":
+        return rng.integers(INT64.min, INT64.max - rows, endpoint=True) + rng.integers(0, rows, rows)
+    if kind == "sparse int64":
+        return rng.choice([INT64.min, INT64.max, 0, -1]) + 3 * rng.integers(-rows, rows, rows, endpoint=True)
+    if kind == "int8":
+        return rng.integers(-128, 128, rows).astype(np.int8)  # wraps in int8 when taken as value - min
+    if kind == "narrow uint64 at 2**64":
+        return np.uint64(2**64 - 1) - rng.integers(0, rows, rows).astype(np.uint64)
+    if kind == "wide uint64":
+        return rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True)
+    if kind == "bool":
+        return rng.integers(0, 2, rows).astype(bool)
+    if kind == "float":
+        return np.where(rng.random(rows) < 0.5, rng.choice(EDGE_FLOATS, rows), rng.normal(0.0, 1e3, rows))
+    if kind == "object":
+        return np.array([int(v) for v in rng.integers(0, 2**63 - 1, rows)] + [2**64 - 1], dtype=object)[-rows:]
+    return rng.choice(["m_sum", "least_squares", ""], rows)
+
+
+INT_KINDS = ["narrow int64", "sparse int64", "int8"]
+COLUMN_KINDS = INT_KINDS + ["narrow uint64 at 2**64", "wide uint64", "bool", "float", "object", "str"]
+table_rows = st.one_of(st.integers(1, 30), st.sampled_from([200, 300, _BLOCK_ROWS, _BLOCK_ROWS + 1]))
+
+
 class TestFormatTable:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(floats, int64s, floats), max_size=60))
@@ -167,6 +193,41 @@ class TestFormatTable:
         big = np.array([2**63, 2**64 - 1, 2**63], dtype=np.uint64)
         text = format_table("seed,u,method", seeds, big, ["m_sum", "least_squares", "m_sum"])
         assert text == reference_table("seed,u,method", seeds, big, ["m_sum", "least_squares", "m_sum"])
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=table_rows, kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, kinds=["narrow int64", "wide uint64", "bool", "str"], seed=0)
+    @example(rows=_BLOCK_ROWS + 1, kinds=["int8", "narrow uint64 at 2**64", "float", "object"], seed=1)
+    def test_mixed_columns_equal_per_row_reference(self, rows, kinds, seed):
+        rng = np.random.default_rng(seed)
+        columns = [table_column(kind, rows, rng) for kind in kinds]
+        header = ",".join(f"c{k}" for k in range(len(columns)))
+        assert format_table(header, *columns) == reference_table(header, *columns)
+
+    def test_narrow_integer_columns_need_no_sort(self, monkeypatch):
+        l_a, l_b = np.broadcast_arrays(np.arange(-20, 21)[:, None], np.arange(-20, 21))
+        wrapped = np.array([-128, 127, 0] * 100, dtype=np.int8)
+        top = np.array([2**64 - 1, 2**64 - 300] * 150, dtype=np.uint64)
+        expected = [reference_table("l_a,l_b", l_a, l_b), reference_table("w,t", wrapped, top)]
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique was called")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert [format_table("l_a,l_b", l_a, l_b), format_table("w,t", wrapped, top)] == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=table_rows, kinds=st.lists(st.sampled_from(INT_KINDS), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_int_columns_parse_back(self, rows, kinds, seed):
+        rng = np.random.default_rng(seed)
+        columns = [table_column(kind, rows, rng).astype(np.int64) for kind in kinds]
+        body = format_table("h", *columns).encode("ascii").split(b"\n", 1)[1]
+        parsed, malformed = parse_int_rows(body, len(columns))
+        assert malformed is None and parsed.dtype == np.int64
+        assert parsed.tobytes() == np.column_stack(columns).tobytes()
 
 
 class TestWritersMatchReferences:
