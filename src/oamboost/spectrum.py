@@ -2,17 +2,18 @@
 
 Relative motion of the detectors contracts their transverse coordinates,
 which breaks the orthogonality of the OAM projections and broadens the
-joint spectrum.  This module provides the closed-form probabilities, two
-independent numerical cross-checks (a periodic trapezoid rule for the
-overlap integral and a Gaussian-source 2-D integral), the even-sum
-measurement total, the contributing-mode count, and the moments of a
-conditional spectrum.
+joint spectrum.  This module provides the closed-form probabilities, the
+even-sum measurement total, the contributing-mode count, the moments of a
+conditional spectrum, and two oracles for the overlap integral: a periodic
+trapezoid rule in azimuth and its Gaussian-source polar form (exact radial
+factor), which both need more than 2*|l_a + l_b| azimuth nodes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,13 +25,23 @@ from .relativity import TWO_PI, require_gamma
 DEFAULT_HALF_WIDTH = 20
 DEFAULT_PANELS = 4096
 MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
+MAX_NODES = 1 << 20  # azimuth nodes of an oracle; its cached table costs 32 B a node
 
 
-def _require_n_modes(n_modes) -> int:
-    n = int(n_modes)
-    if n < 1:
-        raise ValueError(f"n_modes must be a positive integer, got {n_modes}")
-    return n
+def _require_count(name: str, value, low: int, high: float = math.inf) -> int:
+    """value as an int in [low, high]; a float or other non-integer raises rather than truncates."""
+    if not isinstance(value, numbers.Integral) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def _freeze_values(owner, shape: tuple[int, ...]) -> None:
+    """Store owner.values as a read-only float array of the windows' shape."""
+    values = np.ascontiguousarray(owner.values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} does not match the windows' shape {shape}")
+    values.setflags(write=False)
+    object.__setattr__(owner, "values", values)
 
 
 @dataclass(frozen=True)
@@ -80,14 +91,7 @@ class JointSpectrum:
     gamma: float
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != (len(self.window_a), len(self.window_b)):
-            raise ValueError(
-                f"values shape {values.shape} does not match windows "
-                f"({len(self.window_a)}, {len(self.window_b)})"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze_values(self, (len(self.window_a), len(self.window_b)))
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,7 @@ class ConditionalSlice:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != (len(self.window_b),):
-            raise ValueError(f"values shape {values.shape} does not match window length {len(self.window_b)}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze_values(self, (len(self.window_b),))
         object.__setattr__(self, "l_a", int(self.l_a))
 
 
@@ -152,8 +152,11 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
     Kronecker delta.
     """
     gamma = require_gamma(gamma)
-    n = _require_n_modes(n_modes)
-    return float(geometric_kernel(int(l_a) + int(l_b), gamma) / n)
+    n = _require_count("n_modes", n_modes, 1)
+    s = int(l_a) + int(l_b)
+    if abs(s) >= 1 << 63:
+        raise ValueError(f"l_a + l_b must fit in int64, got {s}")
+    return float(geometric_kernel(s, gamma) / n)
 
 
 def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalSlice:
@@ -165,42 +168,48 @@ def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalS
 def joint_spectrum(gamma: float, window_a: OamWindow, window_b: OamWindow, n_modes: int = 1) -> JointSpectrum:
     """Closed-form joint spectrum over a pair of detection windows."""
     gamma = require_gamma(gamma)
-    n = _require_n_modes(n_modes)
+    n = _require_count("n_modes", n_modes, 1)
     check_cells(window_a, window_b)
     values = geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) / n
     return JointSpectrum(window_a=window_a, window_b=window_b, values=values, n_modes=n, gamma=gamma)
 
 
+@functools.lru_cache(maxsize=8)
+def _azimuth_grid(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node numbers k, cos(phi_k)**2 and exp(-1j*phi_k) at phi_k = 2*pi*k/points, built once per count."""
+    k = np.arange(points)
+    phi = k * (TWO_PI / points)
+    tables = k, np.cos(phi) ** 2, np.exp(-1j * phi)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _azimuth_nodes(name: str, nodes, floor: int, s: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Checked node count, cos(phi_k)**2 and exp(-1j*s*phi_k) as cached unit roots at exact angles.
+
+    The trapezoid rule cannot tell s from s - nodes, so nodes must exceed 2*|s|.
+    """
+    nodes = _require_count(name, nodes, floor, MAX_NODES)
+    if 2 * abs(s) >= nodes:
+        raise ValueError(f"{name} = {nodes} cannot resolve l_a + l_b = {s}: it needs {name} >= {2 * abs(s) + 1}")
+    k, cos2, roots = _azimuth_grid(nodes)
+    return nodes, cos2, roots[(s * k) % nodes]
+
+
 def joint_probability_quadrature(
     l_a: int, l_b: int, gamma: float, n_modes: int = 1, panels: int = DEFAULT_PANELS
 ) -> float:
-    """Overlap-integral evaluation of the joint probability.
+    """Overlap-integral oracle for joint_probability: the periodic trapezoid rule in azimuth.
 
-    Composite trapezoid rule on a uniform grid over one period of the
-    boosted azimuth.  The integrand is smooth and 2*pi-periodic, so the
-    rule converges spectrally; this serves as an independent oracle for
-    joint_probability.
+    The integrand is smooth and 2*pi-periodic, so the rule converges
+    spectrally on `panels` nodes, which must exceed 2*|l_a + l_b|.
     """
     gamma = require_gamma(gamma)
-    n = _require_n_modes(n_modes)
-    panels = int(panels)
-    if panels < 64:
-        raise ValueError(f"panels must be >= 64, got {panels}")
-    s = int(l_a) + int(l_b)
-    phi = np.arange(panels) * (TWO_PI / panels)
-    integrand = gamma * np.exp(-1j * s * phi) / ((gamma * gamma - 1.0) * np.cos(phi) ** 2 + 1.0)
-    integral = integrand.sum() * (TWO_PI / panels)
-    amplitude = integral / (TWO_PI * math.sqrt(n))
-    return float(abs(amplitude) ** 2)
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per point count."""
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    n = _require_count("n_modes", n_modes, 1)
+    panels, cos2, phases = _azimuth_nodes("panels", panels, 64, int(l_a) + int(l_b))
+    total = phases @ (gamma / ((gamma * gamma - 1.0) * cos2 + 1.0))
+    return float(abs(total) ** 2 / (panels * panels * n))
 
 
 def joint_probability_spdc_oracle(
@@ -208,29 +217,20 @@ def joint_probability_spdc_oracle(
 ) -> float:
     """Gaussian-source 2-D integral seen from the moving detectors.
 
-    The near-field two-photon state is modelled as a unit Gaussian whose
-    radial coordinate is sheared by the boost.  Radial integration uses
-    Gauss-Legendre nodes on [0, radial_cutoff]; the azimuthal part uses
-    the periodic trapezoid rule.  The result is unnormalised: it equals
-    joint_probability up to a constant that depends on gamma but not on
-    (l_a, l_b).
+    The polar form of the overlap integral for a unit Gaussian source whose
+    radius the boost shears: the exact radial factor (1 - exp(-shear*R**2)) /
+    (2*shear) up to R = radial_cutoff (inf allowed), then the trapezoid rule of
+    joint_probability_quadrature on `grid` azimuth nodes (> 2*|l_a + l_b|).
+    Unnormalised: as R grows it tends to that quadrature times pi**2/gamma**2.
     """
     gamma = require_gamma(gamma)
     radial_cutoff = float(radial_cutoff)
     if not radial_cutoff > 0.0:
         raise ValueError(f"radial_cutoff must be positive, got {radial_cutoff}")
-    grid = int(grid)
-    if grid < 256:
-        raise ValueError(f"grid must be >= 256, got {grid}")
-    s = int(l_a) + int(l_b)
-    nodes, weights = _gauss_legendre(grid)
-    r = 0.5 * radial_cutoff * (nodes + 1.0)
-    wr = 0.5 * radial_cutoff * weights
-    phi = np.arange(grid) * (TWO_PI / grid)
-    shear = (gamma * gamma - 1.0) * np.cos(phi) ** 2 + 1.0
-    radial = np.exp(-np.outer(shear, r * r)) @ (r * wr)
-    integral = (radial * np.exp(-1j * s * phi)).sum() * (TWO_PI / grid)
-    return float(abs(integral) ** 2)
+    grid, cos2, phases = _azimuth_nodes("grid", grid, 256, int(l_a) + int(l_b))
+    shear = (gamma * gamma - 1.0) * cos2 + 1.0
+    radial = -np.expm1(-shear * (radial_cutoff * radial_cutoff)) / (2.0 * shear)
+    return float(abs(phases @ radial * (TWO_PI / grid)) ** 2)
 
 
 def measurement_sum(gamma: float) -> float:

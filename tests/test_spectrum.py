@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oamboost import spectrum
 from oamboost.relativity import GAMMA_MAX
 from oamboost.spectrum import (
     ConditionalSlice,
@@ -85,6 +87,21 @@ class TestJointProbability:
             joint_probability(0, 0, 0.9, 1)
         with pytest.raises(ValueError):
             joint_probability(0, 0, 2.0, 0)
+
+    @pytest.mark.parametrize("n_modes", [2.5, 2.0, "2", None])
+    def test_n_modes_must_be_an_integer(self, n_modes):
+        with pytest.raises(ValueError, match="n_modes must be an integer"):
+            joint_probability(0, 0, 2.0, n_modes=n_modes)
+        with pytest.raises(ValueError, match="n_modes must be an integer"):
+            joint_spectrum(2.0, OamWindow(0, 1), OamWindow(0, 1), n_modes)
+        assert joint_probability(0, 0, 2.0, n_modes=np.int64(2)) == 0.5
+
+    def test_sum_beyond_int64_raises(self):
+        with pytest.raises(ValueError, match=f"l_a \\+ l_b must fit in int64, got {2**70}"):
+            joint_probability(0, 2**70, 5.0)
+        with pytest.raises(ValueError, match="int64"):
+            joint_probability(-(2**62), -(2**62), 5.0)
+        assert joint_probability(0, 2**63 - 1, 5.0) == 0.0
 
 
 class TestConditionalSlice:
@@ -202,6 +219,55 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             joint_probability_quadrature(0, 0, 2.0, 1, 32)
 
+    def test_table_phases_give_the_former_values(self):
+        # the trapezoid sum as written before the phases came from a cached table
+        def former(s, gamma, panels=4096):
+            phi = np.arange(panels) * (2.0 * np.pi / panels)
+            integrand = gamma * np.exp(-1j * s * phi) / ((gamma * gamma - 1.0) * np.cos(phi) ** 2 + 1.0)
+            integral = integrand.sum() * (2.0 * np.pi / panels)
+            return float(abs(integral / (2.0 * np.pi)) ** 2)
+
+        for gamma in (1.0, 1.5, 5.0, 20.0, 50.0):
+            for s in range(-20, 21):
+                assert abs(joint_probability_quadrature(0, s, gamma) - former(s, gamma)) < 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.integers(-3000, 3000) | st.integers(-(2**70), 2**70), panels=st.sampled_from([1024, 4096, 4097]),
+           gamma=st.floats(1.0, 20.0))
+    @example(s=2047, panels=4096, gamma=20.0)
+    @example(s=-2048, panels=4096, gamma=20.0)
+    @example(s=2048, panels=4097, gamma=20.0)
+    @example(s=2049, panels=4097, gamma=20.0)
+    def test_agrees_below_the_nyquist_limit_and_raises_at_it(self, s, panels, gamma):
+        if 2 * abs(s) < panels:
+            closed = joint_probability(0, s, gamma)
+            assert joint_probability_quadrature(s, 0, gamma, 1, panels) == pytest.approx(closed, abs=1e-9)
+        else:
+            enough = f"needs panels >= {2 * abs(s) + 1}"
+            with pytest.raises(ValueError, match=enough):
+                joint_probability_quadrature(s, 0, gamma, 1, panels)
+            with pytest.raises(ValueError, match=enough.replace("panels", "grid")):
+                joint_probability_spdc_oracle(s, 0, gamma, grid=panels)
+
+    def test_unresolved_sum_raises(self):
+        # 2**40 + 2 aliases to 2 on 4096 panels, which used to give 0.4444576 for a closed-form 0.0
+        with pytest.raises(ValueError, match="cannot resolve l_a \\+ l_b = 1099511627778"):
+            joint_probability_quadrature(0, 2**40 + 2, 5.0)
+        with pytest.raises(ValueError, match="needs panels >= 4097"):
+            joint_probability_quadrature(1024, 1024, 5.0)
+
+    @pytest.mark.parametrize("panels", [300.9, 300.0, "300", 2**20 + 1, 2**70])
+    def test_panels_must_be_an_integer_under_the_cap(self, panels):
+        # rejected before the azimuth table is built, so the cap costs nothing to test
+        built = spectrum._azimuth_grid.cache_info()
+        with pytest.raises(ValueError, match=r"panels must be an integer in \[64, 1048576\]"):
+            joint_probability_quadrature(0, 0, 2.0, 1, panels)
+        assert spectrum._azimuth_grid.cache_info() == built
+
+    def test_azimuth_table_is_read_only(self):
+        for table in spectrum._azimuth_grid(64):
+            assert not table.flags.writeable
+
 
 class TestSpdcOracle:
     def test_proportional_to_closed_form(self):
@@ -220,8 +286,8 @@ class TestSpdcOracle:
         assert joint_probability_spdc_oracle(0, 2, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("grid", [256, 300])
-    def test_cached_nodes_give_the_former_values(self, grid):
-        # the oracle as written before its Gauss-Legendre nodes were cached
+    def test_closed_form_radial_matches_the_former_nodes(self, grid):
+        # the oracle as written with a Gauss-Legendre radial quadrature
         def former(s, gamma, radial_cutoff=6.0):
             nodes, weights = np.polynomial.legendre.leggauss(grid)
             r = 0.5 * radial_cutoff * (nodes + 1.0)
@@ -233,13 +299,38 @@ class TestSpdcOracle:
             return float(abs(integral) ** 2)
 
         for gamma, s, cutoff in ((2.0, 0, 6.0), (5.0, -4, 6.0), (1.3, 2, 3.5), (2.0, 0, 6.0)):
-            assert joint_probability_spdc_oracle(0, s, gamma, cutoff, grid) == former(s, gamma, cutoff)
+            expected = former(s, gamma, cutoff)
+            assert joint_probability_spdc_oracle(0, s, gamma, cutoff, grid) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 5.0])
+    def test_zero_sum_is_pi_squared_over_gamma_squared(self, gamma):
+        assert joint_probability_spdc_oracle(0, 0, gamma) == pytest.approx(math.pi**2 / gamma**2, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [2.0, 5.0])
+    def test_is_the_quadrature_times_pi_squared_over_gamma_squared(self, gamma):
+        for s in (0, 2, -2, 4, -4, 10):
+            quad = joint_probability_quadrature(0, s, gamma, 1, 256)
+            assert joint_probability_spdc_oracle(0, s, gamma) == pytest.approx(quad * math.pi**2 / gamma**2, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 20.0])
+    def test_infinite_cutoff_gives_the_limit(self, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = joint_probability_spdc_oracle(0, 2, gamma, radial_cutoff=math.inf)
+        limit = joint_probability_quadrature(0, 2, gamma, 1, 256) * math.pi**2 / gamma**2
+        assert math.isfinite(value)
+        assert value == pytest.approx(limit, rel=1e-13)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             joint_probability_spdc_oracle(0, 0, 2.0, radial_cutoff=-1.0)
         with pytest.raises(ValueError):
             joint_probability_spdc_oracle(0, 0, 2.0, grid=64)
+        for grid in (256.5, 256.0, 2**20 + 1):
+            with pytest.raises(ValueError, match=r"grid must be an integer in \[256, 1048576\]"):
+                joint_probability_spdc_oracle(0, 0, 2.0, grid=grid)
+        with pytest.raises(ValueError, match="grid = 256 cannot resolve l_a \\+ l_b = 128: it needs grid >= 257"):
+            joint_probability_spdc_oracle(64, 64, 2.0)
 
 
 class TestMeasurementSum:
