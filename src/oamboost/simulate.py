@@ -35,7 +35,7 @@ import numpy as np
 
 from ._table import format_table, parse_int_rows
 from .relativity import require_gamma
-from .spectrum import ConditionalSlice, OamWindow, check_cells, geometric_kernel
+from .spectrum import ConditionalSlice, OamWindow, _require_index, check_cells, geometric_kernel
 
 SUBTRACT_MODES = ("accidental", "minimum", "both")
 
@@ -47,19 +47,6 @@ _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 # Cells in flight in the kernel; bounds its working arrays (a few hundred
 # bytes a cell) whatever the windows and number of seeds.
 _CELLS_IN_FLIGHT = 4096
-# State of a cell in flight: its place in the output, Philox key, mean,
-# next block, and the running count and product of the multiplication method.
-_IN_FLIGHT = np.dtype(
-    [
-        ("cell", np.int64),
-        ("key0", np.uint64),
-        ("key1", np.uint64),
-        ("lam", np.float64),
-        ("block", np.uint64),
-        ("count", np.int64),
-        ("prod", np.float64),
-    ]
-)
 # Relative margin inside which a vectorised log/exp comparison is redrawn
 # with numpy's scalar generator; SIMD log/exp differ from libm by a few ulp.
 _LOG_TOL = 1e-12
@@ -144,13 +131,14 @@ class CountSpectrum:
 def check_stream_keys(windows, seeds) -> None:
     """Raise ValueError unless every cell of windows x seeds has its own Philox key.
 
-    Seeds must lie in [0, 2**64) and window indices in [-2**31, 2**31);
-    outside those ranges two cells would share a key or the key would
-    overflow its 128 bits.
+    Seeds must be integers (a float raises, not truncates) in [0, 2**64) and
+    window indices in [-2**31, 2**31); outside those ranges two cells would
+    share a key or the key would overflow its 128 bits.
     """
     for seed in seeds:
-        if not 0 <= int(seed) <= _U64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {int(seed)}")
+        seed = _require_index("seed", seed)
+        if not 0 <= seed <= _U64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     for name, window in zip(("l_a", "l_b"), windows):
         if window.l_min < -_I32_OFFSET or window.l_max >= _I32_OFFSET:
             raise ValueError(
@@ -175,24 +163,25 @@ def _mulhilo(m, m_lo, m_hi, x):
 
 
 def _philox_doubles(key0, key1, block) -> np.ndarray:
-    """numpy's next_double for the four words of each cell's Philox4x64-10 block.
+    """numpy's next_double for the four words of each cell's Philox4x64-10 block, word-major.
 
-    Cell i uses key (key0[i], key1[i]) and counter (block[i], 0, 0, 0).
+    Cell i uses key (key0[i], key1[i]) and counter (block[i], 0, 0, 0); row j
+    of the (4, n) result holds word j of every cell.
     """
-    c0 = block.astype(np.uint64)
-    c1 = c2 = c3 = np.zeros_like(c0)
+    # round 1 directly: c1 = c2 = c3 = 0, so the M1 product is (0, 0)
+    hi0, lo0 = _mulhilo(*_PHILOX_M0, block)
+    c0, c1, c2, c3 = key0, np.zeros_like(lo0), hi0 ^ key1, lo0
     k0, k1 = key0, key1
-    for rnd in range(10):
-        if rnd:
-            k0 = k0 + _PHILOX_W0
-            k1 = k1 + _PHILOX_W1
+    for _ in range(9):
+        k0 = k0 + _PHILOX_W0
+        k1 = k1 + _PHILOX_W1
         hi0, lo0 = _mulhilo(*_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(*_PHILOX_M1, c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=1)
-    words >>= _S11
-    doubles = words.astype(np.float64)
-    doubles *= _TWO_M53
+    doubles = np.empty((4, c0.size))
+    for row, word in zip(doubles, (c0, c1, c2, c3)):
+        word >>= _S11
+        np.multiply(word, _TWO_M53, out=row)
     return doubles
 
 
@@ -211,42 +200,44 @@ def _loggam(x: np.ndarray) -> np.ndarray:
     return gl
 
 
-def _mult_block(u, cells):
-    """One block (four uniforms u) of numpy's multiplication method, for 0 < lam < 10.
+def _mult_block(u, lam, count, prod):
+    """One block (four uniforms, the rows of u) of numpy's multiplication method, for 0 < lam < 10.
 
     Advances the cells' running count and product in place and returns
     (done, near): near marks a finished cell whose stopping test fell
     within _LOG_TOL of exp(-lam).
     """
-    enlam = np.exp(-cells["lam"])[:, None]
-    u[:, 0] *= cells["prod"]
+    enlam = np.exp(-lam)
     # running products in draw order, so each rounds exactly as numpy's loop does
-    np.multiply.accumulate(u, axis=1, out=u)
-    gap = u - enlam
-    near = np.abs(gap, out=gap) <= _LOG_TOL * enlam
-    decided = (u <= enlam) | near
-    done = decided.any(axis=1)
-    first = decided.argmax(axis=1)
-    cells["count"] += np.where(done, first, 4)
-    cells["prod"] = u[:, 3]
-    return done, done & near[np.arange(len(cells)), first]
+    u[0] *= prod
+    for j in range(1, 4):
+        u[j] *= u[j - 1]
+    prod[:] = u[3]
+    # A word is decided once its product is at most exp(-lam) or within _LOG_TOL
+    # of it.  The products never grow, so every word after a decided one is
+    # decided too, and near can only hold at a cell's first decided word.
+    tol = _LOG_TOL * enlam
+    gap = np.subtract(u, enlam, out=u)
+    undecided = gap > tol
+    count += undecided.sum(axis=0)
+    near = np.abs(gap, out=gap) <= tol
+    return ~undecided[3], near.any(axis=0)
 
 
-def _ptrs_block(d, cells):
-    """Two (U, V) trials from one block d of numpy's PTRS (Hoermann 1993), for lam >= 10.
+def _ptrs_block(d, lam):
+    """Two (U, V) trials from one block (the rows of d) of numpy's PTRS (Hoermann 1993), for lam >= 10.
 
-    Stores an accepted k as the cells' count and returns (done, near):
-    near marks a finished cell whose log-acceptance test fell within
-    _LOG_TOL of its scale.
+    Returns (done, near, k): k is a finished cell's first accepted count
+    (0 otherwise), and near marks a finished cell whose log-acceptance
+    test fell within _LOG_TOL of its scale.
     """
-    lam = cells["lam"][:, None]
     loglam = np.log(lam)
     b = 0.931 + 2.53 * np.sqrt(lam)
     a = -0.059 + 0.02483 * b
     loginvalpha = np.log(1.1239 + 1.1328 / (b - 3.4))
     vr = 0.9277 - 3.6224 / (b - 2)
-    U = d[:, 0::2] - 0.5
-    V = d[:, 1::2]
+    U = d[0::2] - 0.5
+    V = d[1::2]
     us = 0.5 - np.abs(U)
     with np.errstate(divide="ignore", invalid="ignore"):
         # us == 0 gives k = -inf: rejected, as numpy rejects its negative int cast
@@ -255,19 +246,43 @@ def _ptrs_block(d, cells):
     test = ~accept & (k >= 0) & ((us >= 0.013) | (V <= us))
     near = np.zeros_like(accept)
     if test.any():
-        rows, cols = np.nonzero(test)
-        kt, ust, lam_t, loglam_t = k[rows, cols], us[rows, cols], lam[rows, 0], loglam[rows, 0]
+        trial, cell = np.nonzero(test)
+        kt, ust, lam_t, loglam_t = k[trial, cell], us[trial, cell], lam[cell], loglam[cell]
         with np.errstate(divide="ignore"):
-            lhs = np.log(V[rows, cols]) + loginvalpha[rows, 0] - np.log(a[rows, 0] / (ust * ust) + b[rows, 0])
+            lhs = np.log(V[trial, cell]) + loginvalpha[cell] - np.log(a[cell] / (ust * ust) + b[cell])
         rhs = -lam_t + kt * loglam_t - _loggam(kt + 1)
         scale = lam_t + kt * np.abs(loglam_t) + (kt + 8) * np.log(kt + 8) + 100.0
-        accept[rows, cols] = lhs <= rhs
-        near[rows, cols] = np.abs(lhs - rhs) <= _LOG_TOL * scale
+        accept[trial, cell] = lhs <= rhs
+        near[trial, cell] = np.abs(lhs - rhs) <= _LOG_TOL * scale
     decided = accept | near
-    done = decided.any(axis=1)
-    pick = np.arange(len(cells)), decided.argmax(axis=1)
-    cells["count"] = np.where(done, k[pick], 0.0)
-    return done, done & near[pick]
+    first = decided[0]
+    k = np.where(first, k[0], np.where(decided[1], k[1], 0.0))
+    return first | decided[1], np.where(first, near[0], near[1]), k
+
+
+def _board(flight, cell, key0, key1, lam):
+    """flight with the fresh cells added, at block 1 with count 0 and product 1."""
+    fresh = (cell, key0, key1, lam, np.ones_like(cell, np.uint64), np.zeros_like(cell), np.ones_like(lam))
+    # PTRS cells stay ahead of multiplication-method cells, so each
+    # regime is a slice; lam = 0 draws nothing and stays 0
+    head, tail = np.flatnonzero(lam >= 10.0), np.flatnonzero((lam > 0.0) & (lam < 10.0))
+    return [np.concatenate((new[head], old, new[tail])) for new, old in zip(fresh, flight)]
+
+
+def _draw_block(flight, counts, redraw):
+    """Draw each cell's next block; store finished counts, note near ones in redraw, return the rest."""
+    cell, key0, key1, lam, block, count, prod = flight
+    d = _philox_doubles(key0, key1, block)
+    block += 1
+    split = np.count_nonzero(lam >= 10.0)
+    done, near = np.empty((2, cell.size), dtype=bool)
+    done[:split], near[:split], count[:split] = _ptrs_block(d[:, :split], lam[:split])
+    done[split:], near[split:] = _mult_block(d[:, split:], lam[split:], count[split:], prod[split:])
+    # integer indices, computed once, gather faster than a boolean mask per array
+    finished, kept = np.flatnonzero(done), np.flatnonzero(~done)
+    counts[cell[finished]] = count[finished]
+    redraw.append(cell[near])
+    return [a[kept] for a in flight]
 
 
 def _draw_poisson(n_cells: int, cells) -> np.ndarray:
@@ -285,32 +300,18 @@ def _draw_poisson(n_cells: int, cells) -> np.ndarray:
     with numpy's own generator.
     """
     counts = np.zeros(n_cells, dtype=np.int64)
-    flight = np.empty(0, dtype=_IN_FLIGHT)
+    # The cells in flight, one array per field: place in the output, Philox key
+    # words, mean, next block, and the multiplication method's count and product.
+    flight = [np.empty(0, t) for t in (np.int64, np.uint64, np.uint64, np.float64, np.uint64, np.int64, np.float64)]
     redraw = [np.empty(0, dtype=np.int64)]
     start = 0
-    while start < n_cells or flight.size:
-        if flight.size < _CELLS_IN_FLIGHT and start < n_cells:
-            stop = min(start + _CELLS_IN_FLIGHT - flight.size, n_cells)
-            fresh = np.zeros(stop - start, dtype=_IN_FLIGHT)
-            fresh["cell"] = np.arange(start, stop)
-            fresh["key0"], fresh["key1"], fresh["lam"] = cells(start, stop)
-            fresh["block"] = 1
-            fresh["prod"] = 1.0
-            lam = fresh["lam"]
-            # PTRS cells stay ahead of multiplication-method cells, so each
-            # regime is a slice; lam = 0 draws nothing and stays 0
-            flight = np.concatenate((fresh[lam >= 10.0], flight, fresh[(lam > 0.0) & (lam < 10.0)]))
+    while start < n_cells or flight[0].size:
+        # _board and _draw_block free their arrays on return, so a pass holds none of the last one's
+        if flight[0].size < _CELLS_IN_FLIGHT and start < n_cells:
+            stop = min(start + _CELLS_IN_FLIGHT - flight[0].size, n_cells)
+            flight = _board(flight, np.arange(start, stop), *cells(start, stop))
             start = stop
-        d = _philox_doubles(flight["key0"], flight["key1"], flight["block"])
-        done = np.empty(flight.size, dtype=bool)
-        near = np.empty(flight.size, dtype=bool)
-        split = np.count_nonzero(flight["lam"] >= 10.0)
-        for part, step in ((slice(0, split), _ptrs_block), (slice(split, None), _mult_block)):
-            done[part], near[part] = step(d[part], flight[part])
-        counts[flight["cell"][done]] = flight["count"][done]
-        redraw.append(flight["cell"][near])
-        flight = flight[~done]
-        flight["block"] += 1
+        flight = _draw_block(flight, counts, redraw)
     for c in np.concatenate(redraw):
         key0, key1, lam = (v[0] for v in cells(c, c + 1))
         counts[c] = np.random.Generator(np.random.Philox(key=(int(key1) << 64) | int(key0))).poisson(lam)
@@ -325,7 +326,7 @@ def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[Count
     windows or the number of seeds.
     """
     gamma = require_gamma(gamma)
-    seeds = [int(seed) for seed in seeds]
+    seeds = list(seeds)
     check_stream_keys(windows, seeds)
     window_a, window_b = windows
     check_cells(window_a, window_b, len(seeds))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,14 @@ DEFAULT_HALF_WIDTH = 20
 DEFAULT_PANELS = 4096
 MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
 MAX_NODES = 1 << 20  # azimuth nodes of an oracle; its cached table costs 32 B a node
+
+
+def _require_index(name: str, value) -> int:
+    """value as an int; a float or other non-integer raises rather than truncates."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _require_count(name: str, value, low: int, high: float = math.inf) -> int:
@@ -52,29 +61,28 @@ class OamWindow:
     l_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "l_min", int(self.l_min))
-        object.__setattr__(self, "l_max", int(self.l_max))
+        object.__setattr__(self, "l_min", _require_index("l_min", self.l_min))
+        object.__setattr__(self, "l_max", _require_index("l_max", self.l_max))
         if self.l_min > self.l_max:
             raise ValueError(f"l_min must not exceed l_max, got [{self.l_min}, {self.l_max}]")
 
     @classmethod
     def symmetric(cls, half_width: int) -> "OamWindow":
         """Window [-half_width, half_width], the detection-range convention."""
-        half_width = int(half_width)
-        if half_width < 0:
-            raise ValueError(f"half_width must be >= 0, got {half_width}")
+        half_width = _require_count("half_width", half_width, 0)
         return cls(-half_width, half_width)
 
     def indices(self) -> np.ndarray:
-        return np.arange(self.l_min, self.l_max + 1)
+        return np.arange(self.l_min, self.l_max + 1, dtype=np.int64)  # not float64 at the int64 edge
 
     def index_of(self, l: int) -> int:
+        l = _require_index("l", l)
         if l not in self:
             raise ValueError(f"l = {l} lies outside the window [{self.l_min}, {self.l_max}]")
-        return int(l) - self.l_min
+        return l - self.l_min
 
     def __contains__(self, l) -> bool:
-        return self.l_min <= int(l) <= self.l_max
+        return isinstance(l, (int, np.integer)) and self.l_min <= l <= self.l_max
 
     def __len__(self) -> int:
         return self.l_max - self.l_min + 1
@@ -108,7 +116,7 @@ class ConditionalSlice:
 
     def __post_init__(self):
         _freeze_values(self, (len(self.window_b),))
-        object.__setattr__(self, "l_a", int(self.l_a))
+        object.__setattr__(self, "l_a", _require_index("l_a", self.l_a))
 
 
 def check_cells(window_a: OamWindow, window_b: OamWindow, runs: int = 1) -> None:
@@ -153,7 +161,7 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
     """
     gamma = require_gamma(gamma)
     n = _require_count("n_modes", n_modes, 1)
-    s = int(l_a) + int(l_b)
+    s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
     if abs(s) >= 1 << 63:
         raise ValueError(f"l_a + l_b must fit in int64, got {s}")
     return float(geometric_kernel(s, gamma) / n)
@@ -161,8 +169,12 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
 
 def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalSlice:
     """Noiseless conditional spectrum over a window; peak value 1 at l_b = -l_a."""
-    values = geometric_kernel(int(l_a) + window.indices(), require_gamma(gamma))
-    return ConditionalSlice(l_a=int(l_a), window_b=window, values=values)
+    l_a = _require_index("l_a", l_a)
+    bounds = (l_a, window.l_min, window.l_max, l_a + window.l_min, l_a + window.l_max)
+    if max(map(abs, bounds)) >= 1 << 63:
+        raise ValueError(f"l_a + l_b must fit in int64, got l_a = {l_a} on the window [{window.l_min}, {window.l_max}]")
+    values = geometric_kernel(l_a + window.indices(), require_gamma(gamma))
+    return ConditionalSlice(l_a=l_a, window_b=window, values=values)
 
 
 def joint_spectrum(gamma: float, window_a: OamWindow, window_b: OamWindow, n_modes: int = 1) -> JointSpectrum:
@@ -185,11 +197,12 @@ def _azimuth_grid(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _azimuth_nodes(name: str, nodes, floor: int, s: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b) -> tuple[int, np.ndarray, np.ndarray]:
     """Checked node count, cos(phi_k)**2 and exp(-1j*s*phi_k) as cached unit roots at exact angles.
 
-    The trapezoid rule cannot tell s from s - nodes, so nodes must exceed 2*|s|.
+    s = l_a + l_b.  The trapezoid rule cannot tell s from s - nodes, so nodes must exceed 2*|s|.
     """
+    s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
     nodes = _require_count(name, nodes, floor, MAX_NODES)
     if 2 * abs(s) >= nodes:
         raise ValueError(f"{name} = {nodes} cannot resolve l_a + l_b = {s}: it needs {name} >= {2 * abs(s) + 1}")
@@ -207,7 +220,7 @@ def joint_probability_quadrature(
     """
     gamma = require_gamma(gamma)
     n = _require_count("n_modes", n_modes, 1)
-    panels, cos2, phases = _azimuth_nodes("panels", panels, 64, int(l_a) + int(l_b))
+    panels, cos2, phases = _azimuth_nodes("panels", panels, 64, l_a, l_b)
     total = phases @ (gamma / ((gamma * gamma - 1.0) * cos2 + 1.0))
     return float(abs(total) ** 2 / (panels * panels * n))
 
@@ -227,7 +240,7 @@ def joint_probability_spdc_oracle(
     radial_cutoff = float(radial_cutoff)
     if not radial_cutoff > 0.0:
         raise ValueError(f"radial_cutoff must be positive, got {radial_cutoff}")
-    grid, cos2, phases = _azimuth_nodes("grid", grid, 256, int(l_a) + int(l_b))
+    grid, cos2, phases = _azimuth_nodes("grid", grid, 256, l_a, l_b)
     shear = (gamma * gamma - 1.0) * cos2 + 1.0
     radial = -np.expm1(-shear * (radial_cutoff * radial_cutoff)) / (2.0 * shear)
     return float(abs(phases @ radial * (TWO_PI / grid)) ** 2)

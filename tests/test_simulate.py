@@ -223,6 +223,79 @@ class TestPoissonKernel:
         mismatch = np.flatnonzero(got != expected)
         assert mismatch.size == 0, f"{mismatch.size} cells differ, first lam {lam[mismatch[:5]]}"
 
+    def test_philox_doubles_are_numpys_words(self):
+        # every key pair at every block 1..8, word-major: row j holds word j of each cell
+        rng = np.random.default_rng(4)
+        keys = [(int(a), int(b)) for a, b in rng.integers(0, 2**64, (5, 2), dtype=np.uint64)]
+        keys += [(0, 0), (U64_MAX, 0), (0, U64_MAX), (U64_MAX, U64_MAX)]
+        cells = [(k0, k1, block) for k0, k1 in keys for block in range(1, 9)]
+        key0, key1, block = (np.array(column, dtype=np.uint64) for column in zip(*cells))
+        got = simulate_module._philox_doubles(key0, key1, block)
+        assert got.shape == (4, len(cells))
+        for i, (k0, k1, b) in enumerate(cells):
+            words = np.random.Philox(key=(k1 << 64) | k0).random_raw(4 * b)[-4:]
+            np.testing.assert_array_equal(got[:, i], (words >> np.uint64(11)) * 2.0**-53)
+
+    def test_mult_block_stops_as_numpys_loop(self):
+        # each cell's running product meets exp(-lam) at a chosen word (or none), within a few
+        # _LOG_TOL of it, so the stop, the count and the near flag are all exercised
+        rng = np.random.default_rng(5)
+        n = 20_000
+        lam = rng.uniform(1e-3, 10.0, n)
+        enlam = np.exp(-lam)
+        tol = simulate_module._LOG_TOL
+        target = enlam * (1.0 + tol * rng.choice([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0], n))
+        stop = rng.integers(0, 5, n)
+        prod = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.99, 1.0, n))
+        u = rng.uniform(0.97, 1.0, (4, n))
+        before = prod * np.cumprod(np.vstack((np.ones(n), u[:3])), axis=0)  # product ahead of each word
+        at = stop < 4
+        u[stop[at], np.flatnonzero(at)] = np.minimum(target[at] / before[stop[at], np.flatnonzero(at)], 1.0 - 2**-53)
+        count = rng.integers(0, 40, n)
+        expected = []
+        for i in range(n):
+            p, c, done, near = prod[i], int(count[i]), False, False
+            for j in range(4):  # numpy's loop: prod *= U; X += 1 while prod > exp(-lam)
+                p *= u[j, i]
+                near = abs(p - enlam[i]) <= tol * enlam[i]
+                if p <= enlam[i] or near:
+                    done = True
+                    break
+                c += 1
+            expected.append((done, near, c, p))
+        done, near, c, p = (np.array(column) for column in zip(*expected))
+        assert done.any() and (~done).any() and near.any() and (done & ~near).any()
+        got_count, got_prod = count.copy(), prod.copy()
+        got_done, got_near = simulate_module._mult_block(u.copy(), lam, got_count, got_prod)
+        np.testing.assert_array_equal(got_done, done)
+        np.testing.assert_array_equal(got_near, near)
+        np.testing.assert_array_equal(got_count, c)
+        np.testing.assert_array_equal(got_prod[~done], p[~done])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.integers(0, U64_MAX),
+                st.integers(0, U64_MAX),
+                st.floats(0.0, 10.0)
+                | st.floats(10.0, 1e6)
+                | st.floats(9.5, 12.0)
+                | st.sampled_from([0.0, 1e-300, np.nextafter(10.0, 0.0), 10.0, 1e6]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        in_flight=st.integers(1, 64),
+    )
+    def test_any_pool_size_matches_the_reference(self, cells, in_flight):
+        # a pool smaller than the cells refills between passes and mixes both regimes
+        # with cells at other stream positions
+        key0, key1, lam = (np.array(column, dtype=t) for column, t in zip(zip(*cells), (np.uint64, np.uint64, float)))
+        with mock.patch.object(simulate_module, "_CELLS_IN_FLIGHT", in_flight):
+            got = kernel_draws(key0, key1, lam)
+        np.testing.assert_array_equal(got, reset_draws(key0, key1, lam))
+
     def test_redraw_path_matches(self):
         # a margin covering every comparison sends each drawn cell through
         # numpy's scalar generator; the result must not change
@@ -282,6 +355,23 @@ class TestStreamKeys:
     def test_seed_out_of_range(self, seed):
         with pytest.raises(ValueError, match="seed must lie in"):
             simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # int(seed) used to truncate: seed 2.0 drew seed 2's counts, 1.5 seed 1's
+        with mock.patch.object(simulate_module, "_draw_poisson") as draw:
+            with pytest.raises(ValueError, match="seed must be an integer, got "):
+                simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                simulate_runs(2.0, square_windows(1), NoiseModel(), [0, seed])
+        draw.assert_not_called()
+
+    def test_numpy_integer_seeds_accepted(self):
+        expected = simulate_counts(2.0, square_windows(2), NoiseModel(), 5).counts
+        for seed in (np.int64(5), np.uint64(5), np.int8(5)):
+            run = simulate_counts(2.0, square_windows(2), NoiseModel(), seed)
+            assert run.seed == 5 and type(run.seed) is int
+            np.testing.assert_array_equal(run.counts, expected)
 
     @pytest.mark.parametrize(
         "windows",

@@ -63,6 +63,30 @@ class TestOamWindow:
         with pytest.raises(ValueError):
             OamWindow.symmetric(-1)
 
+    @pytest.mark.parametrize(
+        ("make", "message"),
+        [
+            (lambda: OamWindow(0.5, 2.9), "l_min must be an integer, got 0.5"),
+            (lambda: OamWindow(0, 2.0), "l_max must be an integer, got 2.0"),
+            (lambda: OamWindow(np.float64(-1.0), 1), "l_min must be an integer"),
+            (lambda: OamWindow.symmetric(2.7), r"half_width must be an integer in \[0, inf\], got 2.7"),
+            (lambda: OamWindow.symmetric(2.0), "half_width must be an integer"),
+            (lambda: OamWindow(-4, 4).index_of(1.5), "l must be an integer, got 1.5"),
+        ],
+    )
+    def test_non_integral_indices_raise(self, make, message):
+        # int() used to truncate: symmetric(2.7) gave [-2, 2] and OamWindow(0.5, 2.9) gave [0, 2]
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        assert OamWindow(np.int64(-2), np.int32(3)) == OamWindow(-2, 3)
+        assert OamWindow.symmetric(np.uint8(2)) == OamWindow(-2, 2)
+        assert type(OamWindow(np.int64(-2), 3).l_min) is int
+        w = OamWindow(-4, 4)
+        assert w.index_of(np.int16(-4)) == 0
+        assert np.int64(4) in w and 1.0 not in w and 1.5 not in w
+
 
 class TestJointProbability:
     def test_rest_frame_anticorrelation(self):
@@ -103,6 +127,34 @@ class TestJointProbability:
             joint_probability(-(2**62), -(2**62), 5.0)
         assert joint_probability(0, 2**63 - 1, 5.0) == 0.0
 
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: joint_probability(0.9, 1.9, 3.0), "l_a must be an integer, got 0.9"),
+            (lambda: joint_probability(0, 2.0, 3.0), "l_b must be an integer, got 2.0"),
+            (lambda: joint_probability(np.float64(1.0), 1, 3.0), "l_a must be an integer"),
+            (lambda: conditional_slice(1.5, OamWindow(-2, 2), 3.0), "l_a must be an integer, got 1.5"),
+            (lambda: joint_probability_quadrature(0.5, 0, 3.0), "l_a must be an integer, got 0.5"),
+            (lambda: joint_probability_quadrature(0, "2", 3.0), "l_b must be an integer, got '2'"),
+            (lambda: joint_probability_spdc_oracle(2.0, 0, 3.0), "l_a must be an integer, got 2.0"),
+            (lambda: joint_probability_spdc_oracle(0, 0.5, 3.0), "l_b must be an integer, got 0.5"),
+        ],
+    )
+    def test_non_integral_indices_raise(self, call, message):
+        # int() used to truncate: joint_probability(0.9, 1.9, 3.0) returned 0.0, read as l = (0, 1)
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_numpy_integer_indices_accepted(self):
+        l_a, l_b = np.int64(1), np.int32(1)
+        assert joint_probability(l_a, l_b, 3.0) == joint_probability(1, 1, 3.0) == 0.25
+        window = OamWindow(-3, 3)
+        np.testing.assert_array_equal(
+            conditional_slice(np.int16(1), window, 3.0).values, conditional_slice(1, window, 3.0).values
+        )
+        assert joint_probability_quadrature(l_a, l_b, 3.0) == joint_probability_quadrature(1, 1, 3.0)
+        assert joint_probability_spdc_oracle(l_a, l_b, 3.0) == joint_probability_spdc_oracle(1, 1, 3.0)
+
 
 class TestConditionalSlice:
     def test_rest_frame_delta(self):
@@ -140,6 +192,29 @@ class TestConditionalSlice:
         cond = conditional_slice(0, OamWindow(-2, 2), 2.0)
         with pytest.raises(ValueError):
             cond.values[0] = 5.0
+
+    @pytest.mark.parametrize(
+        ("l_a", "window"),
+        [
+            (2**70, OamWindow(0, 2)),  # numpy raised OverflowError: Python int too large to convert to C long
+            (2**62, OamWindow(2**62 - 1, 2**62)),  # the last sum is 2**63
+            (-(2**62), OamWindow(-(2**62), -(2**62))),  # -2**63, whose abs overflows int64
+            (-(2**64), OamWindow(2**64, 2**64)),  # sum 0, but neither term fits
+        ],
+    )
+    def test_beyond_int64_raises_naming_l_a(self, l_a, window):
+        with pytest.raises(ValueError, match=f"l_a \\+ l_b must fit in int64, got l_a = {l_a} on the window"):
+            conditional_slice(l_a, window, 2.0)
+
+    def test_int64_edges_accepted(self):
+        q2 = geometric_ratio(3.0) ** 2
+        cond = conditional_slice(-(2**62), OamWindow(2**62 - 2, 2**62), 3.0)
+        np.testing.assert_allclose(cond.values, [q2, 0.0, 1.0], rtol=1e-15)
+        np.testing.assert_array_equal(conditional_slice(2**63 - 3, OamWindow(0, 1), 3.0).values, [0.0, 0.0])
+        # indices at the top of int64 stay int64; as float64 they all rounded to 2**63
+        top = OamWindow(2**63 - 3, 2**63 - 1)
+        assert top.indices().dtype == np.int64
+        np.testing.assert_allclose(conditional_slice(-(2**63 - 3), top, 3.0).values, [1.0, 0.0, q2], rtol=1e-15)
 
 
 gammas = st.floats(1.0, GAMMA_MAX) | st.sampled_from([1.0, 1.0 + 2**-52, 3.0, 20.0, GAMMA_MAX])
