@@ -67,108 +67,129 @@ def _parse_float(text):
     try:
         return float(text)
     except ValueError:
-        raise UsageError(f"expected a number, got {text!r}") from None
+        raise ValueError(f"must be a number, got {text!r}") from None
 
 
 def _parse_int(text):
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"expected an integer, got {text!r}") from None
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _parse_runs(text):
+    runs = _parse_int(text)
+    if runs < 1:
+        raise ValueError(f"must be >= 1, got {runs}")
+    return runs
 
 
 def _parse_bool(text):
-    value = str(text).strip().lower()
+    value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"must be a boolean, got {text!r}")
 
 
 def _parse_gamma_list(text):
-    tokens = [tok for tok in re.split(r"[,\s]+", str(text).strip()) if tok]
-    return [_parse_float(tok) for tok in tokens]
+    gammas = [_parse_float(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+    if not gammas:
+        raise ValueError("must list at least one value")
+    return gammas
 
 
-def _parse_str(text):
-    return str(text)
+def _choice(*choices):
+    """Converter that passes one of choices through and rejects any other text."""
+
+    def convert(text):
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}; got {text!r}")
+        return text
+
+    return convert
 
 
-# Per-command option tables: dest -> (converter, default).  CLI flags and
-# config-file keys share these converters; flags override the config file.
+def _subtract(default):
+    """The --subtract row; estimate and experiment differ only in its default."""
+    return _choice("none", *SUBTRACT_MODES), default, "background subtraction: none, accidental, minimum or both"
+
+
+# Per-command option tables: dest -> (converter, default, help), in --help order.
+# CLI flags and config-file keys share the converters, which raise ValueError;
+# flags override the config file, and an option whose default is _REQUIRED must
+# come from one of them.
+_REQUIRED = object()
+_GAMMA_HELP = "Lorentz factor (comma-separated list for sweep/experiment)"
+_HALF_WIDTH_HELP = "OAM detection half-width for l_b"
 _COMMON = {
-    "out": (_parse_str, "."),
-    "config": (_parse_str, None),
+    "out": (str, ".", "output directory"),
+    "config": (str, None, "key = value file mirroring the flags; flags take precedence"),
+}
+_RATES = {
+    "pair_rate": (_parse_float, 1.0e4, "expected true coincidences at the spectrum peak"),
+    "accidental_rate": (_parse_float, 5.0, "expected accidental coincidences per cell"),
+    "integration": (_parse_float, 1.0, "exposure multiplier"),
+}
+_FIT_BOUNDS = {
+    "gamma_min": (_parse_float, DEFAULT_GAMMA_BOUNDS[0], "lower fit bound"),
+    "gamma_max": (_parse_float, DEFAULT_GAMMA_BOUNDS[1], "upper fit bound"),
 }
 
 OPTION_TABLES = {
     "spectrum": {
         **_COMMON,
-        "gamma": (_parse_float, None),
-        "half_width": (_parse_int, 20),
-        "n_modes": (_parse_int, 1),
-        "format": (_parse_str, "csv"),
+        "gamma": (_parse_float, _REQUIRED, _GAMMA_HELP),
+        "half_width": (_parse_int, 20, _HALF_WIDTH_HELP),
+        "n_modes": (_parse_int, 1, "source mode count used for joint-probability normalisation"),
+        "format": (_choice("csv", "json"), "csv", "output format"),
     },
     "sweep": {
         **_COMMON,
-        "gamma": (_parse_gamma_list, None),
+        "gamma": (_parse_gamma_list, _REQUIRED, _GAMMA_HELP),
     },
     "hologram": {
         **_COMMON,
-        "l": (_parse_int, None),
-        "gamma": (_parse_float, None),
-        "width": (_parse_int, 512),
-        "height": (_parse_int, 512),
-        "extent": (_parse_float, 1.0),
-        "format": (_parse_str, "pgm"),
+        "l": (_parse_int, _REQUIRED, "OAM index of the projection hologram"),
+        "gamma": (_parse_float, _REQUIRED, _GAMMA_HELP),
+        "width": (_parse_int, 512, "hologram width in pixels"),
+        "height": (_parse_int, 512, "hologram height in pixels"),
+        "extent": (_parse_float, 1.0, "half-width of the sampled plane in normalised units"),
+        "format": (_choice("pgm", "csv"), "pgm", "output format"),
     },
     "simulate": {
         **_COMMON,
-        "gamma": (_parse_float, None),
-        "half_width": (_parse_int, 20),
-        "half_width_a": (_parse_int, None),
-        "pair_rate": (_parse_float, 1.0e4),
-        "accidental_rate": (_parse_float, 5.0),
-        "integration": (_parse_float, 1.0),
-        "seed": (_parse_int, 0),
+        "gamma": (_parse_float, _REQUIRED, _GAMMA_HELP),
+        "half_width": (_parse_int, 20, _HALF_WIDTH_HELP),
+        "half_width_a": (_parse_int, None, "OAM detection half-width for l_a (defaults to --half-width)"),
+        **_RATES,
+        "seed": (_parse_int, 0, "base random seed"),
     },
     "estimate": {
         **_COMMON,
-        "counts": (_parse_str, None),
-        "l_a": (_parse_int, 0),
-        "method": (_parse_str, "both"),
-        "subtract": (_parse_str, "none"),
-        "gamma_min": (_parse_float, DEFAULT_GAMMA_BOUNDS[0]),
-        "gamma_max": (_parse_float, DEFAULT_GAMMA_BOUNDS[1]),
+        "counts": (str, _REQUIRED, "counts CSV produced by the simulate command"),
+        "l_a": (_parse_int, 0, "Alice projection index of the analysed slice"),
+        "method": (_choice("m_sum", "least_squares", "both"), "both", "estimator: m_sum, least_squares or both"),
+        "subtract": _subtract("none"),
+        **_FIT_BOUNDS,
     },
     "experiment": {
         **_COMMON,
-        "gamma": (_parse_gamma_list, [1.0, 2.0, 5.0, 10.0, 20.0]),
-        "seed": (_parse_int, 42),
-        "runs": (_parse_int, 1),
-        "half_width": (_parse_int, 40),
-        "pair_rate": (_parse_float, 1.0e4),
-        "accidental_rate": (_parse_float, 5.0),
-        "integration": (_parse_float, 1.0),
-        "subtract": (_parse_str, "both"),
-        "noiseless": (_parse_bool, False),
-        "gamma_min": (_parse_float, DEFAULT_GAMMA_BOUNDS[0]),
-        "gamma_max": (_parse_float, DEFAULT_GAMMA_BOUNDS[1]),
+        "gamma": (_parse_gamma_list, [1.0, 2.0, 5.0, 10.0, 20.0], _GAMMA_HELP),
+        "seed": (_parse_int, 42, "base random seed"),
+        "runs": (_parse_runs, 1, "seeded repetitions per encoded gamma"),
+        "half_width": (_parse_int, 40, _HALF_WIDTH_HELP),
+        **_RATES,
+        "subtract": _subtract("both"),
+        "noiseless": (_parse_bool, False, "skip the count simulation and use exact conditional spectra"),
+        **_FIT_BOUNDS,
     },
-}
-
-REQUIRED = {
-    "spectrum": ("gamma",),
-    "sweep": ("gamma",),
-    "hologram": ("l", "gamma"),
-    "simulate": ("gamma",),
-    "estimate": ("counts",),
-    "experiment": (),
 }
 
 
 def _load_config(path, allowed):
+    """The file's values as key -> (position 'path:line: ', text)."""
     cfg = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -184,26 +205,31 @@ def _load_config(path, allowed):
         key = key.replace("-", "_")
         if key not in allowed or key == "config":
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        cfg[key] = value
+        if key in cfg:
+            raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
+        cfg[key] = (f"{path}:{lineno}: ", value)
     return cfg
 
 
 def _resolve_options(command, args):
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults; every text is converted here."""
     table = OPTION_TABLES[command]
-    raw = {key: getattr(args, key) for key in table}
-    cfg = _load_config(raw["config"], set(table)) if raw["config"] else {}
+    cfg = _load_config(args.config, table) if args.config else {}
     opts = {}
-    for key, (convert, default) in table.items():
-        if raw[key] is not None:
-            opts[key] = convert(raw[key])
-        elif key in cfg:
-            opts[key] = convert(cfg[key])
+    for key, (convert, default, _) in table.items():
+        flag = "--" + key.replace("_", "-")
+        where, text = "", getattr(args, key)
+        if text is None:
+            where, text = cfg.get(key, ("", None))
+        if text is not None:
+            try:
+                opts[key] = convert(text)
+            except ValueError as exc:
+                raise UsageError(f"{where}{flag} {exc}") from None
+        elif default is _REQUIRED:
+            raise UsageError(f"{flag} is required")
         else:
             opts[key] = default
-    for key in REQUIRED[command]:
-        if opts[key] is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
     return opts
 
 
@@ -213,12 +239,6 @@ def _library_check(check, *args):
         return check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _check_choice(value, choices, flag):
-    if value not in choices:
-        raise UsageError(f"{flag} must be one of {', '.join(choices)}; got {value!r}")
-    return value
 
 
 def _write_atomic(path: Path, data) -> None:
@@ -245,14 +265,13 @@ def _emit(path: Path, data) -> None:
 
 
 def cmd_spectrum(opts) -> int:
-    fmt = _check_choice(opts["format"], ("csv", "json"), "--format")
     window = _library_check(OamWindow.symmetric, opts["half_width"])
     spec = _library_check(joint_spectrum, opts["gamma"], window, window, opts["n_modes"])
     gamma, n_modes = spec.gamma, spec.n_modes
     cond = conditional_slice(0, window, gamma)
     out = Path(opts["out"])
     tag = f"g{gamma:g}"
-    if fmt == "csv":
+    if opts["format"] == "csv":
         _emit(out / f"spectrum_{tag}.csv", joint_spectrum_to_csv(spec))
         _emit(
             out / f"spectrum_{tag}.meta.json",
@@ -286,10 +305,7 @@ def cmd_spectrum(opts) -> int:
 
 
 def cmd_sweep(opts) -> int:
-    gammas = opts["gamma"]
-    if not gammas:
-        raise UsageError("--gamma must list at least one value")
-    gammas = [_library_check(require_gamma, g) for g in gammas]
+    gammas = [_library_check(require_gamma, g) for g in opts["gamma"]]
     frames = [frame_from_gamma(gamma) for gamma in gammas]
     columns = (
         gammas,
@@ -305,13 +321,12 @@ def cmd_sweep(opts) -> int:
 
 
 def cmd_hologram(opts) -> int:
-    fmt = _check_choice(opts["format"], ("pgm", "csv"), "--format")
+    fmt = opts["format"]
     field = _library_check(
         generate_hologram, opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"]
     )
-    ext = "pgm" if fmt == "pgm" else "csv"
     data = export_hologram(field, "pgm8" if fmt == "pgm" else "csv")
-    _emit(Path(opts["out"]) / hologram_filename(field, ext), data)
+    _emit(Path(opts["out"]) / hologram_filename(field, fmt), data)
     return EXIT_OK
 
 
@@ -349,8 +364,6 @@ def _run_estimators(conds, method, bounds):
 
 
 def cmd_estimate(opts) -> int:
-    method = _check_choice(opts["method"], ("m_sum", "least_squares", "both"), "--method")
-    subtract = _check_choice(opts["subtract"], ("none",) + SUBTRACT_MODES, "--subtract")
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     counts_file = Path(opts["counts"])
     if not counts_file.exists():
@@ -361,24 +374,19 @@ def cmd_estimate(opts) -> int:
             f"--l-a {opts['l_a']} lies outside the simulated window "
             f"[{counts.window_a.l_min}, {counts.window_a.l_max}]"
         )
+    subtract = opts["subtract"]
     cond = counts_conditional(counts, opts["l_a"], None if subtract == "none" else subtract)
     out = Path(opts["out"])
-    for result in _run_estimators([cond], method, bounds)[0]:
+    for result in _run_estimators([cond], opts["method"], bounds)[0]:
         _emit(out / f"fit_{result.method}.json", _json_text(result.to_dict()))
     return EXIT_OK
 
 
 def cmd_experiment(opts) -> int:
-    gammas = opts["gamma"]
-    if not gammas:
-        raise UsageError("--gamma must list at least one value")
-    gammas = [_library_check(require_gamma, g) for g in gammas]
+    gammas = [_library_check(require_gamma, g) for g in opts["gamma"]]
     half_width = opts["half_width"]
     windows = (OamWindow(0, 0), _library_check(OamWindow.symmetric, half_width))
-    runs = opts["runs"]
-    if runs < 1:
-        raise UsageError(f"--runs must be >= 1, got {runs}")
-    subtract = _check_choice(opts["subtract"], ("none",) + SUBTRACT_MODES, "--subtract")
+    runs, subtract = opts["runs"], opts["subtract"]
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     model = None if opts["noiseless"] else _noise_model(opts)
     seeds = range(opts["seed"], opts["seed"] + runs)
@@ -443,32 +451,6 @@ COMMANDS = {
     "experiment": cmd_experiment,
 }
 
-_FLAG_HELP = {
-    "gamma": "Lorentz factor (comma-separated list for sweep/experiment)",
-    "half_width": "OAM detection half-width for l_b",
-    "half_width_a": "OAM detection half-width for l_a (defaults to --half-width)",
-    "n_modes": "source mode count used for joint-probability normalisation",
-    "format": "output format",
-    "out": "output directory",
-    "config": "key = value file mirroring the flags; flags take precedence",
-    "l": "OAM index of the projection hologram",
-    "width": "hologram width in pixels",
-    "height": "hologram height in pixels",
-    "extent": "half-width of the sampled plane in normalised units",
-    "pair_rate": "expected true coincidences at the spectrum peak",
-    "accidental_rate": "expected accidental coincidences per cell",
-    "integration": "exposure multiplier",
-    "seed": "base random seed",
-    "counts": "counts CSV produced by the simulate command",
-    "l_a": "Alice projection index of the analysed slice",
-    "method": "estimator: m_sum, least_squares or both",
-    "subtract": "background subtraction: none, accidental, minimum or both",
-    "gamma_min": "lower fit bound",
-    "gamma_max": "upper fit bound",
-    "runs": "seeded repetitions per encoded gamma",
-    "noiseless": "skip the count simulation and use exact conditional spectra",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -478,12 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, table in OPTION_TABLES.items():
         sub = subparsers.add_parser(command)
-        for key in table:
+        for key, (convert, _, help_text) in table.items():
             flag = "--" + key.replace("_", "-")
-            if key == "noiseless":
-                sub.add_argument(flag, dest=key, action="store_const", const="true", help=_FLAG_HELP[key])
+            if convert is _parse_bool:
+                sub.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
             else:
-                sub.add_argument(flag, dest=key, default=None, help=_FLAG_HELP.get(key))
+                sub.add_argument(flag, dest=key, help=help_text)
     return parser
 
 

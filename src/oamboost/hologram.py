@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .relativity import TWO_PI, require_gamma
+from .spectrum import _require_index
 
 DEFAULT_SIZE = 512
 DEFAULT_EXTENT = 1.0
@@ -79,8 +80,9 @@ def generate_hologram(
     centre pixel uses the atan2(0, 0) = 0 convention.
     """
     gamma = require_gamma(gamma)
-    width = int(width)
-    height = int(height)
+    l = _require_index("l", l)
+    width = _require_index("width", width)
+    height = _require_index("height", height)
     if width < 2 or height < 2:
         raise ValueError(f"width and height must be >= 2, got {width}x{height}")
     if width * height > MAX_PIXELS:
@@ -89,7 +91,6 @@ def generate_hologram(
     if not 0.0 < extent < np.inf:
         raise ValueError(f"extent must be positive and finite, got {extent}")
     x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)
-    l = int(l)
     phase = np.empty((height, width))
     step = max(1, _BLOCK_CELLS // width)
     for start in range(0, height, step):
@@ -135,7 +136,7 @@ def hologram_filename(field: HologramField, ext: str) -> str:
 def winding_number(l: int, gamma: float, samples: int = 3600) -> float:
     """Accumulated mask phase around the core divided by 2*pi; equals l for any gamma, or raises if undersampled."""
     gamma = require_gamma(gamma)
-    l, samples = int(l), int(samples)
+    l, samples = _require_index("l", l), _require_index("samples", samples)
     angles = np.linspace(0.0, TWO_PI, samples + 1)
     azimuth = np.arctan2(gamma * np.sin(angles), np.cos(angles))
     # unwrap cannot resolve a mask-phase step of pi; the l = 1 azimuth's steps stay below pi from 3 samples on

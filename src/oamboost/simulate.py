@@ -125,7 +125,7 @@ class CountSpectrum:
             raise ValueError("counts must be non-negative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _require_index("seed", self.seed))
 
 
 def check_stream_keys(windows, seeds) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,19 +28,21 @@ MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
 MAX_NODES = 1 << 20  # azimuth nodes of an oracle; its cached table costs 32 B a node
 
 
-def _require_index(name: str, value) -> int:
-    """value as an int; a float or other non-integer raises rather than truncates."""
+def _require_index(name: str, value, low: int | None = None, high: float = math.inf) -> int:
+    """value as an int, in [low, high] when low is given; a float or other non-integer raises rather than truncates."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
+        if low is None or low <= index <= high:
+            return index
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    span = "" if low is None else f" in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
 
 
-def _require_count(name: str, value, low: int, high: float = math.inf) -> int:
-    """value as an int in [low, high]; a float or other non-integer raises rather than truncates."""
-    if not isinstance(value, numbers.Integral) or not low <= value <= high:
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
+def _fits_int64(*values: int) -> bool:
+    """Whether every |value| is below 2**63; -2**63 fails, as numpy's abs overflows on it."""
+    return max(map(abs, values)) < 1 << 63
 
 
 def _freeze_values(owner, shape: tuple[int, ...]) -> None:
@@ -65,11 +66,13 @@ class OamWindow:
         object.__setattr__(self, "l_max", _require_index("l_max", self.l_max))
         if self.l_min > self.l_max:
             raise ValueError(f"l_min must not exceed l_max, got [{self.l_min}, {self.l_max}]")
+        if self.l_min < -(1 << 63) or self.l_max >= 1 << 63:
+            raise ValueError(f"l_min and l_max must fit in int64, got [{self.l_min}, {self.l_max}]")
 
     @classmethod
     def symmetric(cls, half_width: int) -> "OamWindow":
         """Window [-half_width, half_width], the detection-range convention."""
-        half_width = _require_count("half_width", half_width, 0)
+        half_width = _require_index("half_width", half_width, 0)
         return cls(-half_width, half_width)
 
     def indices(self) -> np.ndarray:
@@ -160,9 +163,9 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
     Kronecker delta.
     """
     gamma = require_gamma(gamma)
-    n = _require_count("n_modes", n_modes, 1)
+    n = _require_index("n_modes", n_modes, 1)
     s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
-    if abs(s) >= 1 << 63:
+    if not _fits_int64(s):
         raise ValueError(f"l_a + l_b must fit in int64, got {s}")
     return float(geometric_kernel(s, gamma) / n)
 
@@ -170,8 +173,7 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
 def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalSlice:
     """Noiseless conditional spectrum over a window; peak value 1 at l_b = -l_a."""
     l_a = _require_index("l_a", l_a)
-    bounds = (l_a, window.l_min, window.l_max, l_a + window.l_min, l_a + window.l_max)
-    if max(map(abs, bounds)) >= 1 << 63:
+    if not _fits_int64(l_a, l_a + window.l_min, l_a + window.l_max):
         raise ValueError(f"l_a + l_b must fit in int64, got l_a = {l_a} on the window [{window.l_min}, {window.l_max}]")
     values = geometric_kernel(l_a + window.indices(), require_gamma(gamma))
     return ConditionalSlice(l_a=l_a, window_b=window, values=values)
@@ -180,8 +182,11 @@ def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalS
 def joint_spectrum(gamma: float, window_a: OamWindow, window_b: OamWindow, n_modes: int = 1) -> JointSpectrum:
     """Closed-form joint spectrum over a pair of detection windows."""
     gamma = require_gamma(gamma)
-    n = _require_count("n_modes", n_modes, 1)
+    n = _require_index("n_modes", n_modes, 1)
     check_cells(window_a, window_b)
+    low, high = window_a.l_min + window_b.l_min, window_a.l_max + window_b.l_max
+    if not _fits_int64(low, high):
+        raise ValueError(f"l_a + l_b must fit in int64, got sums in [{low}, {high}]")
     values = geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) / n
     return JointSpectrum(window_a=window_a, window_b=window_b, values=values, n_modes=n, gamma=gamma)
 
@@ -203,7 +208,7 @@ def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b) -> tuple[int, np.ndar
     s = l_a + l_b.  The trapezoid rule cannot tell s from s - nodes, so nodes must exceed 2*|s|.
     """
     s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
-    nodes = _require_count(name, nodes, floor, MAX_NODES)
+    nodes = _require_index(name, nodes, floor, MAX_NODES)
     if 2 * abs(s) >= nodes:
         raise ValueError(f"{name} = {nodes} cannot resolve l_a + l_b = {s}: it needs {name} >= {2 * abs(s) + 1}")
     k, cos2, roots = _azimuth_grid(nodes)
@@ -219,7 +224,7 @@ def joint_probability_quadrature(
     spectrally on `panels` nodes, which must exceed 2*|l_a + l_b|.
     """
     gamma = require_gamma(gamma)
-    n = _require_count("n_modes", n_modes, 1)
+    n = _require_index("n_modes", n_modes, 1)
     panels, cos2, phases = _azimuth_nodes("panels", panels, 64, l_a, l_b)
     total = phases @ (gamma / ((gamma * gamma - 1.0) * cos2 + 1.0))
     return float(abs(total) ** 2 / (panels * panels * n))

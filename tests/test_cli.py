@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oamboost.cli import main
+from oamboost.cli import OPTION_TABLES, build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -387,6 +387,27 @@ OPTION_ERRORS = [
     pytest.param(["experiment", "--runs", "0"], "--runs must be >= 1, got 0", id="runs"),
     pytest.param(["simulate", "--gamma", "2", "--pair-rate", "0"], "got 0.0", id="simulate-pair-rate"),
     pytest.param(["experiment", "--pair-rate", "0"], "got 0.0", id="experiment-pair-rate"),
+    # text an option's converter rejects: the message starts with the flag
+    *(
+        pytest.param(argv, f"error: {shown}", id=name)
+        for name, argv, shown in (
+            ("spectrum-gamma-text", ["spectrum", "--gamma", "abc"], "--gamma must be a number, got 'abc'"),
+            ("sweep-gamma-text", ["sweep", "--gamma", "1,x"], "--gamma must be a number, got 'x'"),
+            ("sweep-gamma-empty", ["sweep", "--gamma", " , "], "--gamma must list at least one value"),
+            ("experiment-gamma-empty", ["experiment", "--gamma", ""], "--gamma must list at least one value"),
+            ("hologram-l-text", _HOLOGRAM + ["--l", "1.5"], "--l must be an integer, got '1.5'"),
+            ("runs-text", ["experiment", "--runs", "two"], "--runs must be an integer, got 'two'"),
+            ("spectrum-format", ["spectrum", "--gamma", "2", "--format", "pgm"],
+             "--format must be one of csv, json; got 'pgm'"),
+            ("hologram-format", _HOLOGRAM + ["--format", "json"], "--format must be one of pgm, csv; got 'json'"),
+            ("estimate-method", ["estimate", "--counts", "{counts}", "--method", "fit"],
+             "--method must be one of m_sum, least_squares, both; got 'fit'"),
+            ("estimate-subtract", ["estimate", "--counts", "{counts}", "--subtract", "all"],
+             "--subtract must be one of none, accidental, minimum, both; got 'all'"),
+            ("experiment-subtract", ["experiment", "--subtract", "all"],
+             "--subtract must be one of none, accidental, minimum, both; got 'all'"),
+        )
+    ),
 ]
 
 
@@ -422,6 +443,40 @@ class TestConfigFile:
         assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("argv", "line", "shown"),
+        [
+            (["spectrum"], "gamma = abc", "--gamma must be a number, got 'abc'"),
+            (["sweep"], "gamma = ,", "--gamma must list at least one value"),
+            (["spectrum", "--gamma", "2"], "half-width = 1.5", "--half-width must be an integer, got '1.5'"),
+            (["experiment"], "noiseless = maybe", "--noiseless must be a boolean, got 'maybe'"),
+            (["experiment"], "runs = 0", "--runs must be >= 1, got 0"),
+            (["estimate", "--counts", "c.csv"], "subtract = all",
+             "--subtract must be one of none, accidental, minimum, both; got 'all'"),
+        ],
+        ids=["gamma-text", "gamma-empty", "half-width-text", "noiseless", "runs", "subtract"],
+    )
+    def test_bad_value_names_its_line_and_flag(self, tmp_path, capsys, argv, line, shown):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# manifest\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("text", "key"),
+        [("gamma = 2\nout = x\ngamma = 3\n", "gamma"), ("gamma = 2\nhalf-width = 3\nhalf_width = 4\n", "half_width")],
+        ids=["repeated", "dash-and-underscore"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, capsys, text, key):
+        # the last value used to win silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: duplicate config key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -430,6 +485,14 @@ class TestConfigFile:
         )
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(OPTION_TABLES))
+def test_every_option_has_help(command):
+    subparsers = next(action for action in build_parser()._actions if action.dest == "command")
+    helps = {action.dest: action.help for action in subparsers.choices[command]._actions}
+    assert set(OPTION_TABLES[command]) <= set(helps)
+    assert all(helps[key] and helps[key].strip() for key in OPTION_TABLES[command])
 
 
 def test_module_entry_point(tmp_path):

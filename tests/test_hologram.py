@@ -152,6 +152,20 @@ class TestGenerateHologram:
         with pytest.raises(ValueError, match="extent must be positive and finite, got inf"):
             generate_hologram(1, 2.0, width=4, height=4, extent=math.inf)
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            ((2.7, 2.0, 8, 8), "l must be an integer, got 2.7"),
+            ((2, 2.0, 8.9, 8), "width must be an integer, got 8.9"),
+            ((2, 2.0, 8, np.float64(8.0)), "height must be an integer, got "),
+        ],
+        ids=["l", "width", "height"],
+    )
+    def test_non_integral_charge_and_sizes_raise(self, args, message):
+        # int() used to truncate: l = 2.7 drew the l = 2 mask, and a width of 8.9 gave 8 pixels
+        with pytest.raises(ValueError, match=message):
+            generate_hologram(*args)
+
     def test_phase_read_only(self):
         field = generate_hologram(1, 1.0, width=4, height=4)
         with pytest.raises(ValueError):
@@ -294,6 +308,16 @@ class TestWinding:
         with pytest.raises(ValueError, match="l = 2 at gamma = 1.0 with 4 samples: .* 5 samples would suffice"):
             winding_number(2, 1.0, 4)
         assert winding_number(2, 1.0, 5) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        ("l", "samples", "message"),
+        [(2.5, 3600, "l must be an integer, got 2.5"), (2, 3600.7, "samples must be an integer, got 3600.7")],
+        ids=["l", "samples"],
+    )
+    def test_non_integral_arguments_raise(self, l, samples, message):
+        # int() used to truncate: winding_number(2.5, 2.0) returned 2.0
+        with pytest.raises(ValueError, match=message):
+            winding_number(l, 2.0, samples)
 
     @pytest.mark.parametrize("samples", [0, 1, 2])
     def test_fewer_than_three_samples_raise(self, samples):

@@ -373,6 +373,12 @@ class TestStreamKeys:
             assert run.seed == 5 and type(run.seed) is int
             np.testing.assert_array_equal(run.counts, expected)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_count_spectrum_seed_must_be_an_integer(self, seed):
+        # int(seed) used to truncate: a spectrum built with seed 1.5 recorded seed 1
+        with pytest.raises(ValueError, match="seed must be an integer, got "):
+            CountSpectrum(OamWindow(0, 0), OamWindow(0, 0), [[1]], seed, NoiseModel(), 2.0)
+
     @pytest.mark.parametrize(
         "windows",
         [

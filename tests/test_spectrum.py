@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -78,6 +79,16 @@ class TestOamWindow:
         # int() used to truncate: symmetric(2.7) gave [-2, 2] and OamWindow(0.5, 2.9) gave [0, 2]
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize(("l_min", "l_max"), [(2**63, 2**63), (-(2**63) - 1, 0), (0, 2**63), (-(2**64), 2**64)])
+    def test_bounds_beyond_int64_raise(self, l_min, l_max):
+        # OamWindow(2**63, 2**63).indices() raised numpy's OverflowError
+        with pytest.raises(ValueError, match=rf"l_min and l_max must fit in int64, got \[{l_min}, {l_max}\]"):
+            OamWindow(l_min, l_max)
+
+    def test_int64_edges_accepted(self):
+        assert OamWindow(-(2**63), 2**63 - 1).l_min == -(2**63)
+        assert OamWindow(2**63 - 1, 2**63 - 1).indices().tolist() == [2**63 - 1]
 
     def test_numpy_integers_accepted(self):
         assert OamWindow(np.int64(-2), np.int32(3)) == OamWindow(-2, 3)
@@ -199,7 +210,7 @@ class TestConditionalSlice:
             (2**70, OamWindow(0, 2)),  # numpy raised OverflowError: Python int too large to convert to C long
             (2**62, OamWindow(2**62 - 1, 2**62)),  # the last sum is 2**63
             (-(2**62), OamWindow(-(2**62), -(2**62))),  # -2**63, whose abs overflows int64
-            (-(2**64), OamWindow(2**64, 2**64)),  # sum 0, but neither term fits
+            (2**63, OamWindow(-1, -1)),  # the sum 2**63 - 1 fits, but l_a does not
         ],
     )
     def test_beyond_int64_raises_naming_l_a(self, l_a, window):
@@ -544,6 +555,26 @@ class TestJointSpectrumMatrix:
         # 8192 x 8192 itself passes the cap and reaches the indices
         with pytest.raises(AssertionError, match="indices were built"):
             joint_spectrum(2.0, OamWindow(0, 8191), OamWindow(0, 8191))
+
+    @pytest.mark.parametrize(
+        ("window_a", "window_b", "sums"),
+        [
+            # the int64 sums wrapped: values was [[inf]] with only a RuntimeWarning
+            (OamWindow(2**62, 2**62), OamWindow(2**62, 2**62), f"[{2**63}, {2**63}]"),
+            (OamWindow(-(2**62), 1 - 2**62), OamWindow(-(2**62), 1 - 2**62), f"[{-(2**63)}, {2 - 2**63}]"),
+            (OamWindow(2**62 - 1, 2**62), OamWindow(2**62 - 3, 2**62), f"[{2**63 - 4}, {2**63}]"),
+        ],
+        ids=["top", "bottom", "last-sum"],
+    )
+    def test_sums_beyond_int64_raise(self, window_a, window_b, sums):
+        with pytest.raises(ValueError, match=re.escape(f"l_a + l_b must fit in int64, got sums in {sums}")):
+            joint_spectrum(2.0, window_a, window_b)
+
+    def test_int64_edge_sums_accepted(self):
+        spec = joint_spectrum(3.0, OamWindow(2**62, 2**62), OamWindow(2**62 - 2, 2**62 - 1))
+        assert spec.values.tolist() == [[0.0, 0.0]]
+        spec = joint_spectrum(3.0, OamWindow(-(2**62), -(2**62)), OamWindow(2**62 - 2, 2**62 - 1))
+        assert spec.values.tolist() == [[0.25, 0.0]]
 
     def test_values_read_only(self):
         spec = joint_spectrum(2.0, OamWindow(-2, 2), OamWindow(-2, 2), 1)
