@@ -21,7 +21,7 @@ from .relativity import (
     frame_from_beta,
     frame_from_gamma,
 )
-from .simulate import CountSpectrum, NoiseModel, simulate_counts, subtract_background
+from .simulate import CountSpectrum, NoiseModel, simulate_counts
 from .spectrum import (
     ConditionalSlice,
     JointSpectrum,
@@ -67,7 +67,6 @@ __all__ = [
     "mode_count_empirical",
     "simulate_counts",
     "spectrum_moments",
-    "subtract_background",
 ]
 
 __version__ = "0.1.0"

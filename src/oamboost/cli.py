@@ -22,9 +22,10 @@ from .estimate import (
     DEFAULT_GAMMA_BOUNDS,
     METHOD_LEAST_SQUARES,
     METHOD_M_SUM,
+    _estimate_runs,
     batch_csv,
     check_gamma_bounds,
-    estimate_gamma_fits,
+    estimate_gamma_fit,
     estimate_gamma_msum,
 )
 from .hologram import export_hologram, generate_hologram, hologram_filename
@@ -32,26 +33,27 @@ from .relativity import frame_from_gamma, require_gamma
 from .simulate import (
     SUBTRACT_MODES,
     NoiseModel,
+    _count_runs,
+    _subtract,
     check_stream_keys,
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
-    counts_conditionals,
     read_count_spectrum,
     sidecar_path,
     simulate_counts,
-    simulate_runs,
 )
 from .spectrum import (
     OamWindow,
+    _mode_counts,
     check_cells,
     conditional_slice,
+    geometric_kernel,
     joint_spectrum,
     joint_spectrum_to_csv,
     joint_spectrum_to_json_dict,
     measurement_sum,
     mode_count_closed,
-    mode_count_empirical,
 )
 
 EXIT_OK = 0
@@ -111,7 +113,7 @@ def _choice(*choices):
     return convert
 
 
-def _subtract(default):
+def _subtract_option(default):
     """The --subtract row; estimate and experiment differ only in its default."""
     return _choice("none", *SUBTRACT_MODES), default, "background subtraction: none, accidental, minimum or both"
 
@@ -171,7 +173,7 @@ OPTION_TABLES = {
         "counts": (str, _REQUIRED, "counts CSV produced by the simulate command"),
         "l_a": (_parse_int, 0, "Alice projection index of the analysed slice"),
         "method": (_choice("m_sum", "least_squares", "both"), "both", "estimator: m_sum, least_squares or both"),
-        "subtract": _subtract("none"),
+        "subtract": _subtract_option("none"),
         **_FIT_BOUNDS,
     },
     "experiment": {
@@ -181,7 +183,7 @@ OPTION_TABLES = {
         "runs": (_parse_runs, 1, "seeded repetitions per encoded gamma"),
         "half_width": (_parse_int, 40, _HALF_WIDTH_HELP),
         **_RATES,
-        "subtract": _subtract("both"),
+        "subtract": _subtract_option("both"),
         "noiseless": (_parse_bool, False, "skip the count simulation and use exact conditional spectra"),
         **_FIT_BOUNDS,
     },
@@ -218,18 +220,15 @@ def _resolve_options(command, args):
     opts = {}
     for key, (convert, default, _) in table.items():
         flag = "--" + key.replace("_", "-")
-        where, text = "", getattr(args, key)
-        if text is None:
-            where, text = cfg.get(key, ("", None))
-        if text is not None:
+        opts[key] = default
+        # the config text first, so that it is checked even where the flag overrides it
+        for where, text in (cfg.get(key, ("", None)), ("", getattr(args, key))):
             try:
-                opts[key] = convert(text)
+                opts[key] = opts[key] if text is None else convert(text)
             except ValueError as exc:
                 raise UsageError(f"{where}{flag} {exc}") from None
-        elif default is _REQUIRED:
+        if opts[key] is _REQUIRED:
             raise UsageError(f"{flag} is required")
-        else:
-            opts[key] = default
     return opts
 
 
@@ -351,18 +350,6 @@ def cmd_simulate(opts) -> int:
     return EXIT_OK
 
 
-def _run_estimators(conds, method, bounds):
-    """Each slice's fits in `method`'s order: m_sum, then least_squares."""
-    results = [[] for _ in conds]
-    if method in ("m_sum", "both"):
-        for row, cond in zip(results, conds):
-            row.append(estimate_gamma_msum(cond))
-    if method in ("least_squares", "both"):
-        for row, fit in zip(results, estimate_gamma_fits(conds, bounds)):
-            row.append(fit)
-    return results
-
-
 def cmd_estimate(opts) -> int:
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     counts_file = Path(opts["counts"])
@@ -377,8 +364,10 @@ def cmd_estimate(opts) -> int:
     subtract = opts["subtract"]
     cond = counts_conditional(counts, opts["l_a"], None if subtract == "none" else subtract)
     out = Path(opts["out"])
-    for result in _run_estimators([cond], opts["method"], bounds)[0]:
-        _emit(out / f"fit_{result.method}.json", _json_text(result.to_dict()))
+    if opts["method"] in ("m_sum", "both"):
+        _emit(out / "fit_m_sum.json", _json_text(estimate_gamma_msum(cond).to_dict()))
+    if opts["method"] in ("least_squares", "both"):
+        _emit(out / "fit_least_squares.json", _json_text(estimate_gamma_fit(cond, bounds).to_dict()))
     return EXIT_OK
 
 
@@ -394,51 +383,38 @@ def cmd_experiment(opts) -> int:
         _library_check(check_stream_keys, windows, (seeds[0], seeds[-1]))
     _library_check(check_cells, *windows, runs)
 
-    batch = []
-    summary_rows = []
+    window, mode = windows[1], None if subtract == "none" else subtract
+    meas, resid, summary_rows = [], [], []
     for gamma in gammas:
-        per_method = {METHOD_M_SUM: [], METHOD_LEAST_SQUARES: []}
         if model is None:
-            conds = [conditional_slice(0, windows[1], gamma) for _ in seeds]
-        else:
-            mode = None if subtract == "none" else subtract
-            conds = counts_conditionals(simulate_runs(gamma, windows, model, seeds), 0, mode)
-        omegas = [mode_count_empirical(cond) for cond in conds]
-        for seed, results in zip(seeds, _run_estimators(conds, "both", bounds)):
-            for result in results:
-                per_method[result.method].append(result)
-                batch.append((seed, gamma, result))
-        gamma_fit = float(np.mean([r.gamma_meas for r in per_method[METHOD_LEAST_SQUARES]]))
-        frame = frame_from_gamma(gamma_fit)
+            values = np.tile(geometric_kernel(window.indices(), gamma), (runs, 1))
+        else:  # each subtraction step is per cell or per row, so subtracting the stacked rows moves no bit
+            values = _subtract(_count_runs(gamma, windows, model, seeds)[:, 0].astype(float), model, mode)
+        omegas = _mode_counts(values)
+        m_sum, fit, residual = _estimate_runs(values, 0, window, bounds)
+        # each run's m_sum row, then its least_squares row
+        meas.append(np.stack((m_sum, fit), axis=1).ravel())
+        resid.append(np.stack((np.zeros(runs), residual), axis=1).ravel())
+        frame = frame_from_gamma(float(np.mean(fit)))
         summary_rows.append(
             {
                 "gamma_encoded": gamma,
                 "omega_empirical": float(np.mean(omegas)),
-                "gamma_meas_m_sum": float(np.mean([r.gamma_meas for r in per_method[METHOD_M_SUM]])),
-                "gamma_meas_least_squares": gamma_fit,
+                "gamma_meas_m_sum": float(np.mean(m_sum)),
+                "gamma_meas_least_squares": float(np.mean(fit)),
                 "eta": frame.rapidity,
                 "beta": frame.beta,
             }
         )
 
-    summary = {
-        "parameters": {
-            "gamma": gammas,
-            "seed": opts["seed"],
-            "runs": runs,
-            "half_width": half_width,
-            "noiseless": opts["noiseless"],
-            "subtract": subtract,
-            "pair_rate": opts["pair_rate"],
-            "accidental_rate": opts["accidental_rate"],
-            "integration": opts["integration"],
-            "gamma_bounds": list(bounds),
-        },
-        "results": summary_rows,
-    }
+    keys = ("seed", "runs", "half_width", "noiseless", "subtract", "pair_rate", "accidental_rate", "integration")
+    parameters = {"gamma": gammas, **{key: opts[key] for key in keys}, "gamma_bounds": list(bounds)}
     out = Path(opts["out"])
-    _emit(out / "experiment_batch.csv", batch_csv(batch))
-    _emit(out / "experiment_summary.json", _json_text(summary))
+    seed_column = np.tile(np.repeat(np.array(seeds, dtype=object), 2), len(gammas))
+    methods = np.tile([METHOD_M_SUM, METHOD_LEAST_SQUARES], runs * len(gammas))
+    columns = seed_column, np.repeat(gammas, 2 * runs), np.concatenate(meas), methods, np.concatenate(resid)
+    _emit(out / "experiment_batch.csv", batch_csv(*columns))
+    _emit(out / "experiment_summary.json", _json_text({"parameters": parameters, "results": summary_rows}))
     return EXIT_OK
 
 

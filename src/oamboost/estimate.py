@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import format_table
-from .relativity import GAMMA_MAX, frame_from_gamma
-from .spectrum import ConditionalSlice, OamWindow, geometric_kernel
+from .relativity import GAMMA_MAX, frame_from_gamma, require_gamma
+from .spectrum import ConditionalSlice, OamWindow, _sum_index, _SumIndex, geometric_kernel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,15 +41,8 @@ class FitResult:
     window: OamWindow
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_meas": self.gamma_meas,
-            "method": self.method,
-            "residual": self.residual,
-            "eta": self.eta,
-            "beta": self.beta,
-            "window": [self.window.l_min, self.window.l_max],
-            "l_a": self.l_a,
-        }
+        fields = {key: getattr(self, key) for key in ("gamma_meas", "method", "residual", "eta", "beta")}
+        return {**fields, "window": [self.window.l_min, self.window.l_max], "l_a": self.l_a}
 
 
 def gamma_from_m(m: float) -> float:
@@ -70,50 +63,48 @@ def check_gamma_bounds(gamma_bounds) -> tuple[float, float]:
     return lo, hi
 
 
-def _peak_normalised(conditional: ConditionalSlice) -> np.ndarray:
-    peak_l_b = -conditional.l_a
-    window = f"window [{conditional.window_b.l_min}, {conditional.window_b.l_max}]"
-    if peak_l_b not in conditional.window_b:
-        raise ValueError(f"{window} does not contain the spectrum peak at l_b = {peak_l_b}")
-    peak = float(conditional.values[conditional.window_b.index_of(peak_l_b)])
-    if not peak > 0.0:
-        raise ValueError(f"conditional slice peak at l_b = {peak_l_b} in {window} must be positive, got {peak}")
-    # a sum of squares is finite unless a value is not (or it overflows), and costs less than isfinite
-    if not math.isfinite(conditional.values @ conditional.values) and not np.isfinite(conditional.values).all():
-        first = int(np.argmin(np.isfinite(conditional.values)))
-        l_b, value = conditional.window_b.l_min + first, conditional.values[first]
-        raise ValueError(f"conditional slice value at l_b = {l_b} in {window} must be finite, got {value}")
-    return conditional.values / peak
+def _peak_normalised(values: np.ndarray, l_a: int, window: OamWindow) -> np.ndarray:
+    """Rows of slice values at one l_a over one window, each divided by its peak at l_b = -l_a.
+
+    The first row with a non-positive peak, or else a non-finite value, raises.
+    """
+    l_peak = -l_a
+    where = f"window [{window.l_min}, {window.l_max}]"
+    if l_peak not in window:
+        raise ValueError(f"{where} does not contain the spectrum peak at l_b = {l_peak}")
+    peaks = values[:, window.index_of(l_peak)]
+    bad = ~(peaks > 0.0) | ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not peaks[row] > 0.0:
+            raise ValueError(f"conditional slice peak at l_b = {l_peak} in {where} must be positive, got {peaks[row]}")
+        j = int(np.argmin(np.isfinite(values[row])))
+        l_b, value = window.l_min + j, values[row, j]
+        raise ValueError(f"conditional slice value at l_b = {l_b} in {where} must be finite, got {value}")
+    return values / peaks[:, None]
 
 
 def _result(gamma: float, method: str, residual: float, conditional: ConditionalSlice) -> FitResult:
     frame = frame_from_gamma(gamma)
-    return FitResult(
-        gamma_meas=gamma,
-        method=method,
-        residual=residual,
-        eta=frame.rapidity,
-        beta=frame.beta,
-        l_a=conditional.l_a,
-        window=conditional.window_b,
-    )
+    return FitResult(gamma, method, residual, frame.rapidity, frame.beta, conditional.l_a, conditional.window_b)
+
+
+def _msum_gammas(norm: np.ndarray, l_a: int, window: OamWindow) -> np.ndarray:
+    """m_sum's gamma for each row of peak-normalised values at one l_a over one window."""
+    # each row's even cells, compacted into one contiguous array, take their own .sum(), as one slice's do
+    sums = [float(row.sum()) for row in norm.compress((l_a + window.indices()) % 2 == 0, axis=1)]
+    for m in sums:
+        if m < 1.0:
+            message = f"even-sum {m:.6g} fell below the physical floor 1; clamping gamma to 1"
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
+    return np.array([1.0 if m < 1.0 else require_gamma(gamma_from_m(m)) for m in sums])
 
 
 def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
     """Recover gamma from the even-sum of the peak-normalised slice."""
-    norm = _peak_normalised(conditional)
-    l_b = conditional.window_b.indices()
-    m = float(norm[(conditional.l_a + l_b) % 2 == 0].sum())
-    if m < 1.0:
-        warnings.warn(
-            f"even-sum {m:.6g} fell below the physical floor 1; clamping gamma to 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        gamma = 1.0
-    else:
-        gamma = gamma_from_m(m)
-    return _result(gamma, METHOD_M_SUM, 0.0, conditional)
+    l_a, window = conditional.l_a, conditional.window_b
+    gamma = _msum_gammas(_peak_normalised(conditional.values[None], l_a, window), l_a, window)
+    return _result(float(gamma[0]), METHOD_M_SUM, 0.0, conditional)
 
 
 def _squared_residuals(gammas, norm, sums, kernel=None):
@@ -123,24 +114,15 @@ def _squared_residuals(gammas, norm, sums, kernel=None):
     return (resid[:, None, :] @ resid[:, :, None]).ravel()
 
 
-def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list[FitResult]:
-    """Least-squares fits of the geometric conditional model, one per slice, in input order.
+def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares gamma and residual of each row of peak-normalised values against its row of sums.
 
-    Equal weighting over all cells.  A coarse logarithmic grid over the
-    bounds locates each slice's basin, then one golden-section search
-    narrows every slice's minimiser below GAMMA_TOL at once.  The grid's
-    model is built once per distinct row of sums l_a + l_b.  The slices
-    must all have the same length; their l_a may differ.
+    Equal weighting over all cells.  A coarse logarithmic grid over (lo, hi), built once per distinct
+    row of sums, locates each row's basin; then one golden-section search, on one exponent index,
+    narrows every row's minimiser below GAMMA_TOL at once.
     """
-    lo, hi = check_gamma_bounds(gamma_bounds)
-    conditionals = list(conditionals)
-    lengths = sorted({len(cond.window_b) for cond in conditionals})
-    if len(lengths) != 1:
-        raise ValueError(f"need one or more slices of one length to fit together, got lengths {lengths}")
-    all_norm = norm = np.array([_peak_normalised(cond) for cond in conditionals])
-    all_sums = sums = np.array([cond.l_a + cond.window_b.indices() for cond in conditionals])
     grid = np.geomspace(lo, hi, GRID_POINTS)
-    # the grid's model depends only on a slice's sums, an arange named by its first sum
+    # the grid's model depends only on a row's sums, an arange named by its first sum
     best, first, kernel = np.empty(len(norm), dtype=np.intp), None, None
     for i in np.argsort(sums[:, 0], kind="stable"):
         if sums[i, 0] != first:
@@ -148,13 +130,15 @@ def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list
         best[i] = np.argmin(_squared_residuals(grid, norm[i], sums[i], kernel))
     a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = _squared_residuals(c, norm, sums), _squared_residuals(d, norm, sums)
-    rows, gammas = np.arange(len(norm)), np.empty(len(norm))
+    index = _sum_index(sums)
+    fc, fd = _squared_residuals(c, norm, index), _squared_residuals(d, norm, index)
+    exponents, slots = index
+    all_norm, rows, gammas = norm, np.arange(len(norm)), np.empty(len(norm))
     while rows.size:
         closed = b - a <= GAMMA_TOL
         if closed.any():
             gammas[rows[closed]] = 0.5 * (a[closed] + b[closed])
-            rows, a, b, c, d, fc, fd, norm, sums = (v[~closed] for v in (rows, a, b, c, d, fc, fd, norm, sums))
+            rows, a, b, c, d, fc, fd, norm, slots = (v[~closed] for v in (rows, a, b, c, d, fc, fd, norm, slots))
             continue
         # where fc < fd the minimum lies in [a, d] and c becomes d, else in [c, b] and d becomes c
         left = fc < fd
@@ -162,13 +146,37 @@ def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list
         b[left], d[left], fd[left] = d[left], c[left], fc[left]
         a[right], c[right], fc[right] = c[right], d[right], fd[right]
         new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        f_new = _squared_residuals(new, norm, sums)
+        f_new = _squared_residuals(new, norm, _SumIndex(exponents, slots))
         c[left], fc[left], d[right], fd[right] = new[left], f_new[left], new[right], f_new[right]
-    residuals = _squared_residuals(gammas, all_norm, all_sums)
-    return [
-        _result(gamma, METHOD_LEAST_SQUARES, residual, cond)
-        for gamma, residual, cond in zip(gammas.tolist(), residuals.tolist(), conditionals)
-    ]
+    return gammas, _squared_residuals(gammas, all_norm, index)
+
+
+def _estimate_runs(values: np.ndarray, l_a: int, window: OamWindow, gamma_bounds=DEFAULT_GAMMA_BOUNDS):
+    """Columns (m_sum gamma, least-squares gamma, residual) of each row of slice values at one l_a over one window.
+
+    Bit for bit those of estimate_gamma_msum and estimate_gamma_fits on the rows as slices; each row is
+    peak-normalised once.
+    """
+    lo, hi = check_gamma_bounds(gamma_bounds)
+    norm = _peak_normalised(values, l_a, window)
+    sums = np.broadcast_to(l_a + window.indices(), norm.shape)
+    return (_msum_gammas(norm, l_a, window), *_fit(norm, sums, lo, hi))
+
+
+def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list[FitResult]:
+    """Least-squares fits of the geometric conditional model, one per slice, in input order (see _fit).
+
+    The slices must all have the same length; their l_a may differ.
+    """
+    lo, hi = check_gamma_bounds(gamma_bounds)
+    conditionals = list(conditionals)
+    lengths = sorted({len(cond.window_b) for cond in conditionals})
+    if len(lengths) != 1:
+        raise ValueError(f"need one or more slices of one length to fit together, got lengths {lengths}")
+    norm = np.concatenate([_peak_normalised(cond.values[None], cond.l_a, cond.window_b) for cond in conditionals])
+    sums = np.array([cond.l_a + cond.window_b.indices() for cond in conditionals])
+    columns = (column.tolist() for column in _fit(norm, sums, lo, hi))
+    return [_result(g, METHOD_LEAST_SQUARES, r, cond) for g, r, cond in zip(*columns, conditionals)]
 
 
 def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> FitResult:
@@ -176,10 +184,8 @@ def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA
     return estimate_gamma_fits([conditional], gamma_bounds)[0]
 
 
-def batch_csv(records) -> str:
-    """CSV of (seed, gamma_encoded, FitResult) batch estimation records."""
-    rows = [(seed, float(gamma), r.gamma_meas, r.method, r.residual) for seed, gamma, r in records]
-    seeds, *columns = zip(*rows) if rows else [()] * 5
+def batch_csv(seeds, gamma_encoded, gamma_meas, method, residual) -> str:
+    """CSV of batch estimation records, one row per element of the five columns."""
     # numpy would make float64 of seeds on both sides of 2**63, so they stay Python ints.
-    seeds = np.array(seeds, dtype=object)
-    return format_table("seed,gamma_encoded,gamma_meas,method,residual", seeds, *columns)
+    columns = np.array(seeds, dtype=object), gamma_encoded, gamma_meas, method, residual
+    return format_table("seed,gamma_encoded,gamma_meas,method,residual", *columns)

@@ -318,15 +318,8 @@ def _draw_poisson(n_cells: int, cells) -> np.ndarray:
     return counts
 
 
-def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[CountSpectrum]:
-    """simulate_counts for each seed in seeds, all drawn in one pass.
-
-    The mean matrix is computed once and the cells of every seed go
-    through one kernel call, whose working memory does not grow with the
-    windows or the number of seeds.
-    """
-    gamma = require_gamma(gamma)
-    seeds = list(seeds)
+def _count_runs(gamma: float, windows, model: NoiseModel, seeds) -> np.ndarray:
+    """The (seeds, window_a, window_b) int64 counts of simulate_runs, for a gamma the caller validated."""
     check_stream_keys(windows, seeds)
     window_a, window_b = windows
     check_cells(window_a, window_b, len(seeds))
@@ -346,11 +339,19 @@ def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[Count
         return seed_keys[run], la[row] | lb[col], mu[cell]
 
     counts = _draw_poisson(len(seeds) * mu.size, cells)
-    counts = counts.reshape(len(seeds), len(window_a), len(window_b))
-    return [
-        CountSpectrum(window_a=window_a, window_b=window_b, counts=c, seed=seed, model=model, gamma_encoded=gamma)
-        for seed, c in zip(seeds, counts)
-    ]
+    return counts.reshape(len(seeds), len(window_a), len(window_b))
+
+
+def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[CountSpectrum]:
+    """simulate_counts for each seed in seeds, all drawn in one pass.
+
+    The mean matrix is computed once and the cells of every seed go
+    through one kernel call, whose working memory does not grow with the
+    windows or the number of seeds.
+    """
+    gamma, seeds = require_gamma(gamma), list(seeds)
+    counts = _count_runs(gamma, windows, model, seeds)
+    return [CountSpectrum(*windows, c, seed, model, gamma) for seed, c in zip(seeds, counts)]
 
 
 def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> CountSpectrum:
@@ -363,24 +364,19 @@ def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> Coun
     return simulate_runs(gamma, windows, model, (seed,))[0]
 
 
-def _subtract(values: np.ndarray, model: NoiseModel, mode: str) -> np.ndarray:
-    if mode not in SUBTRACT_MODES:
+def _subtract(values: np.ndarray, model: NoiseModel, mode: str | None) -> np.ndarray:
+    """Rows of counts cleaned as mode says, clamping at zero after each step (None leaves them as they are).
+
+    accidental removes the expected flat background from every cell; minimum removes the smallest value
+    of each row; both applies accidental then minimum.
+    """
+    if mode is not None and mode not in SUBTRACT_MODES:
         raise ValueError(f"unknown subtraction mode {mode!r}; expected one of {SUBTRACT_MODES}")
     if mode in ("accidental", "both"):
         values = np.maximum(values - model.accidental_rate * model.integration, 0.0)
     if mode in ("minimum", "both"):
         values = np.maximum(values - values.min(axis=1, keepdims=True), 0.0)
     return values
-
-
-def subtract_background(counts: CountSpectrum, mode: str) -> np.ndarray:
-    """Clean a count matrix, clamping at zero after each subtraction step.
-
-    accidental removes the expected flat background from every cell;
-    minimum removes the smallest value of each conditional slice (each
-    fixed-l_a row); both applies accidental then minimum.
-    """
-    return _subtract(counts.counts.astype(float), counts.model, mode)
 
 
 def counts_conditionals(spectra, l_a: int, mode: str | None = None) -> list[ConditionalSlice]:
@@ -391,9 +387,8 @@ def counts_conditionals(spectra, l_a: int, mode: str | None = None) -> list[Cond
         raise ValueError(f"need one or more spectra of one window pair and noise model, got {len(setups)} setups")
     [(window_a, window_b, model)] = setups
     row = window_a.index_of(l_a)
-    values = np.array([c.counts[row] for c in spectra], dtype=float)
-    if mode is not None:  # each step is per cell or per row, so subtracting the stacked rows moves no bit
-        values = _subtract(values, model, mode)
+    # each subtraction step is per cell or per row, so subtracting the stacked rows moves no bit
+    values = _subtract(np.array([c.counts[row] for c in spectra], dtype=float), model, mode)
     return [ConditionalSlice(l_a=l_a, window_b=window_b, values=v) for v in values]
 
 

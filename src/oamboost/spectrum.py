@@ -124,34 +124,53 @@ class ConditionalSlice:
 
 def check_cells(window_a: OamWindow, window_b: OamWindow, runs: int = 1) -> None:
     """Raise ValueError if runs spectra over the windows hold more than MAX_CELLS cells in all."""
-    if len(window_a) * len(window_b) * runs > MAX_CELLS:
-        cells = f"{len(window_a)} x {len(window_b)} x {runs}"
-        raise ValueError(f"window cells x runs must be at most {MAX_CELLS}, got {cells}")
+    # Python ints, as len() overflows on a window of 2**63 cells or more
+    rows, cols = (window.l_max - window.l_min + 1 for window in (window_a, window_b))
+    if rows * cols * runs > MAX_CELLS:
+        raise ValueError(f"window cells x runs must be at most {MAX_CELLS}, got {rows} x {cols} x {runs}")
+
+
+# Sums s as their distinct even |s| (then a last exponent for the zero slot) and each sum's slot among them.
+_SumIndex = NamedTuple("_SumIndex", [("exponents", np.ndarray), ("slots", np.ndarray)])
+
+
+def _sum_index(s) -> _SumIndex:
+    """The _SumIndex of an integer array of sums, found without a sort when the even |s| span no more values than s."""
+    s = np.asarray(s)
+    if s.ndim == 0:  # one sum, as joint_probability passes: slot 0 holds its |s| if even, else the zero slot
+        return _SumIndex(np.array([np.abs(s), 0][int(s) & 1 :]), np.asarray(0))
+    exponent, odd = np.abs(s), (s & 1).astype(bool)
+    low, high = (int(exponent.min()), int(exponent.max())) if s.size else (0, 0)
+    low, high = low + (low & 1), high - (high & 1)  # the even values in that range
+    if 0 <= low <= high and (high - low) // 2 < s.size:
+        exponents = np.arange(low, high + 1, 2, dtype=exponent.dtype)
+        slots = (exponent - low) >> 1
+    else:  # no even |s|, |s| wrapped at -2**63, or few even |s| over a wide span
+        exponents = np.unique(exponent[~odd])
+        slots = np.searchsorted(exponents, exponent)
+    return _SumIndex(np.append(exponents, 0), np.where(odd, len(exponents), slots))
 
 
 def geometric_kernel(s, gamma):
     """The spectrum's one formula: q**|s| with q = (gamma - 1)/(gamma + 1), 0 on odd s.
 
-    s is an integer array of sums l_a + l_b; gamma may be a float or an
-    array that broadcasts against s.  Float 0**0 is 1, which keeps the
-    gamma = 1 delta spectrum exact.  Callers validate gamma.
-
-    The power runs over a flat exponent array.  numpy switches to its scalar
-    pow, which can be an ulp off its vector pow, when the exponent is
-    broadcast or has only size-1 axes; flat operands give every shape and
-    window the same bits.
+    s is an integer array of sums l_a + l_b, or the _sum_index(s) that a caller evaluating them at
+    many gammas builds once.  gamma may be a float or an array that broadcasts against s; each of
+    its elements is raised once to each distinct even |s|, so it should vary only where s does not,
+    as a (k, 1) column.  Float 0**0 is 1, which keeps the gamma = 1 delta spectrum exact.  Callers
+    validate gamma.  The powers run over flat operands: numpy's scalar pow, which can be an ulp off
+    its vector pow, runs where the exponent is broadcast.
     """
-    s = np.asarray(s)
+    exponents, slots = s if isinstance(s, _SumIndex) else _sum_index(s)
     q = (gamma - 1.0) / (gamma + 1.0)
-    exponent = np.abs(s)
+    width = len(exponents)  # each row of powers ends in the zero slot
     if isinstance(q, np.ndarray):
-        # contiguous copies at the broadcast shape, cheaper than np.broadcast_arrays and ravel
-        shape = np.broadcast(q, exponent).shape
-        q_full, exponent_full = np.empty(shape, q.dtype), np.empty(shape, exponent.dtype)
-        q_full[...], exponent_full[...] = q, exponent
-        q, exponent = q_full.ravel(), exponent_full
-    powers = (q ** exponent.ravel()).reshape(exponent.shape)
-    return np.where(s % 2 == 0, powers, 0.0)
+        table = np.repeat(q.ravel(), width) ** np.tile(exponents, q.size)
+        slots = np.arange(0, table.size, width).reshape(q.shape) + slots
+    else:
+        table = q ** exponents
+    table[width - 1 :: width] = 0.0
+    return table[slots]
 
 
 def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> float:
@@ -273,12 +292,17 @@ def mode_count_empirical(conditional: ConditionalSlice) -> float:
 
     Scale invariant, so it can be applied directly to count data.
     """
-    v = conditional.values
-    sum_sq = float(v @ v)
-    if sum_sq <= 0.0:
+    return float(_mode_counts(conditional.values[None])[0])
+
+
+def _mode_counts(values: np.ndarray) -> np.ndarray:
+    """mode_count_empirical of each row of a 2-D array of slice values, bit for bit."""
+    # a batched dot and one .sum() per row, which keep the bits of each slice's v @ v and v.sum()
+    sum_sq = (values[:, None, :] @ values[:, :, None]).ravel()
+    if (sum_sq <= 0.0).any():
         raise ValueError("conditional slice has no positive entries")
-    total = float(v.sum())
-    return total * total / sum_sq
+    totals = np.array([row.sum() for row in values])
+    return totals * totals / sum_sq
 
 
 class SliceMoments(NamedTuple):

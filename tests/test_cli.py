@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from oamboost.cli import OPTION_TABLES, build_parser, main
+from oamboost.estimate import FitResult
+from oamboost.simulate import CountSpectrum, NoiseModel, simulate_counts
+from oamboost.spectrum import ConditionalSlice, OamWindow
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -315,6 +318,23 @@ class TestExperimentCommand:
             assert row["gamma_meas_least_squares"] == pytest.approx(row["gamma_encoded"], rel=0.05)
         assert summary["parameters"]["subtract"] == "both"
 
+    @pytest.mark.parametrize("extra", [["--subtract", "both"], ["--subtract", "none"], ["--noiseless"]])
+    def test_builds_no_per_run_objects(self, tmp_path, monkeypatch, extra):
+        # each gamma's runs go from the Poisson kernel to the batch CSV as one array
+        argv = ["experiment", "--gamma", "1,5,20", "--seed", "3", "--runs", "4", "--half-width", "12"] + extra
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"experiment built a {type(self).__name__}")
+
+        for cls in (CountSpectrum, ConditionalSlice, FitResult):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        with pytest.raises(AssertionError, match="built a CountSpectrum"):
+            simulate_counts(2.0, (OamWindow(0, 0), OamWindow(0, 0)), NoiseModel(), 0)
+        assert main(argv + ["--out", str(tmp_path / "guarded")]) == 0
+        for name in ("experiment_batch.csv", "experiment_summary.json"):
+            assert (tmp_path / "guarded" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_default_gamma_ladder(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "experiment_summary.json").read_text())
@@ -462,6 +482,25 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:2: {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "line", "shown"),
+        [
+            (["sweep", "--gamma", "2"], "gamma = abc", "--gamma must be a number, got 'abc'"),
+            (["spectrum", "--gamma", "2", "--half-width", "3"], "half-width = 1.5",
+             "--half-width must be an integer, got '1.5'"),
+            (["experiment", "--noiseless"], "noiseless = maybe", "--noiseless must be a boolean, got 'maybe'"),
+        ],
+        ids=["gamma", "half-width", "noiseless"],
+    )
+    def test_bad_value_is_checked_where_a_flag_overrides_it(self, tmp_path, capsys, argv, line, shown):
+        # the run used to exit 0 and write its files, so the broken file passed unnoticed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: {shown}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from oamboost.estimate import (
     gamma_from_m,
 )
 from oamboost.simulate import NoiseModel, counts_conditional, simulate_counts
-from oamboost.spectrum import ConditionalSlice, OamWindow, conditional_slice, geometric_kernel, measurement_sum
+from oamboost.spectrum import ConditionalSlice, OamWindow, _SumIndex, conditional_slice, geometric_kernel, measurement_sum
 
 
 class TestGammaFromM:
@@ -327,8 +328,12 @@ class TestBatchedFit:
         conds[50:50] = [conditional_slice(l_a, OamWindow(*bounds), 4.0) for l_a, bounds in others]
         grid_rows = []
 
+        search_indexes = set()
+
         def spy(s, gamma):
-            if np.ndim(s) == 1:  # the coarse grid; the search passes one sums row per slice
+            if isinstance(s, _SumIndex):  # the search, with the fit's one exponent index
+                search_indexes.add(id(s.exponents))
+            else:  # the coarse grid, with one sums row
                 assert np.shape(gamma) == (GRID_POINTS, 1)
                 grid_rows.append(int(s[0]))
             return geometric_kernel(s, gamma)
@@ -337,6 +342,7 @@ class TestBatchedFit:
         results = estimate_gamma_fits(conds, (1.0, 50.0))
         assert sorted(grid_rows) == sorted({c.l_a + c.window_b.l_min for c in conds})
         assert len(grid_rows) == (1 if not others else 3)
+        assert len(search_indexes) == 1
         monkeypatch.undo()
         assert fits_of(results) == fits_of([estimate_gamma_fit(c, (1.0, 50.0)) for c in conds])
 
@@ -380,7 +386,7 @@ class TestBatchedFit:
         values[3] = -1e200
         cond = ConditionalSlice(l_a=0, window_b=OamWindow.symmetric(8), values=values)
         with np.errstate(over="ignore"):  # the sum of squares overflows to inf
-            assert estimate._peak_normalised(cond).tobytes() == values.tobytes()
+            assert estimate._peak_normalised(cond.values[None], 0, cond.window_b)[0].tobytes() == values.tobytes()
 
     def test_batch_of_one_is_the_single_fit(self):
         cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
@@ -433,6 +439,101 @@ class TestBatchedFit:
             estimate_gamma_fits(conds)
 
 
+@st.composite
+def run_arrays(draw):
+    """(values, l_a, window): 1-12 runs of one slice setup, as the rows of one array."""
+    length = draw(st.integers(1, 121))
+    l_a, below = draw(st.integers(-20, 20)), draw(st.integers(0, length - 1))
+    conds = draw(st.lists(noisy_slices(length, l_a, below), min_size=1, max_size=12))
+    return np.array([cond.values for cond in conds]), l_a, conds[0].window_b
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestArrayPath:
+    """_estimate_runs, the experiment's path: one normalised array per gamma, estimated as columns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=run_arrays(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
+    @example(
+        runs=(np.array([conditional_slice(0, OamWindow.symmetric(40), 5.0).values] * 3), 0, OamWindow.symmetric(40)),
+        bounds=(1.0, 50.0),
+    )
+    def test_columns_are_the_slice_estimates(self, runs, bounds):
+        values, l_a, window = runs
+        conds = [ConditionalSlice(l_a=l_a, window_b=window, values=row) for row in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # flat slices clamp m_sum at the floor
+            m_sum, fit, residual = estimate._estimate_runs(values, l_a, window, bounds)
+            msum_results = [estimate_gamma_msum(cond) for cond in conds]
+        fits = estimate_gamma_fits(conds, bounds)
+        assert bits(m_sum) == bits([r.gamma_meas for r in msum_results])
+        assert bits(fit) == bits([r.gamma_meas for r in fits])
+        assert bits(residual) == bits([r.residual for r in fits])
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_first_bad_row_names_its_fault(self, position):
+        # row `position` has a NaN cell and a later row a zero peak: the first bad row decides, as slice by slice
+        window = OamWindow.symmetric(6)
+        values = np.array([conditional_slice(0, window, g).values for g in (2.0, 3.0, 4.0, 5.0)])
+        values[position, 4] = np.nan
+        values[3, 6] = 0.0
+        with pytest.raises(ValueError, match=r"value at l_b = -2 in window \[-6, 6\] must be finite, got nan"):
+            estimate._estimate_runs(values, 0, window)
+        values[position, 4] = 1.0
+        with pytest.raises(ValueError, match=r"peak at l_b = 0 in window \[-6, 6\] must be positive, got 0\.0"):
+            estimate._estimate_runs(values, 0, window)
+
+    def test_m_sum_beyond_gamma_max_raises(self):
+        # as estimate_gamma_msum does: an even-sum of 1e7 inverts to gamma ~ 2e7
+        values = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1e7]])
+        with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
+            estimate._estimate_runs(values, 0, OamWindow(0, 2))
+
+    def test_each_row_is_normalised_once(self, monkeypatch):
+        calls = []
+        normalise = estimate._peak_normalised
+
+        def spy(values, l_a, window):
+            calls.append(len(values))
+            return normalise(values, l_a, window)
+
+        monkeypatch.setattr(estimate, "_peak_normalised", spy)
+        values = np.array([conditional_slice(0, OamWindow.symmetric(10), g).values for g in (2.0, 3.0, 9.0)])
+        estimate._estimate_runs(values, 0, OamWindow.symmetric(10))
+        assert calls == [3]
+
+
+class TestDenseScan:
+    """The coarse grid and the golden-section search find the global minimum on noiseless slices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        half_width=st.integers(5, 60),
+        l_a=st.integers(-10, 10),
+        bounds_gamma=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (2.0, 3.0), (1.0, 1e6)]).flatmap(
+            lambda b: st.tuples(st.just(b), st.floats(*b))
+        ),
+    )
+    @example(half_width=40, l_a=0, bounds_gamma=((1.0, 50.0), 1.0))
+    @example(half_width=5, l_a=0, bounds_gamma=((2.0, 3.0), 2.0))
+    @example(half_width=60, l_a=3, bounds_gamma=((1.0, 50.0), 49.99999999999999))
+    def test_fit_is_no_worse_than_a_dense_scan(self, half_width, l_a, bounds_gamma):
+        bounds, gamma = bounds_gamma
+        window = OamWindow(-l_a - half_width, -l_a + half_width)
+        cond = conditional_slice(l_a, window, gamma)
+        result = estimate_gamma_fit(cond, bounds)
+        scan = np.geomspace(*bounds, 4096)
+        resid = cond.values - geometric_kernel(l_a + window.indices(), scan[:, None])
+        scan_residuals = (resid[:, None, :] @ resid[:, :, None]).ravel()
+        best = int(np.argmin(scan_residuals))
+        # The search returns the midpoint of a bracket narrower than GAMMA_TOL, never a bound itself;
+        # so where gamma sits on a bound (within about an ulp), the scan point on that bound beats it.
+        assert result.residual <= scan_residuals[best] or abs(result.gamma_meas - scan[best]) <= GAMMA_TOL
+
+
 class TestFitResult:
     def test_internal_consistency(self):
         for gamma in (1.0, 1.7, 4.0, 33.0):
@@ -460,7 +561,7 @@ class TestFitResult:
             l_a=0,
             window=OamWindow(-5, 5),
         )
-        text = batch_csv([(42, 2.0, result)])
+        text = batch_csv([42], [2.0], [result.gamma_meas], [result.method], [result.residual])
         lines = text.strip().splitlines()
         assert lines[0] == "seed,gamma_encoded,gamma_meas,method,residual"
         assert lines[1] == "42,2,2,m_sum,0"

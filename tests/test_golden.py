@@ -110,6 +110,15 @@ GOLDEN = {
             "experiment_summary.json": "d50d8bcc4361369bafad7d6046a0eca550ffbdfa3a655b17b5843951862c8b69",
         },
     ),
+    # the benchmark's experiment shape at a smaller --runs; recorded on the per-slice
+    # object path, before the runs of a gamma were estimated as one array
+    "experiment_benchmark_shape": (
+        [["experiment", "--gamma", "1,2,5,10,20", "--runs", "20", "--half-width", "40", "--subtract", "both", "--seed", "7"]],
+        {
+            "experiment_batch.csv": "395c658769c326b98b146c0b13d0f5fbfcbb9f310920b2a2f7724b3d917bf890",
+            "experiment_summary.json": "4c503f277099dd14688bf70fa9b0a10ab6e3503c9aa5edded902ea2fe9da9f90",
+        },
+    ),
     "experiment_noiseless": (
         [["experiment", "--gamma", "1.5,20", "--noiseless", "--half-width", "30"]],
         {

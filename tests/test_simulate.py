@@ -21,7 +21,6 @@ from oamboost.simulate import (
     sidecar_path,
     simulate_counts,
     simulate_runs,
-    subtract_background,
 )
 from oamboost.spectrum import MAX_CELLS, OamWindow, conditional_slice
 
@@ -405,13 +404,28 @@ class TestStreamKeys:
         draw.assert_not_called()
 
 
+def cleaned(counts, mode):
+    """The count matrix cleaned one l_a row at a time by counts_conditional."""
+    return np.array([counts_conditional(counts, l_a, mode).values for l_a in counts.window_a.indices().tolist()])
+
+
+def reference_subtract(counts, mode):
+    """The whole count matrix cleaned at once, each step clamped at zero (the former subtract_background)."""
+    values = counts.counts.astype(float)
+    if mode in ("accidental", "both"):
+        values = np.maximum(values - counts.model.accidental_rate * counts.model.integration, 0.0)
+    if mode in ("minimum", "both"):
+        values = np.maximum(values - values.min(axis=1, keepdims=True), 0.0)
+    return values
+
+
 class TestSubtractBackground:
+    """Background subtraction as counts_conditional applies it, row by row."""
+
     def test_zero_accidental_unchanged(self):
         model = NoiseModel(pair_rate=200.0, accidental_rate=0.0)
         counts = simulate_counts(3.0, square_windows(5), model, 11)
-        np.testing.assert_array_equal(
-            subtract_background(counts, "accidental"), counts.counts.astype(float)
-        )
+        np.testing.assert_array_equal(cleaned(counts, "accidental"), counts.counts.astype(float))
 
     def test_minimum_removes_constant_offset(self):
         window = OamWindow(-3, 3)
@@ -424,14 +438,12 @@ class TestSubtractBackground:
             model=NoiseModel(),
             gamma_encoded=1.0,
         )
-        np.testing.assert_array_equal(
-            subtract_background(counts, "minimum"), values.astype(float) - 7.0
-        )
+        np.testing.assert_array_equal(cleaned(counts, "minimum"), values.astype(float) - 7.0)
 
     def test_minimum_idempotent(self):
         model = NoiseModel(pair_rate=1.0e3, accidental_rate=4.0)
         counts = simulate_counts(5.0, square_windows(10), model, 21)
-        once = subtract_background(counts, "minimum")
+        once = cleaned(counts, "minimum")
         again = np.maximum(once - once.min(axis=1, keepdims=True), 0.0)
         np.testing.assert_array_equal(once, again)
 
@@ -439,12 +451,12 @@ class TestSubtractBackground:
         model = NoiseModel(pair_rate=50.0, accidental_rate=20.0)
         counts = simulate_counts(2.0, square_windows(10), model, 5)
         for mode in ("accidental", "minimum", "both"):
-            assert subtract_background(counts, mode).min() >= 0.0
+            assert cleaned(counts, mode).min() >= 0.0
 
     def test_unknown_mode(self):
         counts = simulate_counts(2.0, square_windows(2), NoiseModel(), 0)
-        with pytest.raises(ValueError):
-            subtract_background(counts, "median")
+        with pytest.raises(ValueError, match="unknown subtraction mode 'median'"):
+            counts_conditional(counts, 0, "median")
 
     def test_both_reduces_msum_bias(self):
         # paired comparison over seeded runs at gamma=10
@@ -482,7 +494,7 @@ class TestCountsConditionals:
         conds = counts_conditionals(spectra, l_a, mode)
         assert len(conds) == len(spectra)
         for cond, counts in zip(conds, spectra):
-            whole = counts.counts.astype(float) if mode is None else subtract_background(counts, mode)
+            whole = counts.counts.astype(float) if mode is None else reference_subtract(counts, mode)
             assert (cond.l_a, cond.window_b) == (l_a, counts.window_b)
             # tobytes also compares the sign of every zero
             assert cond.values.tobytes() == whole[row].tobytes()

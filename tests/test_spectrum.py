@@ -281,6 +281,75 @@ class TestGeometricKernel:
             assert np.array_equal(bits(conditional_slice(int(l_a), window_b, gamma).values), bits(row))
 
 
+def flat_pow_kernel(s, gamma):
+    """The kernel before it shared its powers: q**|s| over every cell's own flat operands, 0 on odd s."""
+    s = np.asarray(s)
+    q = (gamma - 1.0) / (gamma + 1.0)
+    exponent = np.abs(s)
+    if isinstance(q, np.ndarray):
+        shape = np.broadcast(q, exponent).shape
+        q_full, exponent_full = np.empty(shape, q.dtype), np.empty(shape, exponent.dtype)
+        q_full[...], exponent_full[...] = q, exponent
+        q, exponent = q_full.ravel(), exponent_full
+    powers = (q ** exponent.ravel()).reshape(exponent.shape)
+    return np.where(s % 2 == 0, powers, 0.0)
+
+
+@st.composite
+def kernel_sums(draw):
+    """Sums as a 0-d, 1-D or 2-D array: window aranges, scattered values, or wide spans that defeat the range index."""
+    row = draw(
+        st.builds(lambda start, n: list(range(start, start + n)), st.integers(-150, 150), st.integers(1, 90))
+        | st.lists(st.integers(-300, 300), min_size=1, max_size=40)
+        | st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=6)
+    )
+    layout = draw(st.sampled_from(["scalar", "1-D", "equal rows", "different rows"]))
+    if layout == "scalar":
+        return np.array(row[0])
+    if layout == "1-D":
+        return np.array(row)
+    if layout == "equal rows":
+        shifts = [0] * draw(st.integers(1, 6))
+    else:
+        shifts = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    return np.array(row) + np.array(shifts)[:, None]
+
+
+class TestSharedPowers:
+    """geometric_kernel raises each gamma to each distinct even |s| once, with the bits of one pow per cell."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(s=kernel_sums(), gamma=gammas | st.lists(gammas, min_size=1, max_size=6))
+    # size-1 shapes, one distinct exponent, and the gamma at which a 1x1 spectrum once moved an ulp
+    @example(s=np.array(-2), gamma=1.0000000000000167)
+    @example(s=np.array([[-2]]), gamma=[1.0000000000000167])
+    @example(s=np.array([2, -2, 3, 2]), gamma=[1.0000000000000167, 7.0])
+    @example(s=np.array([[2, 3], [-2, 1]]), gamma=[3.0, 1.0])
+    @example(s=np.array([1, -3, 5]), gamma=2.0)
+    @example(s=np.array([2**63 - 1, -(2**63 - 2), 4]), gamma=[1.5])
+    def test_same_bits_as_one_pow_per_cell(self, s, gamma):
+        if isinstance(gamma, list):  # a (k, 1) column, one gamma per row of 2-D sums
+            rows = len(s) if s.ndim == 2 else len(gamma)
+            gamma = np.resize(np.array(gamma), rows)[:, None]
+        expected = flat_pow_kernel(s, gamma)
+        for values in (geometric_kernel(s, gamma), geometric_kernel(spectrum._sum_index(s), gamma)):
+            assert np.shape(values) == expected.shape
+            assert np.array_equal(bits(values), bits(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=kernel_sums())
+    def test_one_power_per_distinct_even_sum(self, s):
+        exponents, slots = spectrum._sum_index(s)
+        exponents = exponents[:-1]  # the last is the odd sums' zero slot
+        even = sorted({abs(int(v)) for v in s.ravel() if v % 2 == 0})
+        assert set(even) <= set(exponents.tolist()) and len(exponents) <= max(s.size, 1)
+        if s.size and np.all(np.diff(s.ravel()) == 1):  # a window's sums: exactly their even |s|
+            assert exponents.tolist() == even
+        odd = s % 2 != 0
+        assert np.all(slots[odd] == len(exponents))
+        assert np.array_equal(exponents[slots[~odd]], np.abs(s[~odd]))
+
+
 class TestQuadratureOracle:
     def test_constant_integrand(self):
         assert joint_probability_quadrature(0, 0, 1.0, 1, 4096) == pytest.approx(1.0, abs=1e-10)
@@ -489,6 +558,31 @@ class TestModeCount:
         with pytest.raises(ValueError):
             mode_count_empirical(cond)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n), min_size=1, max_size=8)
+        )
+    )
+    def test_stacked_rows_keep_the_one_slice_bits(self, rows):
+        # the batched dot and one .sum() per row against v @ v and v.sum() of each slice
+        values = np.array(rows)
+        if not all(float(v @ v) > 0.0 for v in values):  # zero rows, or squares that underflow to 0
+            with pytest.raises(ValueError, match="no positive entries"):
+                spectrum._mode_counts(values)
+            return
+        expected = [float(v.sum()) * float(v.sum()) / float(v @ v) for v in values]
+        assert bits(spectrum._mode_counts(values)).tolist() == bits(expected).tolist()
+        window = OamWindow(0, values.shape[1] - 1)
+        singles = [mode_count_empirical(ConditionalSlice(l_a=0, window_b=window, values=v)) for v in values]
+        assert bits(singles).tolist() == bits(expected).tolist()
+
+    @pytest.mark.parametrize("length", [81, 201])
+    def test_experiment_sized_rows_keep_the_one_slice_bits(self, length):
+        values = np.random.default_rng(length).poisson(40.0, (100, length)).astype(float)
+        expected = [float(v.sum()) * float(v.sum()) / float(v @ v) for v in values]
+        assert bits(spectrum._mode_counts(values)).tolist() == bits(expected).tolist()
+
 
 class TestSpectrumMoments:
     def test_rest_frame(self):
@@ -555,6 +649,14 @@ class TestJointSpectrumMatrix:
         # 8192 x 8192 itself passes the cap and reaches the indices
         with pytest.raises(AssertionError, match="indices were built"):
             joint_spectrum(2.0, OamWindow(0, 8191), OamWindow(0, 8191))
+
+    def test_cell_cap_counts_windows_wider_than_an_index(self):
+        # len() of a window of 2**64 cells raised OverflowError, not the cap's ValueError
+        wide = OamWindow(-(2**63), 2**63 - 1)
+        with pytest.raises(ValueError, match=rf"at most 67108864, got {2**64} x 1 x 1"):
+            joint_spectrum(2.0, wide, OamWindow(0, 0))
+        with pytest.raises(ValueError, match=rf"got 1 x {2**64} x 3"):
+            spectrum.check_cells(OamWindow(0, 0), wide, 3)
 
     @pytest.mark.parametrize(
         ("window_a", "window_b", "sums"),

@@ -261,9 +261,12 @@ class TestWritersMatchReferences:
             (2**63, 5, fit(4.99, "least_squares", 1e-300)),
             (2**64 - 1, 20.5, fit(50.0, "least_squares", -0.0)),
         ]
-        assert batch_csv(records) == reference_batch_csv(records)
-        assert batch_csv(iter(records)) == reference_batch_csv(records)
-        assert batch_csv([]) == reference_batch_csv([])
+        seeds, gammas, results = zip(*records)
+        columns = seeds, gammas, [r.gamma_meas for r in results], [r.method for r in results], [r.residual for r in results]
+        assert batch_csv(*columns) == reference_batch_csv(records)
+        arrays = (np.array(seeds, dtype=object), *(np.array(column) for column in columns[1:]))
+        assert batch_csv(*arrays) == reference_batch_csv(records)
+        assert batch_csv([], [], [], [], []) == reference_batch_csv([])
 
     def test_conditional_and_sweep_csv(self, tmp_path):
         window = OamWindow.symmetric(6)
