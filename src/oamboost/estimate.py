@@ -16,7 +16,7 @@ import numpy as np
 
 from ._table import format_table
 from .relativity import GAMMA_MAX, frame_from_gamma, require_gamma
-from .spectrum import ConditionalSlice, OamWindow, _sum_index, _SumIndex, geometric_kernel
+from .spectrum import ConditionalSlice, OamWindow, _check_finite, _sum_index, geometric_kernel
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -78,9 +78,7 @@ def _peak_normalised(values: np.ndarray, l_a: int, window: OamWindow) -> np.ndar
         row = int(np.argmax(bad))
         if not peaks[row] > 0.0:
             raise ValueError(f"conditional slice peak at l_b = {l_peak} in {where} must be positive, got {peaks[row]}")
-        j = int(np.argmin(np.isfinite(values[row])))
-        l_b, value = window.l_min + j, values[row, j]
-        raise ValueError(f"conditional slice value at l_b = {l_b} in {where} must be finite, got {value}")
+        _check_finite(values[row], window)
     return values / peaks[:, None]
 
 
@@ -107,38 +105,33 @@ def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
     return _result(float(gamma[0]), METHOD_M_SUM, 0.0, conditional)
 
 
-def _squared_residuals(gammas, norm, sums, kernel=None):
-    """resid @ resid of each gamma's model (or a prebuilt kernel) against its row of norm, or a 1-D norm."""
-    resid = norm - (geometric_kernel(sums, gammas[:, None]) if kernel is None else kernel)
+def _squared_residuals(norm, model):
+    """resid @ resid of each row of model against its row of norm, or against a 1-D norm."""
+    resid = norm - model
     # one batched dot product, the same for any number of rows
     return (resid[:, None, :] @ resid[:, :, None]).ravel()
 
 
 def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares gamma and residual of each row of peak-normalised values against its row of sums.
+    """Least-squares gamma and residual of each row of peak-normalised values against one row of sums.
 
-    Equal weighting over all cells.  A coarse logarithmic grid over (lo, hi), built once per distinct
-    row of sums, locates each row's basin; then one golden-section search, on one exponent index,
+    Equal weighting over all cells.  A coarse logarithmic grid over (lo, hi), one model matrix for
+    every row, locates each row's basin; then one golden-section search, on one exponent index,
     narrows every row's minimiser below GAMMA_TOL at once.
     """
     grid = np.geomspace(lo, hi, GRID_POINTS)
-    # the grid's model depends only on a row's sums, an arange named by its first sum
-    best, first, kernel = np.empty(len(norm), dtype=np.intp), None, None
-    for i in np.argsort(sums[:, 0], kind="stable"):
-        if sums[i, 0] != first:
-            first, kernel = sums[i, 0], geometric_kernel(sums[i], grid[:, None])
-        best[i] = np.argmin(_squared_residuals(grid, norm[i], sums[i], kernel))
+    kernel = geometric_kernel(sums, grid[:, None])
+    best = np.array([np.argmin(_squared_residuals(row, kernel)) for row in norm], dtype=np.intp)
     a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     index = _sum_index(sums)
-    fc, fd = _squared_residuals(c, norm, index), _squared_residuals(d, norm, index)
-    exponents, slots = index
+    fc, fd = (_squared_residuals(norm, geometric_kernel(index, g[:, None])) for g in (c, d))
     all_norm, rows, gammas = norm, np.arange(len(norm)), np.empty(len(norm))
     while rows.size:
         closed = b - a <= GAMMA_TOL
         if closed.any():
             gammas[rows[closed]] = 0.5 * (a[closed] + b[closed])
-            rows, a, b, c, d, fc, fd, norm, slots = (v[~closed] for v in (rows, a, b, c, d, fc, fd, norm, slots))
+            rows, a, b, c, d, fc, fd, norm = (v[~closed] for v in (rows, a, b, c, d, fc, fd, norm))
             continue
         # where fc < fd the minimum lies in [a, d] and c becomes d, else in [c, b] and d becomes c
         left = fc < fd
@@ -146,42 +139,29 @@ def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.n
         b[left], d[left], fd[left] = d[left], c[left], fc[left]
         a[right], c[right], fc[right] = c[right], d[right], fd[right]
         new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        f_new = _squared_residuals(new, norm, _SumIndex(exponents, slots))
+        f_new = _squared_residuals(norm, geometric_kernel(index, new[:, None]))
         c[left], fc[left], d[right], fd[right] = new[left], f_new[left], new[right], f_new[right]
-    return gammas, _squared_residuals(gammas, all_norm, index)
+    return gammas, _squared_residuals(all_norm, geometric_kernel(index, gammas[:, None]))
 
 
 def _estimate_runs(values: np.ndarray, l_a: int, window: OamWindow, gamma_bounds=DEFAULT_GAMMA_BOUNDS):
     """Columns (m_sum gamma, least-squares gamma, residual) of each row of slice values at one l_a over one window.
 
-    Bit for bit those of estimate_gamma_msum and estimate_gamma_fits on the rows as slices; each row is
+    Bit for bit those of estimate_gamma_msum and estimate_gamma_fit on each row as a slice; each row is
     peak-normalised once.
     """
     lo, hi = check_gamma_bounds(gamma_bounds)
     norm = _peak_normalised(values, l_a, window)
-    sums = np.broadcast_to(l_a + window.indices(), norm.shape)
-    return (_msum_gammas(norm, l_a, window), *_fit(norm, sums, lo, hi))
-
-
-def estimate_gamma_fits(conditionals, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> list[FitResult]:
-    """Least-squares fits of the geometric conditional model, one per slice, in input order (see _fit).
-
-    The slices must all have the same length; their l_a may differ.
-    """
-    lo, hi = check_gamma_bounds(gamma_bounds)
-    conditionals = list(conditionals)
-    lengths = sorted({len(cond.window_b) for cond in conditionals})
-    if len(lengths) != 1:
-        raise ValueError(f"need one or more slices of one length to fit together, got lengths {lengths}")
-    norm = np.concatenate([_peak_normalised(cond.values[None], cond.l_a, cond.window_b) for cond in conditionals])
-    sums = np.array([cond.l_a + cond.window_b.indices() for cond in conditionals])
-    columns = (column.tolist() for column in _fit(norm, sums, lo, hi))
-    return [_result(g, METHOD_LEAST_SQUARES, r, cond) for g, r, cond in zip(*columns, conditionals)]
+    return (_msum_gammas(norm, l_a, window), *_fit(norm, l_a + window.indices(), lo, hi))
 
 
 def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> FitResult:
-    """Least-squares fit of the geometric conditional model to one slice (see estimate_gamma_fits)."""
-    return estimate_gamma_fits([conditional], gamma_bounds)[0]
+    """Least-squares fit of the geometric conditional model to one slice (see _fit)."""
+    lo, hi = check_gamma_bounds(gamma_bounds)
+    l_a, window = conditional.l_a, conditional.window_b
+    norm = _peak_normalised(conditional.values[None], l_a, window)
+    (gamma,), (residual,) = _fit(norm, l_a + window.indices(), lo, hi)
+    return _result(float(gamma), METHOD_LEAST_SQUARES, float(residual), conditional)
 
 
 def batch_csv(seeds, gamma_encoded, gamma_meas, method, residual) -> str:

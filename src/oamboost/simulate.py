@@ -35,7 +35,7 @@ import numpy as np
 
 from ._table import format_table, parse_int_rows
 from .relativity import require_gamma
-from .spectrum import ConditionalSlice, OamWindow, _require_index, check_cells, geometric_kernel
+from .spectrum import ConditionalSlice, OamWindow, _freeze_array, _require_index, check_cells, geometric_kernel
 
 SUBTRACT_MODES = ("accidental", "minimum", "both")
 
@@ -115,16 +115,8 @@ class CountSpectrum:
     gamma_encoded: float
 
     def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.shape != (len(self.window_a), len(self.window_b)):
-            raise ValueError(
-                f"counts shape {counts.shape} does not match windows "
-                f"({len(self.window_a)}, {len(self.window_b)})"
-            )
-        if counts.min(initial=0) < 0:
+        if _freeze_array(self, "counts", np.int64, self.window_a, self.window_b).min(initial=0) < 0:
             raise ValueError("counts must be non-negative")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "seed", _require_index("seed", self.seed))
 
 
@@ -319,7 +311,7 @@ def _draw_poisson(n_cells: int, cells) -> np.ndarray:
 
 
 def _count_runs(gamma: float, windows, model: NoiseModel, seeds) -> np.ndarray:
-    """The (seeds, window_a, window_b) int64 counts of simulate_runs, for a gamma the caller validated."""
+    """simulate_counts' (seeds, window_a, window_b) counts of each seed, drawn in one pass; the caller checks gamma."""
     check_stream_keys(windows, seeds)
     window_a, window_b = windows
     check_cells(window_a, window_b, len(seeds))
@@ -342,18 +334,6 @@ def _count_runs(gamma: float, windows, model: NoiseModel, seeds) -> np.ndarray:
     return counts.reshape(len(seeds), len(window_a), len(window_b))
 
 
-def simulate_runs(gamma: float, windows, model: NoiseModel, seeds) -> list[CountSpectrum]:
-    """simulate_counts for each seed in seeds, all drawn in one pass.
-
-    The mean matrix is computed once and the cells of every seed go
-    through one kernel call, whose working memory does not grow with the
-    windows or the number of seeds.
-    """
-    gamma, seeds = require_gamma(gamma), list(seeds)
-    counts = _count_runs(gamma, windows, model, seeds)
-    return [CountSpectrum(*windows, c, seed, model, gamma) for seed, c in zip(seeds, counts)]
-
-
 def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> CountSpectrum:
     """Draw one Poisson count per cell of the detection windows.
 
@@ -361,7 +341,8 @@ def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> Coun
     with the conditional spectrum peak-normalised to 1.  Identical
     (gamma, windows, model, seed) reproduce identical counts.
     """
-    return simulate_runs(gamma, windows, model, (seed,))[0]
+    gamma = require_gamma(gamma)
+    return CountSpectrum(*windows, _count_runs(gamma, windows, model, [seed])[0], seed, model, gamma)
 
 
 def _subtract(values: np.ndarray, model: NoiseModel, mode: str | None) -> np.ndarray:
@@ -379,22 +360,11 @@ def _subtract(values: np.ndarray, model: NoiseModel, mode: str | None) -> np.nda
     return values
 
 
-def counts_conditionals(spectra, l_a: int, mode: str | None = None) -> list[ConditionalSlice]:
-    """counts_conditional of each spectrum, all of one window pair and noise model, in input order."""
-    spectra = list(spectra)
-    setups = {(c.window_a, c.window_b, c.model) for c in spectra}
-    if len(setups) != 1:
-        raise ValueError(f"need one or more spectra of one window pair and noise model, got {len(setups)} setups")
-    [(window_a, window_b, model)] = setups
-    row = window_a.index_of(l_a)
-    # each subtraction step is per cell or per row, so subtracting the stacked rows moves no bit
-    values = _subtract(np.array([c.counts[row] for c in spectra], dtype=float), model, mode)
-    return [ConditionalSlice(l_a=l_a, window_b=window_b, values=v) for v in values]
-
-
 def counts_conditional(counts: CountSpectrum, l_a: int, mode: str | None = None) -> ConditionalSlice:
     """Conditional slice of a count spectrum, optionally background-subtracted."""
-    return counts_conditionals([counts], l_a, mode)[0]
+    row = counts.window_a.index_of(l_a)
+    values = _subtract(counts.counts[row : row + 1].astype(float), counts.model, mode)
+    return ConditionalSlice(l_a=l_a, window_b=counts.window_b, values=values[0])
 
 
 def count_spectrum_to_csv(counts: CountSpectrum) -> str:

@@ -45,13 +45,19 @@ def _fits_int64(*values: int) -> bool:
     return max(map(abs, values)) < 1 << 63
 
 
-def _freeze_values(owner, shape: tuple[int, ...]) -> None:
-    """Store owner.values as a read-only float array of the windows' shape."""
-    values = np.ascontiguousarray(owner.values, dtype=float)
-    if values.shape != shape:
-        raise ValueError(f"values shape {values.shape} does not match the windows' shape {shape}")
-    values.setflags(write=False)
-    object.__setattr__(owner, "values", values)
+def _window_cells(*windows) -> tuple[int, ...]:
+    """Each window's number of cells as a Python int, as len() overflows on a window of 2**63 cells or more."""
+    return tuple(window.l_max - window.l_min + 1 for window in windows)
+
+
+def _freeze_array(owner, name: str, dtype, *windows) -> np.ndarray:
+    """Store owner.<name> as a read-only array of dtype and of the windows' shape, and return it."""
+    array, shape = np.ascontiguousarray(getattr(owner, name), dtype=dtype), _window_cells(*windows)
+    if array.shape != shape:
+        raise ValueError(f"{name} shape {array.shape} does not match the windows' shape {shape}")
+    array.setflags(write=False)
+    object.__setattr__(owner, name, array)
+    return array
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,7 @@ class JointSpectrum:
     gamma: float
 
     def __post_init__(self):
-        _freeze_values(self, (len(self.window_a), len(self.window_b)))
+        _freeze_array(self, "values", float, self.window_a, self.window_b)
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,21 @@ class ConditionalSlice:
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze_values(self, (len(self.window_b),))
+        _freeze_array(self, "values", float, self.window_b)
         object.__setattr__(self, "l_a", _require_index("l_a", self.l_a))
+
+
+def _check_finite(values: np.ndarray, window: OamWindow) -> None:
+    """Raise ValueError naming the first non-finite value of a slice over window."""
+    j = int(np.argmin(np.isfinite(values)))
+    if not np.isfinite(values[j]):
+        l_b, where = window.l_min + j, f"window [{window.l_min}, {window.l_max}]"
+        raise ValueError(f"conditional slice value at l_b = {l_b} in {where} must be finite, got {values[j]}")
 
 
 def check_cells(window_a: OamWindow, window_b: OamWindow, runs: int = 1) -> None:
     """Raise ValueError if runs spectra over the windows hold more than MAX_CELLS cells in all."""
-    # Python ints, as len() overflows on a window of 2**63 cells or more
-    rows, cols = (window.l_max - window.l_min + 1 for window in (window_a, window_b))
+    rows, cols = _window_cells(window_a, window_b)
     if rows * cols * runs > MAX_CELLS:
         raise ValueError(f"window cells x runs must be at most {MAX_CELLS}, got {rows} x {cols} x {runs}")
 
@@ -292,6 +305,7 @@ def mode_count_empirical(conditional: ConditionalSlice) -> float:
 
     Scale invariant, so it can be applied directly to count data.
     """
+    _check_finite(conditional.values, conditional.window_b)
     return float(_mode_counts(conditional.values[None])[0])
 
 
@@ -318,6 +332,7 @@ def spectrum_moments(conditional: ConditionalSlice) -> SliceMoments:
     even-sum measurement total, while the normalised mean stays at -l_a.
     """
     v = conditional.values
+    _check_finite(v, conditional.window_b)
     total = float(v.sum())
     if total <= 0.0:
         raise ValueError("conditional slice sums to zero")

@@ -13,12 +13,19 @@ from oamboost.estimate import (
     FitResult,
     batch_csv,
     estimate_gamma_fit,
-    estimate_gamma_fits,
     estimate_gamma_msum,
     gamma_from_m,
 )
 from oamboost.simulate import NoiseModel, counts_conditional, simulate_counts
-from oamboost.spectrum import ConditionalSlice, OamWindow, _SumIndex, conditional_slice, geometric_kernel, measurement_sum
+from oamboost.spectrum import (
+    ConditionalSlice,
+    OamWindow,
+    _sum_index,
+    _SumIndex,
+    conditional_slice,
+    geometric_kernel,
+    measurement_sum,
+)
 
 
 class TestGammaFromM:
@@ -274,172 +281,6 @@ class TestCoarseGrid:
 
 
 @st.composite
-def slice_batches(draw):
-    # one shared length, each slice with its own l_a, shape and gamma
-    length = draw(st.integers(1, 121))
-    return draw(st.lists(noisy_slices(length), min_size=1, max_size=12))
-
-
-@st.composite
-def shared_row_batches(draw):
-    # many slices with one l_a and window, hence one sums row and one coarse-grid model, among a few others
-    length = draw(st.integers(1, 121))
-    l_a, below = draw(st.integers(-20, 20)), draw(st.integers(0, length - 1))
-    shared = draw(st.lists(noisy_slices(length, l_a, below), min_size=2, max_size=30))
-    others = draw(st.lists(noisy_slices(length), max_size=3))
-    return draw(st.permutations(shared + others))
-
-
-def fits_of(results):
-    return [(r.gamma_meas, r.residual, r.method, r.l_a, r.window) for r in results]
-
-
-def scalar_fits_of(conds, bounds):
-    return [(*scalar_grid_fit(c, bounds), "least_squares", c.l_a, c.window_b) for c in conds]
-
-
-class TestBatchedFit:
-    @settings(max_examples=100, deadline=None)
-    @given(conds=slice_batches(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
-    @example(conds=[conditional_slice(3, OamWindow(-103, 97), 5.0)], bounds=(1.0, 50.0))
-    @example(
-        conds=[conditional_slice(l_a, OamWindow(-l_a - 20, -l_a + 20), g) for l_a, g in ((0, 1.0), (-4, 2.0), (7, 45.0))],
-        bounds=(1.0, 50.0),
-    )
-    def test_matches_the_scalar_fit_on_each_slice(self, conds, bounds):
-        assert fits_of(estimate_gamma_fits(conds, bounds)) == scalar_fits_of(conds, bounds)
-
-    @settings(max_examples=40, deadline=None)
-    @given(conds=shared_row_batches(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
-    @example(
-        # l_a = 3 over [-43, 37] has the sums row of l_a = 0 over [-40, 40]; l_a = -2 has its own
-        conds=[conditional_slice(0, OamWindow.symmetric(40), g) for g in (1.0, 2.0, 5.0, 10.0, 20.0, 45.0)]
-        + [conditional_slice(3, OamWindow(-43, 37), 5.0), conditional_slice(-2, OamWindow.symmetric(40), 2.0)]
-        + [conditional_slice(0, OamWindow.symmetric(40), 3.0)],
-        bounds=(1.0, 50.0),
-    )
-    def test_slices_sharing_a_sums_row_match_the_scalar_fit(self, conds, bounds):
-        assert fits_of(estimate_gamma_fits(conds, bounds)) == scalar_fits_of(conds, bounds)
-
-    # beside 100 slices on one sums row: l_a = 3 over [-43, 37] shares it, the others make two more rows
-    @pytest.mark.parametrize("others", [[], [(3, (-43, 37)), (-2, (-40, 40)), (1, (-40, 40)), (-2, (-40, 40))]])
-    def test_coarse_grid_is_built_once_per_sums_row(self, monkeypatch, others):
-        conds = [conditional_slice(0, OamWindow.symmetric(40), g) for g in np.linspace(1.0, 30.0, 100)]
-        conds[50:50] = [conditional_slice(l_a, OamWindow(*bounds), 4.0) for l_a, bounds in others]
-        grid_rows = []
-
-        search_indexes = set()
-
-        def spy(s, gamma):
-            if isinstance(s, _SumIndex):  # the search, with the fit's one exponent index
-                search_indexes.add(id(s.exponents))
-            else:  # the coarse grid, with one sums row
-                assert np.shape(gamma) == (GRID_POINTS, 1)
-                grid_rows.append(int(s[0]))
-            return geometric_kernel(s, gamma)
-
-        monkeypatch.setattr(estimate, "geometric_kernel", spy)
-        results = estimate_gamma_fits(conds, (1.0, 50.0))
-        assert sorted(grid_rows) == sorted({c.l_a + c.window_b.l_min for c in conds})
-        assert len(grid_rows) == (1 if not others else 3)
-        assert len(search_indexes) == 1
-        monkeypatch.undo()
-        assert fits_of(results) == fits_of([estimate_gamma_fit(c, (1.0, 50.0)) for c in conds])
-
-    def test_slices_leave_the_search_as_their_brackets_close(self, monkeypatch):
-        # gamma = 1 brackets one step of the coarse grid at its end, the others two
-        # steps of the geometric grid, which are wider at larger gamma
-        conds = [conditional_slice(0, OamWindow.symmetric(20), g) for g in (45.0, 1.0, 2.0, 45.0)]
-        batch_sizes = []
-
-        def spy(s, gamma):
-            batch_sizes.append(len(gamma))
-            return geometric_kernel(s, gamma)
-
-        monkeypatch.setattr(estimate, "geometric_kernel", spy)
-        results = estimate_gamma_fits(conds, (1.0, 50.0))
-        # one coarse grid for the four slices, which share their sums row
-        assert batch_sizes[:2] == [GRID_POINTS, 4]
-        search = batch_sizes[1:-1]
-        assert search[:2] == [4, 4] and sorted(set(search)) == [2, 3, 4]
-        assert search == sorted(search, reverse=True)
-        assert fits_of(results) == scalar_fits_of(conds, (1.0, 50.0))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("position", [0, 2])
-    def test_non_finite_cells_reject_the_slice(self, monkeypatch, bad, position):
-        # a NaN residual fails every comparison, so the search would drift right to a plausible gamma
-        conds = [conditional_slice(l_a, OamWindow(-l_a - 8, -l_a + 8), 4.0) for l_a in (0, 1, -3)]
-        values = conds[position].values.copy()
-        values[[3, 12]] = bad
-        conds[position] = ConditionalSlice(l_a=conds[position].l_a, window_b=conds[position].window_b, values=values)
-        window = conds[position].window_b
-        message = rf"value at l_b = {window.l_min + 3} in window \[{window.l_min}, {window.l_max}\] must be finite, got {bad}"
-        monkeypatch.setattr(estimate, "geometric_kernel", None)
-        with pytest.raises(ValueError, match=message):
-            estimate_gamma_fits(conds, (1.0, 50.0))
-        with pytest.raises(ValueError, match=message):
-            estimate_gamma_msum(conds[position])
-
-    def test_squares_that_overflow_are_not_non_finite(self):
-        values = conditional_slice(0, OamWindow.symmetric(8), 4.0).values.copy()
-        values[3] = -1e200
-        cond = ConditionalSlice(l_a=0, window_b=OamWindow.symmetric(8), values=values)
-        with np.errstate(over="ignore"):  # the sum of squares overflows to inf
-            assert estimate._peak_normalised(cond.values[None], 0, cond.window_b)[0].tobytes() == values.tobytes()
-
-    def test_batch_of_one_is_the_single_fit(self):
-        cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
-        single = fits_of([estimate_gamma_fit(cond, (1.0, 50.0))])
-        assert fits_of(estimate_gamma_fits([cond], (1.0, 50.0))) == single
-        assert fits_of(estimate_gamma_fits(iter([cond]), (1.0, 50.0))) == single
-
-    @pytest.mark.parametrize(
-        ("conds", "bounds", "message"),
-        [
-            ([], (1.0, 50.0), r"one or more slices of one length to fit together, got lengths \[\]"),
-            ([OamWindow.symmetric(h) for h in (5, 6, 5)], (1.0, 50.0), r"got lengths \[11, 13\]"),
-            ([OamWindow.symmetric(5)], (0.5, 50.0), "gamma bounds"),
-            ([OamWindow.symmetric(5)], (2.0, 2.0), "gamma bounds"),
-            ([OamWindow.symmetric(5)], (1.0, math.inf), "gamma bounds"),
-            ([], (1.0, math.nan), "gamma bounds"),
-            ([OamWindow.symmetric(5), OamWindow.symmetric(6)], (5.0, 1.0), "gamma bounds"),
-        ],
-    )
-    def test_argument_errors_come_before_any_kernel_work(self, monkeypatch, conds, bounds, message):
-        conds = [conditional_slice(0, window, 2.0) for window in conds]
-
-        def no_kernel(s, gamma):
-            raise AssertionError("the kernel ran before the arguments were checked")
-
-        monkeypatch.setattr(estimate, "geometric_kernel", no_kernel)
-        with pytest.raises(ValueError, match=message):
-            estimate_gamma_fits(conds, bounds)
-
-    @pytest.mark.parametrize(
-        ("bad", "message"),
-        [
-            (conditional_slice(0, OamWindow(5, 15), 3.0), r"window \[5, 15\] does not contain the spectrum peak at l_b = 0"),
-            (
-                ConditionalSlice(l_a=2, window_b=OamWindow(-7, 3), values=np.zeros(11)),
-                r"peak at l_b = -2 in window \[-7, 3\] must be positive, got 0\.0",
-            ),
-            (
-                ConditionalSlice(l_a=-1, window_b=OamWindow(-4, 6), values=np.full(11, np.nan)),
-                r"peak at l_b = 1 in window \[-4, 6\] must be positive, got nan",
-            ),
-        ],
-    )
-    @pytest.mark.parametrize("position", [0, 2])
-    def test_bad_peak_names_its_slice_window(self, monkeypatch, bad, message, position):
-        conds = [conditional_slice(l_a, OamWindow(-l_a - 5, -l_a + 5), 3.0) for l_a in (0, 1, -3)]
-        conds[position] = bad
-        monkeypatch.setattr(estimate, "geometric_kernel", None)
-        with pytest.raises(ValueError, match=message):
-            estimate_gamma_fits(conds)
-
-
-@st.composite
 def run_arrays(draw):
     """(values, l_a, window): 1-12 runs of one slice setup, as the rows of one array."""
     length = draw(st.integers(1, 121))
@@ -452,11 +293,146 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+def noiseless_rows(l_a, window, gammas):
+    """(values, l_a, window): one noiseless slice per gamma at one l_a over one window, as rows."""
+    return np.array([conditional_slice(l_a, window, g).values for g in gammas]), l_a, window
+
+
+def fit_rows(values, l_a, window, bounds):
+    """_fit's (gamma, residual) bits for rows of slice values at one l_a over one window."""
+    norm = estimate._peak_normalised(values, l_a, window)
+    return [bits(column) for column in estimate._fit(norm, l_a + window.indices(), *bounds)]
+
+
+def scalar_fit_rows(values, l_a, window, bounds):
+    """scalar_grid_fit's (gamma, residual) bits for each row as a slice."""
+    fits = [scalar_grid_fit(ConditionalSlice(l_a=l_a, window_b=window, values=row), bounds) for row in values]
+    return [bits(column) for column in zip(*fits)]
+
+
+BOUNDS = st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)])
+
+
+class TestBatchedFit:
+    """_fit on the rows of one l_a and window: one coarse-grid model and one search for every row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=run_arrays(), bounds=BOUNDS)
+    @example(runs=noiseless_rows(3, OamWindow(-103, 97), [5.0]), bounds=(1.0, 50.0))
+    # three brackets that close after different numbers of steps
+    @example(runs=noiseless_rows(7, OamWindow(-27, 13), [1.0, 2.0, 45.0]), bounds=(1.0, 50.0))
+    def test_matches_the_scalar_fit_on_each_row(self, runs, bounds):
+        assert fit_rows(*runs, bounds) == scalar_fit_rows(*runs, bounds)
+
+    @pytest.mark.parametrize("l_a", [0, 3, -2])
+    def test_one_coarse_kernel_and_one_sum_index_per_fit(self, monkeypatch, l_a):
+        runs = noiseless_rows(l_a, OamWindow(-l_a - 40, -l_a + 40), np.linspace(1.0, 30.0, 100))
+        grids, indexes, search_indexes = [], [], set()
+
+        def kernel_spy(s, gamma):
+            if isinstance(s, _SumIndex):  # the search, with the fit's one exponent index
+                search_indexes.add(id(s.exponents))
+            else:  # the coarse grid, with the one sums row
+                grids.append((s.tolist(), np.shape(gamma)))
+            return geometric_kernel(s, gamma)
+
+        def index_spy(s):
+            indexes.append(s.tolist())
+            return _sum_index(s)
+
+        monkeypatch.setattr(estimate, "geometric_kernel", kernel_spy)
+        monkeypatch.setattr(estimate, "_sum_index", index_spy)
+        fits = fit_rows(*runs, (1.0, 50.0))
+        sums = list(range(-40, 41))
+        assert grids == [(sums, (GRID_POINTS, 1))]
+        assert indexes == [sums] and len(search_indexes) == 1
+        monkeypatch.undo()
+        assert fits == scalar_fit_rows(*runs, (1.0, 50.0))
+
+    def test_rows_leave_the_search_as_their_brackets_close(self, monkeypatch):
+        # gamma = 1 brackets one step of the coarse grid at its end, the others two
+        # steps of the geometric grid, which are wider at larger gamma
+        runs = noiseless_rows(-2, OamWindow(-18, 22), (45.0, 1.0, 2.0, 45.0))
+        batch_sizes = []
+
+        def spy(s, gamma):
+            batch_sizes.append(len(gamma))
+            return geometric_kernel(s, gamma)
+
+        monkeypatch.setattr(estimate, "geometric_kernel", spy)
+        fits = fit_rows(*runs, (1.0, 50.0))
+        assert batch_sizes[:2] == [GRID_POINTS, 4]
+        search = batch_sizes[1:-1]
+        assert search[:2] == [4, 4] and sorted(set(search)) == [2, 3, 4]
+        assert search == sorted(search, reverse=True)
+        assert fits == scalar_fit_rows(*runs, (1.0, 50.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_non_finite_cells_reject_the_rows(self, monkeypatch, bad, position):
+        # a NaN residual fails every comparison, so the search would drift right to a plausible gamma
+        values, l_a, window = noiseless_rows(1, OamWindow(-9, 7), (4.0, 2.0, 7.0))
+        values[position, [3, 12]] = bad
+        cond = ConditionalSlice(l_a=l_a, window_b=window, values=values[position])
+        message = rf"value at l_b = -6 in window \[-9, 7\] must be finite, got {bad}"
+        monkeypatch.setattr(estimate, "geometric_kernel", None)
+        with pytest.raises(ValueError, match=message):
+            estimate._estimate_runs(values, l_a, window)
+        for estimator in (estimate_gamma_fit, estimate_gamma_msum):
+            with pytest.raises(ValueError, match=message):
+                estimator(cond)
+
+    def test_squares_that_overflow_are_not_non_finite(self):
+        values = conditional_slice(0, OamWindow.symmetric(8), 4.0).values.copy()
+        values[3] = -1e200
+        cond = ConditionalSlice(l_a=0, window_b=OamWindow.symmetric(8), values=values)
+        with np.errstate(over="ignore"):  # the sum of squares overflows to inf
+            assert estimate._peak_normalised(cond.values[None], 0, cond.window_b)[0].tobytes() == values.tobytes()
+
+    def test_row_of_one_is_the_single_fit(self):
+        cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
+        result = estimate_gamma_fit(cond, (1.0, 50.0))
+        _, fit, residual = estimate._estimate_runs(cond.values[None], -2, cond.window_b, (1.0, 50.0))
+        assert bits([result.gamma_meas, result.residual]) == bits([fit[0], residual[0]])
+
+    @pytest.mark.parametrize("bounds", [(0.5, 50.0), (2.0, 2.0), (1.0, math.inf), (1.0, math.nan), (5.0, 1.0)])
+    def test_argument_errors_come_before_any_kernel_work(self, monkeypatch, bounds):
+        values, l_a, window = noiseless_rows(0, OamWindow.symmetric(5), (2.0, 3.0))
+
+        def no_kernel(s, gamma):
+            raise AssertionError("the kernel ran before the arguments were checked")
+
+        monkeypatch.setattr(estimate, "geometric_kernel", no_kernel)
+        with pytest.raises(ValueError, match="gamma bounds"):
+            estimate._estimate_runs(values, l_a, window, bounds)
+        with pytest.raises(ValueError, match="gamma bounds"):
+            estimate_gamma_fit(ConditionalSlice(l_a=l_a, window_b=window, values=values[0]), bounds)
+
+    @pytest.mark.parametrize(
+        ("l_a", "window", "bad", "message"),
+        [
+            (0, OamWindow(5, 15), None, r"window \[5, 15\] does not contain the spectrum peak at l_b = 0"),
+            (2, OamWindow(-7, 3), 0.0, r"peak at l_b = -2 in window \[-7, 3\] must be positive, got 0\.0"),
+            (-1, OamWindow(-4, 6), np.nan, r"peak at l_b = 1 in window \[-4, 6\] must be positive, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_bad_peak_names_its_window(self, monkeypatch, l_a, window, bad, message, position):
+        values = noiseless_rows(l_a, window, (3.0, 2.0, 5.0))[0]
+        if bad is not None:
+            values[position] = bad
+        monkeypatch.setattr(estimate, "geometric_kernel", None)
+        with pytest.raises(ValueError, match=message):
+            estimate._estimate_runs(values, l_a, window)
+        with pytest.raises(ValueError, match=message):
+            estimate_gamma_fit(ConditionalSlice(l_a=l_a, window_b=window, values=values[position]))
+
+
 class TestArrayPath:
     """_estimate_runs, the experiment's path: one normalised array per gamma, estimated as columns."""
 
     @settings(max_examples=100, deadline=None)
-    @given(runs=run_arrays(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
+    @given(runs=run_arrays(), bounds=BOUNDS)
     @example(
         runs=(np.array([conditional_slice(0, OamWindow.symmetric(40), 5.0).values] * 3), 0, OamWindow.symmetric(40)),
         bounds=(1.0, 50.0),
@@ -468,7 +444,7 @@ class TestArrayPath:
             warnings.simplefilter("ignore", RuntimeWarning)  # flat slices clamp m_sum at the floor
             m_sum, fit, residual = estimate._estimate_runs(values, l_a, window, bounds)
             msum_results = [estimate_gamma_msum(cond) for cond in conds]
-        fits = estimate_gamma_fits(conds, bounds)
+        fits = [estimate_gamma_fit(cond, bounds) for cond in conds]
         assert bits(m_sum) == bits([r.gamma_meas for r in msum_results])
         assert bits(fit) == bits([r.gamma_meas for r in fits])
         assert bits(residual) == bits([r.residual for r in fits])

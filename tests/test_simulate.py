@@ -16,11 +16,9 @@ from oamboost.simulate import (
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
-    counts_conditionals,
     read_count_spectrum,
     sidecar_path,
     simulate_counts,
-    simulate_runs,
 )
 from oamboost.spectrum import MAX_CELLS, OamWindow, conditional_slice
 
@@ -195,12 +193,12 @@ class TestSimulateCounts:
         windows = (OamWindow(0, 0), OamWindow(0, 8191))
         assert 8192 * 8192 == MAX_CELLS
         with pytest.raises(ValueError, match=r"at most 67108864, got 1 x 8192 x 8193"):
-            simulate_runs(2.0, windows, NoiseModel(), range(8193))
+            simulate_module._count_runs(2.0, windows, NoiseModel(), range(8193))
         with pytest.raises(ValueError, match=r"at most 67108864, got 8193 x 8193 x 1"):
             simulate_counts(2.0, square_windows(4096), NoiseModel(), 0)
         # 8192 runs of 8192 cells pass the cap and reach the windows' indices
         with pytest.raises(AssertionError, match="indices were built"):
-            simulate_runs(2.0, windows, NoiseModel(), range(8192))
+            simulate_module._count_runs(2.0, windows, NoiseModel(), range(8192))
 
     def test_counts_read_only(self):
         counts = simulate_counts(2.0, square_windows(2), NoiseModel(), 0)
@@ -318,17 +316,14 @@ class TestPoissonKernel:
             reference_counts(gamma, windows, model, seed),
         )
 
-    def test_simulate_runs_matches_per_seed_calls(self):
+    def test_count_runs_match_per_seed_calls(self):
         windows = (OamWindow(-1, 1), OamWindow.symmetric(30))
         model = NoiseModel(pair_rate=2e3, accidental_rate=3.0)
         seeds = [0, 5, 6, U64_MAX]
-        runs = simulate_runs(4.0, windows, model, seeds)
-        assert [r.seed for r in runs] == seeds
-        for seed, run in zip(seeds, runs):
-            one = simulate_counts(4.0, windows, model, seed)
-            np.testing.assert_array_equal(run.counts, one.counts)
-            assert (run.seed, run.model, run.gamma_encoded) == (one.seed, one.model, one.gamma_encoded)
-            assert (run.window_a, run.window_b) == windows
+        runs = simulate_module._count_runs(4.0, windows, model, seeds)
+        assert (runs.dtype, runs.shape) == (np.int64, (4, 3, 61))
+        for seed, counts in zip(seeds, runs):
+            np.testing.assert_array_equal(counts, simulate_counts(4.0, windows, model, seed).counts)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -345,8 +340,8 @@ class TestPoissonKernel:
         alone = simulate_counts(3.0, (OamWindow(l_a, l_a), OamWindow(l_b, l_b)), model, seed).counts[0, 0]
         windows = (OamWindow(l_a - pad[0], l_a + pad[1]), OamWindow(l_b - pad[2], l_b + pad[3]))
         with mock.patch.object(simulate_module, "_CELLS_IN_FLIGHT", in_flight):
-            embedded = simulate_runs(3.0, windows, model, range(seed, seed + runs))
-        assert embedded[0].counts[pad[0], pad[2]] == alone
+            embedded = simulate_module._count_runs(3.0, windows, model, range(seed, seed + runs))
+        assert embedded[0, pad[0], pad[2]] == alone
 
 
 class TestStreamKeys:
@@ -362,7 +357,7 @@ class TestStreamKeys:
             with pytest.raises(ValueError, match="seed must be an integer, got "):
                 simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
             with pytest.raises(ValueError, match="seed must be an integer"):
-                simulate_runs(2.0, square_windows(1), NoiseModel(), [0, seed])
+                simulate_module._count_runs(2.0, square_windows(1), NoiseModel(), [0, seed])
         draw.assert_not_called()
 
     def test_numpy_integer_seeds_accepted(self):
@@ -485,34 +480,26 @@ def run_batches(draw):
     return spectra, draw(st.integers(window_a.l_min, window_a.l_max))
 
 
-class TestCountsConditionals:
+class TestCountsConditional:
     @settings(max_examples=150, deadline=None)
     @given(batch=run_batches(), mode=st.sampled_from([None, "accidental", "minimum", "both"]))
-    def test_stacked_rows_are_the_whole_matrix_rows(self, batch, mode):
+    def test_slice_is_the_whole_matrix_row(self, batch, mode):
         spectra, l_a = batch
         row = spectra[0].window_a.index_of(l_a)
-        conds = counts_conditionals(spectra, l_a, mode)
-        assert len(conds) == len(spectra)
-        for cond, counts in zip(conds, spectra):
+        for counts in spectra:
+            cond = counts_conditional(counts, l_a, mode)
             whole = counts.counts.astype(float) if mode is None else reference_subtract(counts, mode)
             assert (cond.l_a, cond.window_b) == (l_a, counts.window_b)
             # tobytes also compares the sign of every zero
             assert cond.values.tobytes() == whole[row].tobytes()
             assert cond.values.min() >= 0.0
-            assert counts_conditional(counts, l_a, mode).values.tobytes() == cond.values.tobytes()
 
-    def test_one_setup_per_call(self):
-        model = NoiseModel(accidental_rate=3.0)
-        base = simulate_counts(2.0, square_windows(3), model, 1)
-        other_window = simulate_counts(2.0, (OamWindow(-3, 3), OamWindow(-4, 2)), model, 1)
-        other_model = simulate_counts(2.0, square_windows(3), NoiseModel(accidental_rate=4.0), 1)
-        for spectra in ([base, other_window], [base, other_model], []):
-            with pytest.raises(ValueError, match="one window pair and noise model"):
-                counts_conditionals(spectra, 0, "both")
+    def test_bad_mode_or_row(self):
+        counts = simulate_counts(2.0, square_windows(3), NoiseModel(accidental_rate=3.0), 1)
         with pytest.raises(ValueError, match="unknown subtraction mode"):
-            counts_conditionals([base, base], 0, "median")
+            counts_conditional(counts, 0, "median")
         with pytest.raises(ValueError, match=r"l = 4 lies outside the window \[-3, 3\]"):
-            counts_conditionals([base, base], 4, None)
+            counts_conditional(counts, 4, None)
 
 
 class TestSerialization:

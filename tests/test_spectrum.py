@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from oamboost import spectrum
 from oamboost.relativity import GAMMA_MAX
+from oamboost.simulate import CountSpectrum, NoiseModel
 from oamboost.spectrum import (
     ConditionalSlice,
+    JointSpectrum,
     OamWindow,
     conditional_slice,
     geometric_kernel,
@@ -584,6 +586,23 @@ class TestModeCount:
         assert bits(spectrum._mode_counts(values)).tolist() == bits(expected).tolist()
 
 
+class TestNonFiniteSlices:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 5, 10])
+    @pytest.mark.parametrize("estimator", [mode_count_empirical, spectrum_moments])
+    def test_first_non_finite_value_is_named(self, estimator, bad, position):
+        # a NaN gave NaN, and an inf NaN with a RuntimeWarning
+        window = OamWindow(-7, 3)
+        values = conditional_slice(2, window, 3.0).values.copy()
+        values[10] = np.nan
+        values[position] = bad
+        message = f"conditional slice value at l_b = {position - 7} in window [-7, 3] must be finite, got {bad}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                estimator(ConditionalSlice(l_a=2, window_b=window, values=values))
+
+
 class TestSpectrumMoments:
     def test_rest_frame(self):
         moments = spectrum_moments(conditional_slice(0, OamWindow.symmetric(20), 1.0))
@@ -657,6 +676,19 @@ class TestJointSpectrumMatrix:
             joint_spectrum(2.0, wide, OamWindow(0, 0))
         with pytest.raises(ValueError, match=rf"got 1 x {2**64} x 3"):
             spectrum.check_cells(OamWindow(0, 0), wide, 3)
+
+    @pytest.mark.parametrize("cells", [2**63, 2**64])
+    @pytest.mark.parametrize("construct", ["conditional", "joint", "counts"])
+    def test_constructors_count_windows_wider_than_an_index(self, construct, cells):
+        # len() of a window of 2**63 cells or more raised OverflowError, not the shape check's ValueError
+        wide, one = OamWindow(-(2**63), cells - 2**63 - 1), OamWindow(0, 0)
+        build = {
+            "conditional": lambda: ConditionalSlice(l_a=0, window_b=wide, values=[1.0]),
+            "joint": lambda: JointSpectrum(window_a=wide, window_b=one, values=[[1.0]], n_modes=1, gamma=2.0),
+            "counts": lambda: CountSpectrum(wide, one, [[1]], 0, NoiseModel(), 2.0),
+        }[construct]
+        with pytest.raises(ValueError, match=re.escape(f"does not match the windows' shape ({cells},")):
+            build()
 
     @pytest.mark.parametrize(
         ("window_a", "window_b", "sums"),
