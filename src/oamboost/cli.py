@@ -381,15 +381,16 @@ def cmd_experiment(opts) -> int:
     seeds = range(opts["seed"], opts["seed"] + runs)
     if model is not None:
         _library_check(check_stream_keys, windows, (seeds[0], seeds[-1]))
-    _library_check(check_cells, *windows, runs)
+    _library_check(check_cells, *windows, runs * len(gammas))
 
     window, mode = windows[1], None if subtract == "none" else subtract
+    counts = None if model is None else _count_runs(gammas, windows, model, seeds)[:, :, 0]  # (gammas, runs, cells)
     meas, resid, summary_rows = [], [], []
-    for gamma in gammas:
+    for i, gamma in enumerate(gammas):
         if model is None:
             values = np.tile(geometric_kernel(window.indices(), gamma), (runs, 1))
         else:  # each subtraction step is per cell or per row, so subtracting the stacked rows moves no bit
-            values = _subtract(_count_runs(gamma, windows, model, seeds)[:, 0].astype(float), model, mode)
+            values = _subtract(counts[i].astype(float), model, mode)
         omegas = _mode_counts(values)
         m_sum, fit, residual = _estimate_runs(values, 0, window, bounds)
         # each run's m_sum row, then its least_squares row

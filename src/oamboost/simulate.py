@@ -11,7 +11,8 @@ RNG stream contract (a change to any point changes seeded counts):
   stream.  Its key words are (seed, (l_a + 2**31) << 32 | (l_b + 2**31)),
   i.e. the 128-bit key seed + 2**64 * ((l_a + 2**31) * 2**32 + l_b + 2**31).
   Seeds lie in [0, 2**64) and indices in [-2**31, 2**31), so no two
-  cells share a key.
+  cells share a key.  The key holds no gamma: an experiment's gammas
+  share each cell's stream, which is drawn once for them all.
 - The counter starts at 1 and runs (1, 0, 0, 0), (2, 0, 0, 0), ...;
   each block yields four 64-bit words, used in order.  A word u becomes
   the uniform (u >> 11) * 2**-53.
@@ -44,8 +45,8 @@ _I32_OFFSET = 1 << 31
 
 # Largest Poisson mean numpy's Generator accepts.
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-# Cells in flight in the kernel; bounds its working arrays (a few hundred
-# bytes a cell) whatever the windows and number of seeds.
+# Draws in flight in the kernel; bounds its working arrays (a few hundred
+# bytes a draw) whatever the windows and numbers of seeds and gammas.
 _CELLS_IN_FLIGHT = 4096
 # Relative margin inside which a vectorised log/exp comparison is redrawn
 # with numpy's scalar generator; SIMD log/exp differ from libm by a few ulp.
@@ -252,86 +253,98 @@ def _ptrs_block(d, lam):
     return first | decided[1], np.where(first, near[0], near[1]), k
 
 
-def _board(flight, cell, key0, key1, lam):
-    """flight with the fresh cells added, at block 1 with count 0 and product 1."""
-    fresh = (cell, key0, key1, lam, np.ones_like(cell, np.uint64), np.zeros_like(cell), np.ones_like(lam))
-    # PTRS cells stay ahead of multiplication-method cells, so each
-    # regime is a slice; lam = 0 draws nothing and stays 0
+def _board(keys, draws, start, n_keys, key0, key1, lam):
+    """keys and draws with keys start.. and their (k, m) means added, each draw at block 1, count 0, product 1."""
+    k, m = lam.shape
+    lam = lam.ravel()  # draw g * m + j: mean g of fresh key j, counted into output slot (g, start + j)
+    # PTRS draws stay ahead of multiplication-method draws, so each regime is a slice; lam = 0 draws nothing
     head, tail = np.flatnonzero(lam >= 10.0), np.flatnonzero((lam > 0.0) & (lam < 10.0))
-    return [np.concatenate((new[head], old, new[tail])) for new, old in zip(fresh, flight)]
+    fresh = [np.arange(start, start + m), lam, np.zeros(lam.size, np.int64), np.ones(lam.size)]
+    key_head, key_tail = head, tail  # k = 1: the keys keep their draws' order, so draw i reads key i
+    if k > 1:  # a key with a draw boards behind the keys in flight, and each draw holds its key's place
+        live = (lam > 0.0).reshape(k, m).any(axis=0)
+        key_head, key_tail = [], np.flatnonzero(live)
+        fresh[0] = (fresh[0] + n_keys * np.arange(k)[:, None]).ravel()
+        fresh.append(np.tile(np.cumsum(live) + (keys[0].size - 1), k))
+    fresh_keys = key0, key1, np.ones(m, np.uint64)
+    keys = [np.concatenate((new[key_head], old, new[key_tail])) for new, old in zip(fresh_keys, keys)]
+    return keys, [np.concatenate((new[head], old, new[tail])) for new, old in zip(fresh, draws)]
 
 
-def _draw_block(flight, counts, redraw):
-    """Draw each cell's next block; store finished counts, note near ones in redraw, return the rest."""
-    cell, key0, key1, lam, block, count, prod = flight
-    d = _philox_doubles(key0, key1, block)
-    block += 1
+def _draw_block(keys, draws, counts, redraw):
+    """Draw each key's next block for its draws; store finished counts, note near ones in redraw, return the rest."""
+    d = _philox_doubles(*keys)
+    keys[2] += 1
+    slot, lam, count, prod = draws[:4]
+    if len(draws) > 4:  # each draw's words from its key's column; take keeps the rows contiguous
+        d = np.take(d, draws[4], axis=1)
     split = np.count_nonzero(lam >= 10.0)
-    done, near = np.empty((2, cell.size), dtype=bool)
+    done, near = np.empty((2, slot.size), dtype=bool)
     done[:split], near[:split], count[:split] = _ptrs_block(d[:, :split], lam[:split])
     done[split:], near[split:] = _mult_block(d[:, split:], lam[split:], count[split:], prod[split:])
     # integer indices, computed once, gather faster than a boolean mask per array
     finished, kept = np.flatnonzero(done), np.flatnonzero(~done)
-    counts[cell[finished]] = count[finished]
-    redraw.append(cell[near])
-    return [a[kept] for a in flight]
+    counts[slot[finished]] = count[finished]
+    redraw.append(slot[near])
+    draws = [a[kept] for a in draws]
+    if len(draws) > 4:  # a key leaves with its last draw (for k = 1, key i is draw i's, so kept serves)
+        kept = np.bincount(draws[4], minlength=keys[0].size) > 0
+        draws[4] = np.cumsum(kept)[draws[4]] - 1
+    return [a[kept] for a in keys], draws
 
 
-def _draw_poisson(n_cells: int, cells) -> np.ndarray:
-    """One Poisson count for each of n_cells cells, each from its own Philox4x64-10 stream.
+def _draw_poisson(k: int, n_keys: int, key_means) -> np.ndarray:
+    """k Poisson counts from each of n_keys Philox4x64-10 streams, as a (k, n_keys) array.
 
-    cells(start, stop) returns the key0, key1 and lam arrays of cells
-    start..stop-1.  Cell i's count equals
-    np.random.Generator(np.random.Philox(key1[i] * 2**64 + key0[i])).poisson(lam[i]).
+    key_means(start, stop) returns the key0 and key1 arrays of keys start..stop-1 and their (k, stop - start)
+    means lam.  Count (g, i) is np.random.Generator(np.random.Philox(key1[i] * 2**64 + key0[i])).poisson(lam[g, i]).
 
-    At most _CELLS_IN_FLIGHT cells are in flight.  Each pass draws the next
-    Philox block of every cell in flight, at that cell's own stream
-    position; finished cells leave and fresh ones take their places.
-    np.log/np.exp may differ from the C library's by a few ulp, so a cell
-    whose accept/stop test lies that close to its threshold is redrawn
-    with numpy's own generator.
+    About _CELLS_IN_FLIGHT draws are in flight: keys (key words, next block) and their draws (output slot,
+    mean, the multiplication method's count and product, and for k > 1 their key's place).  Each pass
+    computes the next Philox block of every key once, for all its draws.  Finished draws leave, a key
+    leaves with its last one, and fresh keys take their places.  np.log/np.exp may differ from libm's
+    by a few ulp, so a draw whose accept/stop test lies that close to its threshold is redrawn by numpy.
     """
-    counts = np.zeros(n_cells, dtype=np.int64)
-    # The cells in flight, one array per field: place in the output, Philox key
-    # words, mean, next block, and the multiplication method's count and product.
-    flight = [np.empty(0, t) for t in (np.int64, np.uint64, np.uint64, np.float64, np.uint64, np.int64, np.float64)]
+    counts = np.zeros((k, n_keys), dtype=np.int64)
+    keys = [np.empty(0, np.uint64) for _ in range(3)]
+    draws = [np.empty(0, t) for t in (np.int64, np.float64, np.int64, np.float64, np.intp)[: 4 + (k > 1)]]
     redraw = [np.empty(0, dtype=np.int64)]
     start = 0
-    while start < n_cells or flight[0].size:
+    while start < n_keys or draws[0].size:
         # _board and _draw_block free their arrays on return, so a pass holds none of the last one's
-        if flight[0].size < _CELLS_IN_FLIGHT and start < n_cells:
-            stop = min(start + _CELLS_IN_FLIGHT - flight[0].size, n_cells)
-            flight = _board(flight, np.arange(start, stop), *cells(start, stop))
+        if draws[0].size < _CELLS_IN_FLIGHT and start < n_keys:
+            stop = min(start + max((_CELLS_IN_FLIGHT - draws[0].size) // k, 1), n_keys)
+            keys, draws = _board(keys, draws, start, n_keys, *key_means(start, stop))
             start = stop
-        flight = _draw_block(flight, counts, redraw)
-    for c in np.concatenate(redraw):
-        key0, key1, lam = (v[0] for v in cells(c, c + 1))
-        counts[c] = np.random.Generator(np.random.Philox(key=(int(key1) << 64) | int(key0))).poisson(lam)
+        keys, draws = _draw_block(keys, draws, counts.reshape(-1), redraw)
+    for g, i in zip(*np.divmod(np.concatenate(redraw), n_keys)):
+        key0, key1, lam = (v[..., 0] for v in key_means(i, i + 1))
+        counts[g, i] = np.random.Generator(np.random.Philox(key=(int(key1) << 64) | int(key0))).poisson(lam[g])
     return counts
 
 
-def _count_runs(gamma: float, windows, model: NoiseModel, seeds) -> np.ndarray:
-    """simulate_counts' (seeds, window_a, window_b) counts of each seed, drawn in one pass; the caller checks gamma."""
+def _count_runs(gammas, windows, model: NoiseModel, seeds) -> np.ndarray:
+    """simulate_counts' (gammas, seeds, window_a, window_b) counts, drawn in one pass; the caller checks the gammas."""
     check_stream_keys(windows, seeds)
     window_a, window_b = windows
-    check_cells(window_a, window_b, len(seeds))
+    check_cells(window_a, window_b, len(seeds) * len(gammas))
     scale = model.pair_rate * model.integration
     offset = model.accidental_rate * model.integration
-    mu = scale * geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) + offset
+    mu = scale * np.array([geometric_kernel(window_a.indices()[:, None] + window_b.indices(), g) for g in gammas])
+    mu = (mu + offset).reshape(len(gammas), -1)
     if not mu.max() <= _POISSON_LAM_MAX:
         raise ValueError("lam value too large")
-    mu = mu.ravel()
     la = (window_a.indices() + _I32_OFFSET).astype(np.uint64) << _S32
     lb = (window_b.indices() + _I32_OFFSET).astype(np.uint64)
     seed_keys = np.array(seeds, dtype=np.uint64)
 
-    def cells(start, stop):
-        run, cell = np.divmod(np.arange(start, stop), mu.size)
+    def key_means(start, stop):
+        run, cell = np.divmod(np.arange(start, stop), mu.shape[1])
         row, col = np.divmod(cell, len(window_b))
-        return seed_keys[run], la[row] | lb[col], mu[cell]
+        return seed_keys[run], la[row] | lb[col], mu.take(cell, axis=1)
 
-    counts = _draw_poisson(len(seeds) * mu.size, cells)
-    return counts.reshape(len(seeds), len(window_a), len(window_b))
+    counts = _draw_poisson(len(gammas), len(seeds) * mu.shape[1], key_means)
+    return counts.reshape(len(gammas), len(seeds), len(window_a), len(window_b))
 
 
 def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> CountSpectrum:
@@ -342,7 +355,7 @@ def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> Coun
     (gamma, windows, model, seed) reproduce identical counts.
     """
     gamma = require_gamma(gamma)
-    return CountSpectrum(*windows, _count_runs(gamma, windows, model, [seed])[0], seed, model, gamma)
+    return CountSpectrum(*windows, _count_runs([gamma], windows, model, [seed])[0, 0], seed, model, gamma)
 
 
 def _subtract(values: np.ndarray, model: NoiseModel, mode: str | None) -> np.ndarray:
@@ -414,6 +427,7 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         window_a, window_b = (OamWindow(*map(_json_int, meta["windows"][side])) for side in "ab")
+        check_cells(window_a, window_b)
         model, seed, gamma = NoiseModel(**meta["model"]), _json_int(meta["seed"]), float(meta["gamma_encoded"])
     except OSError as exc:
         raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None

@@ -136,8 +136,11 @@ class TestCellCap:
             (["spectrum", "--gamma", "2", "--half-width", "5000"], "10001 x 10001 x 1"),
             (["simulate", "--gamma", "2", "--half-width", "4096"], "8193 x 8193 x 1"),
             (["simulate", "--gamma", "2", "--half-width", "1", "--half-width-a", "11184811"], "22369623 x 3 x 1"),
-            (["experiment", "--runs", "1000000"], "1 x 81 x 1000000"),
-            (["experiment", "--runs", "1000000", "--noiseless"], "1 x 81 x 1000000"),
+            (["experiment", "--gamma", "2", "--runs", "1000000"], "1 x 81 x 1000000"),
+            (["experiment", "--gamma", "2", "--runs", "1000000", "--noiseless"], "1 x 81 x 1000000"),
+            # every gamma's counts are held at once, so the cap counts gammas x runs
+            (["experiment", "--runs", "200000"], "1 x 81 x 1000000"),
+            (["experiment", "--gamma", "2,3", "--half-width", "4095", "--runs", "4097"], "1 x 8191 x 8194"),
         ],
     )
     def test_exits_2_before_allocating(self, tmp_path, capsys, argv, cells):

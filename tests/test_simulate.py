@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -89,8 +90,8 @@ def reset_draws(key0, key1, lam):
 
 
 def kernel_draws(key0, key1, lam):
-    """The vectorised kernel on explicit (key0, key1, lam) arrays."""
-    return simulate_module._draw_poisson(lam.size, lambda a, b: (key0[a:b], key1[a:b], lam[a:b]))
+    """The vectorised kernel on explicit key0 and key1 arrays and their (k, n) means lam."""
+    return simulate_module._draw_poisson(len(lam), lam.shape[1], lambda a, b: (key0[a:b], key1[a:b], lam[:, a:b]))
 
 
 def mixed_cells(n, rng):
@@ -115,6 +116,16 @@ def mixed_cells(n, rng):
     key0[-n_edge::2] = rng.integers(2**64 - 5, 2**64, n_edge - n_edge // 2, dtype=np.uint64)
     key1 = rng.integers(0, 2**64, n, dtype=np.uint64)
     return key0, key1, lam
+
+
+# Poisson means over both regimes and their edges: lam = 0 draws nothing, 10 - ulp is the
+# multiplication method's last mean and 10 PTRS's first.
+MEANS = (
+    st.floats(0.0, 10.0)
+    | st.floats(10.0, 1e6)
+    | st.floats(9.5, 12.0)
+    | st.sampled_from([0.0, 1e-300, np.nextafter(10.0, 0.0), 10.0, 1e6])
+)
 
 
 class TestNoiseModel:
@@ -193,12 +204,12 @@ class TestSimulateCounts:
         windows = (OamWindow(0, 0), OamWindow(0, 8191))
         assert 8192 * 8192 == MAX_CELLS
         with pytest.raises(ValueError, match=r"at most 67108864, got 1 x 8192 x 8193"):
-            simulate_module._count_runs(2.0, windows, NoiseModel(), range(8193))
+            simulate_module._count_runs([2.0], windows, NoiseModel(), range(8193))
         with pytest.raises(ValueError, match=r"at most 67108864, got 8193 x 8193 x 1"):
             simulate_counts(2.0, square_windows(4096), NoiseModel(), 0)
         # 8192 runs of 8192 cells pass the cap and reach the windows' indices
         with pytest.raises(AssertionError, match="indices were built"):
-            simulate_module._count_runs(2.0, windows, NoiseModel(), range(8192))
+            simulate_module._count_runs([2.0], windows, NoiseModel(), range(8192))
 
     def test_counts_read_only(self):
         counts = simulate_counts(2.0, square_windows(2), NoiseModel(), 0)
@@ -215,7 +226,7 @@ class TestPoissonKernel:
 
     def test_bit_identical_on_a_million_cells(self):
         key0, key1, lam = mixed_cells(1_000_000, np.random.default_rng(2))
-        got = kernel_draws(key0, key1, lam)
+        got = kernel_draws(key0, key1, lam[None])[0]
         expected = reset_draws(key0, key1, lam)
         mismatch = np.flatnonzero(got != expected)
         assert mismatch.size == 0, f"{mismatch.size} cells differ, first lam {lam[mismatch[:5]]}"
@@ -271,35 +282,35 @@ class TestPoissonKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        cells=st.lists(
-            st.tuples(
-                st.integers(0, U64_MAX),
-                st.integers(0, U64_MAX),
-                st.floats(0.0, 10.0)
-                | st.floats(10.0, 1e6)
-                | st.floats(9.5, 12.0)
-                | st.sampled_from([0.0, 1e-300, np.nextafter(10.0, 0.0), 10.0, 1e6]),
-            ),
-            min_size=1,
-            max_size=60,
+        cells=st.integers(1, 5).flatmap(
+            lambda k: st.lists(
+                st.tuples(st.integers(0, U64_MAX), st.integers(0, U64_MAX), st.lists(MEANS, min_size=k, max_size=k)),
+                min_size=1,
+                max_size=60,
+            )
         ),
         in_flight=st.integers(1, 64),
     )
     def test_any_pool_size_matches_the_reference(self, cells, in_flight):
-        # a pool smaller than the cells refills between passes and mixes both regimes
-        # with cells at other stream positions
-        key0, key1, lam = (np.array(column, dtype=t) for column, t in zip(zip(*cells), (np.uint64, np.uint64, float)))
+        # each key carries 1-5 means, and its draws must equal that many independent one-mean draws;
+        # a pool smaller than the draws refills between passes and mixes both regimes with draws at
+        # other stream positions, and a pool of fewer draws than a key carries still boards the key
+        key0, key1 = (np.array(column, dtype=np.uint64) for column in list(zip(*cells))[:2])
+        lam = np.array([means for _, _, means in cells], dtype=float).T
         with mock.patch.object(simulate_module, "_CELLS_IN_FLIGHT", in_flight):
             got = kernel_draws(key0, key1, lam)
-        np.testing.assert_array_equal(got, reset_draws(key0, key1, lam))
+        np.testing.assert_array_equal(got, [reset_draws(key0, key1, row) for row in lam])
 
     def test_redraw_path_matches(self):
         # a margin covering every comparison sends each drawn cell through
-        # numpy's scalar generator; the result must not change
+        # numpy's scalar generator; the result must not change, with one mean
+        # per key or with four (each key's means then span the regimes)
         key0, key1, lam = mixed_cells(2_000, np.random.default_rng(3))
-        with mock.patch.object(simulate_module, "_LOG_TOL", 1e300):
-            got = kernel_draws(key0, key1, lam)
-        np.testing.assert_array_equal(got, fresh_draws(key0, key1, lam))
+        for k in (1, 4):
+            n = lam.size // k
+            with mock.patch.object(simulate_module, "_LOG_TOL", 1e300):
+                got = kernel_draws(key0[:n], key1[:n], lam.reshape(k, n))
+            np.testing.assert_array_equal(got, [fresh_draws(key0[:n], key1[:n], row) for row in lam.reshape(k, n)])
 
     @pytest.mark.parametrize(
         ("gamma", "windows", "model", "seed"),
@@ -320,10 +331,37 @@ class TestPoissonKernel:
         windows = (OamWindow(-1, 1), OamWindow.symmetric(30))
         model = NoiseModel(pair_rate=2e3, accidental_rate=3.0)
         seeds = [0, 5, 6, U64_MAX]
-        runs = simulate_module._count_runs(4.0, windows, model, seeds)
-        assert (runs.dtype, runs.shape) == (np.int64, (4, 3, 61))
-        for seed, counts in zip(seeds, runs):
+        runs = simulate_module._count_runs([4.0], windows, model, seeds)
+        assert (runs.dtype, runs.shape) == (np.int64, (1, 4, 3, 61))
+        for seed, counts in zip(seeds, runs[0]):
             np.testing.assert_array_equal(counts, simulate_counts(4.0, windows, model, seed).counts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        gammas=st.lists(st.just(1.0) | st.floats(1.0, 60.0), min_size=1, max_size=5),
+        rates=st.sampled_from([(20.0, 0.0), (1e4, 5.0), (300.0, 0.5)]),
+        in_flight=st.integers(1, 64),
+        seed=st.integers(0, U64_MAX - 2),
+    )
+    def test_gammas_share_each_cell_stream(self, gammas, rates, in_flight, seed):
+        # one call for several gammas gives each gamma's one-gamma counts, and computes each
+        # Philox block of a cell once for them all (gamma 1 with no accidentals leaves cells
+        # with no draw at any gamma)
+        model = NoiseModel(pair_rate=rates[0], accidental_rate=rates[1])
+        windows, seeds = (OamWindow(-1, 1), OamWindow.symmetric(4)), range(seed, seed + 2)
+        philox, blocks = simulate_module._philox_doubles, []
+
+        def spy(key0, key1, block):
+            blocks.extend(zip(key0.tolist(), key1.tolist(), block.tolist()))
+            return philox(key0, key1, block)
+
+        with mock.patch.object(simulate_module, "_CELLS_IN_FLIGHT", in_flight):
+            with mock.patch.object(simulate_module, "_philox_doubles", spy):
+                runs = simulate_module._count_runs(gammas, windows, model, seeds)
+        assert len(blocks) == len(set(blocks))
+        assert runs.shape == (len(gammas), 2, 3, 9)
+        for counts, gamma in zip(runs, gammas):
+            np.testing.assert_array_equal(counts, simulate_module._count_runs([gamma], windows, model, seeds)[0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -340,8 +378,8 @@ class TestPoissonKernel:
         alone = simulate_counts(3.0, (OamWindow(l_a, l_a), OamWindow(l_b, l_b)), model, seed).counts[0, 0]
         windows = (OamWindow(l_a - pad[0], l_a + pad[1]), OamWindow(l_b - pad[2], l_b + pad[3]))
         with mock.patch.object(simulate_module, "_CELLS_IN_FLIGHT", in_flight):
-            embedded = simulate_module._count_runs(3.0, windows, model, range(seed, seed + runs))
-        assert embedded[0, pad[0], pad[2]] == alone
+            embedded = simulate_module._count_runs([3.0], windows, model, range(seed, seed + runs))
+        assert embedded[0, 0, pad[0], pad[2]] == alone
 
 
 class TestStreamKeys:
@@ -357,7 +395,7 @@ class TestStreamKeys:
             with pytest.raises(ValueError, match="seed must be an integer, got "):
                 simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
             with pytest.raises(ValueError, match="seed must be an integer"):
-                simulate_module._count_runs(2.0, square_windows(1), NoiseModel(), [0, seed])
+                simulate_module._count_runs([2.0], square_windows(1), NoiseModel(), [0, seed])
         draw.assert_not_called()
 
     def test_numpy_integer_seeds_accepted(self):
@@ -538,6 +576,7 @@ class TestSerialization:
         assert back.window_b == counts.window_b
 
     SMALL = (3.0, (OamWindow(0, 1), OamWindow(-1, 1)), NoiseModel(pair_rate=50.0), 2)
+    CAP = r"counts\.meta\.json: window cells x runs must be at most 67108864, got "
 
     def write_counts(self, tmp_path, rows):
         """Counts CSV of SMALL with the given data rows: an int picks that row of the real CSV."""
@@ -589,11 +628,14 @@ class TestSerialization:
             (lambda meta: meta.update(seed=True), r"counts\.meta\.json: .*must be JSON integers, got True"),
             (lambda meta: meta["windows"].update(b=[-2.6, 2.9]), r"counts\.meta\.json: .*must be JSON integers, got -2\.6"),
             (lambda meta: meta["windows"].update(a=[0, 1.0]), r"counts\.meta\.json: .*must be JSON integers, got 1\.0"),
+            # windows over the cell cap: 2**63 + 1 cells overflowed len(), and 10**10 reached np.bincount
+            (lambda meta: meta["windows"].update(a=[-(2**62), 2**62], b=[0, 0]), CAP + "9223372036854775809 x 1 x 1"),
+            (lambda meta: meta["windows"].update(a=[0, 99_999], b=[0, 99_999]), CAP + "100000 x 100000 x 1"),
         ],
     )
     def test_rejects_bad_sidecar(self, tmp_path, edit, message):
         # edit: a key to delete, None to remove the sidecar, bytes to write in its place,
-        # or a function that changes its contents
+        # or a function that changes its contents; no case allocates for the sidecar's windows
         csv_file = self.write_counts(tmp_path, [0, 1, 2, 3, 4, 5])
         meta_file = sidecar_path(csv_file)
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
@@ -604,8 +646,14 @@ class TestSerialization:
         else:
             edit(meta) if callable(edit) else meta.pop(edit)
             meta_file.write_text(json.dumps(meta), encoding="utf-8")
-        with pytest.raises(ValueError, match=message):
-            read_count_spectrum(csv_file)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                read_count_spectrum(csv_file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_empty_file(self, tmp_path):
         csv_file = self.write_counts(tmp_path, [0, 1, 2, 3, 4, 5])
