@@ -8,6 +8,7 @@ too).  Floats print with '.17g', every other value with str.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,12 +17,19 @@ _BLOCK_ROWS = 4096
 _INT64 = np.iinfo(np.int64)
 
 
+Indexed = NamedTuple("Indexed", [("values", np.ndarray), ("index", np.ndarray)])
+
+
 def _distinct_texts(column, end: str):
     """Texts of column's distinct values, each formatted once and followed by end, and each element's index into them.
 
     An integer column whose range is shorter than the column is indexed by value - min, with no sort.  Floats
-    are told apart by bit pattern, so -0.0 and each NaN keep their own text.
+    are told apart by bit pattern, so -0.0 and each NaN keep their own text.  An Indexed column is values[index],
+    index flattened in C order, and only its values are formatted.
     """
+    if isinstance(column, Indexed):
+        texts, inverse = _distinct_texts(column.values, end)
+        return texts, inverse[column.index.ravel()]
     values = np.asarray(column).ravel()
     if values.dtype.kind in "iu" and values.size and int(values.max()) - int(values.min()) < values.size:
         low = values.min()
@@ -40,7 +48,7 @@ def _distinct_texts(column, end: str):
 
 
 def format_table(header: str, *columns) -> str:
-    """CSV text of header and the rows zip(*columns), each column flattened in C order."""
+    """CSV text of header and the rows zip(*columns), each column (an Indexed one's index) flattened in C order."""
     fields = [_distinct_texts(column, end) for column, end in zip(columns, [","] * (len(columns) - 1) + ["\n"])]
     step, rows = len(fields), len(fields[0][1])
     parts = [header + "\n"]

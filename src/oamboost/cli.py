@@ -381,7 +381,7 @@ def cmd_experiment(opts) -> int:
     seeds = range(opts["seed"], opts["seed"] + runs)
     if model is not None:
         _library_check(check_stream_keys, windows, (seeds[0], seeds[-1]))
-    _library_check(check_cells, *windows, runs * len(gammas))
+    _library_check(check_cells, *windows, runs, len(gammas))
 
     window, mode = windows[1], None if subtract == "none" else subtract
     counts = None if model is None else _count_runs(gammas, windows, model, seeds)[:, :, 0]  # (gammas, runs, cells)

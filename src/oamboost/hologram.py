@@ -76,8 +76,9 @@ def generate_hologram(
 ) -> HologramField:
     """Sample the contracted vortex phase l * atan2(gamma*y, x) over the grid.
 
-    Even sizes place the vortex core between pixels; for odd sizes the
-    centre pixel uses the atan2(0, 0) = 0 convention.
+    Even sizes place the vortex core between pixels; for odd sizes the centre pixel uses atan2(0, 0) = 0.  Only rows
+    where l * atan2 >= 0 are computed: y[::-1] == -y and atan2 is odd in y, bit for bit, so each other row is 2*pi - r
+    of its mirror row's r, and 0 where that rounds to 2*pi (r = 0 too), the bits that computing it would give.
     """
     gamma = require_gamma(gamma)
     l = _require_index("l", l)
@@ -91,12 +92,16 @@ def generate_hologram(
     if not 0.0 < extent < np.inf:
         raise ValueError(f"extent must be positive and finite, got {extent}")
     x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)
-    phase = np.empty((height, width))
+    phase, half = np.empty((height, width)), height // 2
+    rows, y = (phase, y) if l >= 0 else (phase[::-1], y[::-1])  # l * atan2 >= 0 from row half on
     step = max(1, _BLOCK_CELLS // width)
-    for start in range(0, height, step):
-        block = np.arctan2(gamma * y[start : start + step, None], x, out=phase[start : start + step])
+    for start in range(half, height, step):
+        block = np.arctan2(gamma * y[start : start + step, None], x, out=rows[start : start + step])
         block *= l
         _wrap(block, l)  # |l * atan2| <= |l| * pi bounds the remainder's steps
+        block[block >= TWO_PI] = 0.0
+        mirrored = slice(max(start, height - half), start + step)  # not an odd height's centre row
+        block = np.subtract(TWO_PI, rows[mirrored], out=rows[::-1][mirrored])
         block[block >= TWO_PI] = 0.0
     return HologramField(width=width, height=height, extent=extent, l=l, gamma=gamma, phase=phase)
 
@@ -116,11 +121,10 @@ def export_hologram(field: HologramField, format: str) -> bytes:
         step = max(1, _BLOCK_CELLS // field.width)
         scaled = np.empty((min(step, field.height), field.width))
         for start in range(0, field.height, step):
-            rows = field.phase[start : start + step]
-            block = np.divide(rows, TWO_PI, out=scaled[: len(rows)])
+            block = np.divide(field.phase[start : start + step], TWO_PI, out=scaled[: field.height - start])
             block *= 255.0
             block += 0.5  # phase < 2*pi, so the scaled value never reaches 256
-            pixels[start : start + step] = np.floor(block, out=block)
+            pixels[start : start + step] = block  # block >= 0.5, so the cast's truncation is floor
         return buf.tobytes()
     if format == "csv":
         lines = [",".join(f"{v:.17g}" for v in row) for row in field.phase]

@@ -327,7 +327,7 @@ def _count_runs(gammas, windows, model: NoiseModel, seeds) -> np.ndarray:
     """simulate_counts' (gammas, seeds, window_a, window_b) counts, drawn in one pass; the caller checks the gammas."""
     check_stream_keys(windows, seeds)
     window_a, window_b = windows
-    check_cells(window_a, window_b, len(seeds) * len(gammas))
+    check_cells(window_a, window_b, len(seeds), len(gammas))
     scale = model.pair_rate * model.integration
     offset = model.accidental_rate * model.integration
     mu = scale * np.array([geometric_kernel(window_a.indices()[:, None] + window_b.indices(), g) for g in gammas])

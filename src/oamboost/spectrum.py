@@ -19,10 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._table import format_table
+from ._table import Indexed, format_table
 from .relativity import TWO_PI, require_gamma
 
-DEFAULT_HALF_WIDTH = 20
 DEFAULT_PANELS = 4096
 MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
 MAX_NODES = 1 << 20  # azimuth nodes of an oracle; its cached table costs 32 B a node
@@ -136,11 +135,12 @@ def _check_finite(values: np.ndarray, window: OamWindow) -> None:
         raise ValueError(f"conditional slice value at l_b = {l_b} in {where} must be finite, got {values[j]}")
 
 
-def check_cells(window_a: OamWindow, window_b: OamWindow, runs: int = 1) -> None:
-    """Raise ValueError if runs spectra over the windows hold more than MAX_CELLS cells in all."""
+def check_cells(window_a: OamWindow, window_b: OamWindow, runs: int = 1, gammas: int = 1) -> None:
+    """Raise ValueError if runs spectra at each of gammas over the windows hold more than MAX_CELLS cells in all."""
     rows, cols = _window_cells(window_a, window_b)
-    if rows * cols * runs > MAX_CELLS:
-        raise ValueError(f"window cells x runs must be at most {MAX_CELLS}, got {rows} x {cols} x {runs}")
+    if rows * cols * runs * gammas > MAX_CELLS:
+        by = f" ({runs} runs at each of {gammas} gammas)" if gammas > 1 else ""
+        raise ValueError(f"window cells x runs must be at most {MAX_CELLS}, got {rows} x {cols} x {runs * gammas}{by}")
 
 
 # Sums s as their distinct even |s| (then a last exponent for the zero slot) and each sum's slot among them.
@@ -344,9 +344,12 @@ def spectrum_moments(conditional: ConditionalSlice) -> SliceMoments:
 
 
 def joint_spectrum_to_csv(spectrum: JointSpectrum) -> str:
-    """CSV serialisation with header l_a,l_b,value and 17 significant digits."""
+    """CSV with header l_a,l_b,value and 17 significant digits; values by l_a + l_b print from the anti-diagonal."""
+    values, bits = spectrum.values, spectrum.values.view(np.uint64)
+    if (bits[1:, :-1] == bits[:-1, 1:]).all():  # a Hankel matrix
+        values = Indexed(np.concatenate([values[0], values[1:, -1]]), np.add.outer(*map(np.arange, values.shape)))
     grid = np.ix_(spectrum.window_a.indices(), spectrum.window_b.indices())
-    return format_table("l_a,l_b,value", *np.broadcast_arrays(*grid, spectrum.values))
+    return format_table("l_a,l_b,value", *np.broadcast_arrays(*grid), values)
 
 
 def joint_spectrum_to_json_dict(spectrum: JointSpectrum) -> dict:

@@ -139,7 +139,7 @@ class TestCellCap:
             (["experiment", "--gamma", "2", "--runs", "1000000"], "1 x 81 x 1000000"),
             (["experiment", "--gamma", "2", "--runs", "1000000", "--noiseless"], "1 x 81 x 1000000"),
             # every gamma's counts are held at once, so the cap counts gammas x runs
-            (["experiment", "--runs", "200000"], "1 x 81 x 1000000"),
+            (["experiment", "--runs", "200000"], "1 x 81 x 1000000 (200000 runs at each of 5 gammas)"),
             (["experiment", "--gamma", "2,3", "--half-width", "4095", "--runs", "4097"], "1 x 8191 x 8194"),
         ],
     )

@@ -62,6 +62,12 @@ GOLDEN = {
         [["hologram", "--l", "5", "--gamma", "7", "--width", "2048", "--height", "130"]],
         {"holo_l5_g7_2048x130.pgm": "90e42e655451b19b2fe3702971838c208268171df412d5dc8ba59b6ddad36460"},
     ),
+    # recorded before half the rows were mirrored: an odd height, whose centre row is computed, a negative l,
+    # which computes the rows with y <= 0, and 131 rows crossing four row-block seams
+    "hologram_pgm_mirror_odd_negative": (
+        [["hologram", "--l", "-7", "--gamma", "3", "--width", "2048", "--height", "131"]],
+        {"holo_l-7_g3_2048x131.pgm": "56d1de5566128f84f20e6d08cf4ac4dd2364470695e638814c7c85026949a429"},
+    ),
     "simulate": (
         [["simulate", "--gamma", "5", "--half-width", "15", "--half-width-a", "3", "--seed", "7"]],
         {

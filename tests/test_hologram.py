@@ -46,6 +46,16 @@ def reference_phase(l, gamma, width, height, extent):
     return phase
 
 
+def reference_every_row(l, gamma, width, height, extent):
+    """generate_hologram's former loop body run on every row, before half the rows were mirrored."""
+    x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)
+    phase = np.arctan2(gamma * y[:, None], x)
+    phase *= l
+    hologram._wrap(phase, l)
+    phase[phase >= TWO_PI] = 0.0
+    return phase
+
+
 def reference_pgm(phase):
     height, width = phase.shape
     pixels = np.floor(phase / TWO_PI * 255.0 + 0.5).astype(np.uint8)
@@ -251,6 +261,35 @@ class TestSameBitsAsWholeArray:
                 winding_number(l, gamma, samples)
         else:
             assert winding_number(l, gamma, samples) == reference_winding_number(l, gamma, samples)
+
+
+class TestMirroredRows:
+    # the rows with l * atan2 < 0 are 2*pi minus the row at -y; computing them instead gives the same bits
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(2, 300),
+        height=st.integers(2, 300),
+        l=st.one_of(st.sampled_from([0, 1, -1]), st.integers(-60, 60)),
+        gamma=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+        extent=st.floats(1e-3, 1e3),
+    )
+    @example(width=2, height=2, l=0, gamma=1.0, extent=1.0)
+    @example(width=3, height=3, l=-1, gamma=1.0, extent=1.0)
+    @example(width=3, height=3, l=1, gamma=1.0, extent=1.0)
+    @example(width=7, height=2, l=-2, gamma=1e4, extent=1e-3)
+    @example(width=300, height=299, l=-60, gamma=1.0 + 1e-7, extent=1e3)
+    @example(width=299, height=300, l=60, gamma=11.37, extent=1.0)
+    def test_same_bits_as_every_row(self, width, height, l, gamma, extent):
+        field = generate_hologram(l, gamma, width=width, height=height, extent=extent)
+        # tobytes also compares the sign of every zero
+        assert field.phase.tobytes() == reference_every_row(l, gamma, width, height, extent).tobytes()
+
+    @pytest.mark.parametrize("l", [-7, 0, 5])
+    def test_row_blocks_cross_the_middle(self, l):
+        # at 2048 wide a row block is 32 rows: 131 rows put the odd centre row inside a block, 130 at a seam
+        for height in (130, 131):
+            field = generate_hologram(l, 3.0, width=2048, height=height)
+            assert field.phase.tobytes() == reference_every_row(l, 3.0, 2048, height, 1.0).tobytes()
 
 
 class TestMemoryBudget:

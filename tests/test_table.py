@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oamboost._table import _BLOCK_ROWS, format_table, parse_int_rows
+from oamboost import spectrum as spectrum_module
+from oamboost._table import _BLOCK_ROWS, Indexed, format_table, parse_int_rows
 from oamboost.cli import main
 from oamboost.estimate import FitResult, batch_csv
 from oamboost.relativity import frame_from_gamma
@@ -28,6 +29,7 @@ from oamboost.simulate import (
     sidecar_path,
 )
 from oamboost.spectrum import (
+    JointSpectrum,
     OamWindow,
     conditional_slice,
     joint_spectrum,
@@ -45,6 +47,12 @@ def reference_joint_csv(spectrum):
         for j, lb in enumerate(spectrum.window_b.indices()):
             lines.append(f"{la},{lb},{spectrum.values[i, j]:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def generic_joint_csv(spectrum):
+    """The joint CSV with every column on the table writer's generic path, as before values were indexed by sum."""
+    grid = np.ix_(spectrum.window_a.indices(), spectrum.window_b.indices())
+    return format_table("l_a,l_b,value", *np.broadcast_arrays(*grid, spectrum.values))
 
 
 def reference_count_csv(counts):
@@ -218,6 +226,11 @@ class TestFormatTable:
         monkeypatch.setattr(np, "unique", no_sort)
         assert [format_table("l_a,l_b", l_a, l_b), format_table("w,t", wrapped, top)] == expected
 
+    def test_indexed_column_prints_its_gathered_values(self):
+        values, index = np.array([0.5, -0.0, math.nan, 0.0, 0.5]), np.random.default_rng(9).integers(0, 5, (7, 9))
+        expected = reference_table("k,v", np.arange(63), values[index])
+        assert format_table("k,v", np.arange(63), Indexed(values, index)) == expected
+
     @settings(max_examples=80, deadline=None)
     @given(rows=table_rows, kinds=st.lists(st.sampled_from(INT_KINDS), min_size=1, max_size=4),
            seed=st.integers(0, 2**32 - 1))
@@ -276,6 +289,58 @@ class TestWritersMatchReferences:
         gammas = [1.0, 1.5, 7.25, 1e6]
         assert main(["sweep", "--gamma", ",".join(map(repr, gammas)), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "sweep.csv").read_text() == reference_sweep_csv(gammas)
+
+
+@st.composite
+def oam_windows(draw):
+    low = draw(st.integers(-40, 40))
+    return OamWindow(low, low + draw(st.one_of(st.just(0), st.integers(0, 60))))
+
+
+def value_columns(monkeypatch):
+    """Spy on joint_spectrum_to_csv: the type of each value column it hands the table writer."""
+    seen, write = [], spectrum_module.format_table
+
+    def spy(header, *columns):
+        seen.append(type(columns[-1]))
+        return write(header, *columns)
+
+    monkeypatch.setattr(spectrum_module, "format_table", spy)
+    return seen
+
+
+class TestJointCsvIndexedBySum:
+    @settings(max_examples=120, deadline=None)
+    @given(window_a=oam_windows(), window_b=oam_windows(), gamma=st.one_of(st.just(1.0), st.floats(1.0, 1e6)),
+           n_modes=st.integers(1, 7))
+    @example(window_a=OamWindow(3, 3), window_b=OamWindow(-20, 11), gamma=2.0, n_modes=1)  # 1 x N
+    @example(window_a=OamWindow(-20, 11), window_b=OamWindow(-4, -4), gamma=2.0, n_modes=3)  # N x 1
+    @example(window_a=OamWindow(0, 0), window_b=OamWindow(0, 0), gamma=1.0, n_modes=1)
+    @example(window_a=OamWindow(-5, 9), window_b=OamWindow(2, 40), gamma=1.0, n_modes=2)  # the delta spectrum
+    def test_bytes_equal_generic_path(self, window_a, window_b, gamma, n_modes):
+        spec = joint_spectrum(gamma, window_a, window_b, n_modes)
+        assert joint_spectrum_to_csv(spec) == generic_joint_csv(spec)
+
+    def test_joint_spectrum_takes_the_indexed_path(self, monkeypatch):
+        seen = value_columns(monkeypatch)
+        spec = joint_spectrum(7.0, OamWindow.symmetric(200), OamWindow.symmetric(200))
+        assert joint_spectrum_to_csv(spec) == generic_joint_csv(spec)
+        assert seen == [Indexed]
+
+    @pytest.mark.parametrize("case", ["not by sum", "signed zeros", "nan"])
+    def test_other_matrices_take_the_generic_path(self, monkeypatch, case):
+        windows = OamWindow(-4, 5), OamWindow(-6, 2)
+        values = joint_spectrum(3.0, *windows).values.copy()
+        if case == "not by sum":
+            values *= np.arange(1, 11)[:, None]
+        elif case == "signed zeros":
+            values[0, 1] = -0.0  # l_a + l_b = -9, beside the 0.0 at (1, 0) on the same anti-diagonal
+        else:
+            values[3, 3] = math.nan
+        spec = JointSpectrum(*windows, values=values, n_modes=1, gamma=3.0)
+        seen = value_columns(monkeypatch)
+        assert joint_spectrum_to_csv(spec) == generic_joint_csv(spec) == reference_joint_csv(spec)
+        assert seen == [np.ndarray]
 
 
 def write_counts_files(tmp_path, counts, body_lines=None):
