@@ -22,6 +22,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_GAMMA_BOUNDS = (1.0, 50.0)
 GRID_POINTS = 64
+_GRID_ROWS = 8  # coarse-grid rows per batched dot, which bounds its (rows, GRID_POINTS, cells) residuals
 GAMMA_TOL = 1e-6
 
 METHOD_M_SUM = "m_sum"
@@ -89,12 +90,11 @@ def _result(gamma: float, method: str, residual: float, conditional: Conditional
 
 def _msum_gammas(norm: np.ndarray, l_a: int, window: OamWindow) -> np.ndarray:
     """m_sum's gamma for each row of peak-normalised values at one l_a over one window."""
-    # each row's even cells, compacted into one contiguous array, take their own .sum(), as one slice's do
-    sums = [float(row.sum()) for row in norm.compress((l_a + window.indices()) % 2 == 0, axis=1)]
-    for m in sums:
-        if m < 1.0:
-            message = f"even-sum {m:.6g} fell below the physical floor 1; clamping gamma to 1"
-            warnings.warn(message, RuntimeWarning, stacklevel=3)
+    # each row's even cells, compacted into one contiguous row, summed along it with the bits of one slice's .sum()
+    sums = norm.compress((l_a + window.indices()) % 2 == 0, axis=1).sum(axis=1).tolist()
+    for m in (m for m in sums if m < 1.0):
+        message = f"even-sum {m:.6g} fell below the physical floor 1; clamping gamma to 1"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
     return np.array([1.0 if m < 1.0 else require_gamma(gamma_from_m(m)) for m in sums])
 
 
@@ -106,22 +106,22 @@ def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
 
 
 def _squared_residuals(norm, model):
-    """resid @ resid of each row of model against its row of norm, or against a 1-D norm."""
+    """resid @ resid along the last axis of norm - model: one batched dot, the same bits for any leading axes."""
     resid = norm - model
-    # one batched dot product, the same for any number of rows
-    return (resid[:, None, :] @ resid[:, :, None]).ravel()
+    return (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
 
 
 def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares gamma and residual of each row of peak-normalised values against one row of sums.
 
-    Equal weighting over all cells.  A coarse logarithmic grid over (lo, hi), one model matrix for
-    every row, locates each row's basin; then one golden-section search, on one exponent index,
-    narrows every row's minimiser below GAMMA_TOL at once.
+    Equal weighting over all cells.  A coarse logarithmic grid over (lo, hi), one model matrix for every row
+    and one batched dot for each block of _GRID_ROWS rows, locates each row's basin; then one golden-section
+    search, on one exponent index, narrows every row's minimiser below GAMMA_TOL at once.
     """
     grid = np.geomspace(lo, hi, GRID_POINTS)
     kernel = geometric_kernel(sums, grid[:, None])
-    best = np.array([np.argmin(_squared_residuals(row, kernel)) for row in norm], dtype=np.intp)
+    blocks = np.array_split(norm, range(_GRID_ROWS, len(norm), _GRID_ROWS))
+    best = np.concatenate([np.argmin(_squared_residuals(block[:, None], kernel), axis=1) for block in blocks])
     a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     index = _sum_index(sums)

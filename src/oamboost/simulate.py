@@ -45,9 +45,9 @@ _I32_OFFSET = 1 << 31
 
 # Largest Poisson mean numpy's Generator accepts.
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-# Draws in flight in the kernel; bounds its working arrays (a few hundred
-# bytes a draw) whatever the windows and numbers of seeds and gammas.
+# In-flight bounds: keys size each Philox pass; draws (a few hundred bytes each) bound memory whatever the gammas.
 _CELLS_IN_FLIGHT = 4096
+_DRAWS_IN_FLIGHT = 4 * _CELLS_IN_FLIGHT
 # Relative margin inside which a vectorised log/exp comparison is redrawn
 # with numpy's scalar generator; SIMD log/exp differ from libm by a few ulp.
 _LOG_TOL = 1e-12
@@ -299,11 +299,11 @@ def _draw_poisson(k: int, n_keys: int, key_means) -> np.ndarray:
     key_means(start, stop) returns the key0 and key1 arrays of keys start..stop-1 and their (k, stop - start)
     means lam.  Count (g, i) is np.random.Generator(np.random.Philox(key1[i] * 2**64 + key0[i])).poisson(lam[g, i]).
 
-    About _CELLS_IN_FLIGHT draws are in flight: keys (key words, next block) and their draws (output slot,
-    mean, the multiplication method's count and product, and for k > 1 their key's place).  Each pass
-    computes the next Philox block of every key once, for all its draws.  Finished draws leave, a key
-    leaves with its last one, and fresh keys take their places.  np.log/np.exp may differ from libm's
-    by a few ulp, so a draw whose accept/stop test lies that close to its threshold is redrawn by numpy.
+    Keys (key words, next block) and their draws (output slot, mean, the multiplication method's count and
+    product, and for k > 1 their key's place) board, one key at least, while under _CELLS_IN_FLIGHT keys and
+    _DRAWS_IN_FLIGHT draws are in flight.  Each pass computes every key's next Philox block once, for all its
+    draws.  Finished draws leave, a key with its last one, and fresh keys board.  np.log/np.exp may differ from
+    libm's by a few ulp, so a draw whose accept/stop test lies that close to its threshold is redrawn by numpy.
     """
     counts = np.zeros((k, n_keys), dtype=np.int64)
     keys = [np.empty(0, np.uint64) for _ in range(3)]
@@ -312,8 +312,9 @@ def _draw_poisson(k: int, n_keys: int, key_means) -> np.ndarray:
     start = 0
     while start < n_keys or draws[0].size:
         # _board and _draw_block free their arrays on return, so a pass holds none of the last one's
-        if draws[0].size < _CELLS_IN_FLIGHT and start < n_keys:
-            stop = min(start + max((_CELLS_IN_FLIGHT - draws[0].size) // k, 1), n_keys)
+        if keys[0].size < _CELLS_IN_FLIGHT and draws[0].size < _DRAWS_IN_FLIGHT and start < n_keys:
+            room = min(_CELLS_IN_FLIGHT - keys[0].size, (_DRAWS_IN_FLIGHT - draws[0].size) // k)
+            stop = min(start + max(room, 1), n_keys)
             keys, draws = _board(keys, draws, start, n_keys, *key_means(start, stop))
             start = stop
         keys, draws = _draw_block(keys, draws, counts.reshape(-1), redraw)

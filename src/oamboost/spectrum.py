@@ -311,12 +311,11 @@ def mode_count_empirical(conditional: ConditionalSlice) -> float:
 
 def _mode_counts(values: np.ndarray) -> np.ndarray:
     """mode_count_empirical of each row of a 2-D array of slice values, bit for bit."""
-    # a batched dot and one .sum() per row, which keep the bits of each slice's v @ v and v.sum()
+    # a batched dot and a sum along each C-ordered row keep the bits of each slice's v @ v and v.sum()
     sum_sq = (values[:, None, :] @ values[:, :, None]).ravel()
     if (sum_sq <= 0.0).any():
         raise ValueError("conditional slice has no positive entries")
-    totals = np.array([row.sum() for row in values])
-    return totals * totals / sum_sq
+    return values.sum(axis=1) ** 2 / sum_sq
 
 
 class SliceMoments(NamedTuple):

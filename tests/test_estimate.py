@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -428,6 +429,61 @@ class TestBatchedFit:
             estimate_gamma_fit(ConditionalSlice(l_a=l_a, window_b=window, values=values[position]))
 
 
+def row_loop_grid(norm, kernel):
+    """The coarse grid's residuals as computed before row blocks: one batched dot of every grid point a row."""
+    rows = []
+    for row in norm:
+        resid = row - kernel
+        rows.append((resid[:, None, :] @ resid[:, :, None]).ravel())
+    return np.array(rows)
+
+
+class TestBlockedGrid:
+    """_fit's coarse grid, in blocks of rows, against the per-row loop."""
+
+    # rows across the seams of 8-row blocks (1, 7, 8, 9, 17) and the experiment's 500, of counts at random gammas
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17, 500])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        window=st.integers(1, 60).flatmap(lambda w: st.tuples(st.integers(-w, w), st.just(OamWindow.symmetric(w)))),
+        bounds=st.floats(1.0, 49.0).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo + 0.01, 50.0))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(window=(0, OamWindow.symmetric(40)), bounds=(1.0, 50.0), seed=77)
+    def test_residuals_and_argmin_match_the_row_loop(self, rows, window, bounds, seed):
+        l_a, window = window
+        rng = np.random.default_rng(seed)
+        means = [1e3 * conditional_slice(l_a, window, g).values + 5.0 for g in rng.uniform(1.0, 60.0, rows)]
+        values = rng.poisson(means).astype(float)
+        values[:, window.index_of(-l_a)] += 1.0
+        norm = estimate._peak_normalised(values, l_a, window)
+        blocks, search = [], []
+        squared_residuals, kernel = estimate._squared_residuals, estimate.geometric_kernel
+
+        def residual_spy(norm, model):
+            result = squared_residuals(norm, model)
+            if norm.ndim == 3:  # a block of the coarse grid: (rows, 1, cells) against every grid point
+                blocks.append(result)
+            return result
+
+        def kernel_spy(s, gamma):
+            if isinstance(s, _SumIndex) and not search:  # c, the first search point of every row;
+                search.append(np.ravel(gamma).copy())  # a copy, as the search moves c in place
+            return kernel(s, gamma)
+
+        with mock.patch.object(estimate, "_squared_residuals", residual_spy):
+            with mock.patch.object(estimate, "geometric_kernel", kernel_spy):
+                estimate._fit(norm, l_a + window.indices(), *bounds)
+        grid = np.geomspace(*bounds, GRID_POINTS)
+        expected = row_loop_grid(norm, geometric_kernel(l_a + window.indices(), grid[:, None]))
+        step = estimate._GRID_ROWS
+        assert [len(block) for block in blocks] == [len(norm[i : i + step]) for i in range(0, rows, step)]
+        assert bits(np.concatenate(blocks)) == bits(expected)
+        best = np.array([np.argmin(row) for row in expected])
+        a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
+        assert bits(search[0]) == bits(b - estimate._INV_PHI * (b - a))
+
+
 class TestArrayPath:
     """_estimate_runs, the experiment's path: one normalised array per gamma, estimated as columns."""
 
@@ -467,6 +523,25 @@ class TestArrayPath:
         values = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1e7]])
         with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
             estimate._estimate_runs(values, 0, OamWindow(0, 2))
+
+    def test_floor_warnings_come_one_per_row_in_row_order(self):
+        # m_sum's warnings point at the caller of _estimate_runs, and every row's warning comes before
+        # the first row's error, as when the rows' even-sums were summed one at a time
+        window = OamWindow.symmetric(2)  # even cells at l_b = -2, 0, 2
+        values = np.array([[-0.5, 9.0, 1.0, 9.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0, -0.25]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m_sum = estimate._estimate_runs(values, 0, window)[0]
+        floor = "fell below the physical floor 1; clamping gamma to 1"
+        assert [str(w.message) for w in caught] == [f"even-sum 0.5 {floor}", f"even-sum 0.75 {floor}"]
+        assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
+        assert m_sum.tolist() == [1.0, gamma_from_m(1.5), 1.0]
+        values[1, 4] = 1e7
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
+                estimate._estimate_runs(values, 0, window)
+        assert len(caught) == 2
 
     def test_each_row_is_normalised_once(self, monkeypatch):
         calls = []

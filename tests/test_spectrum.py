@@ -579,6 +579,23 @@ class TestModeCount:
         singles = [mode_count_empirical(ConditionalSlice(l_a=0, window_b=window, values=v)) for v in values]
         assert bits(singles).tolist() == bits(expected).tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 300)),
+        step=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 3)]),
+        offset=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_axis_sum_is_each_rows_own_sum(self, shape, step, offset, seed):
+        # the m_sum bit rule: a sum along axis 1 of C-ordered rows, contiguous or strided, is each row's
+        # own .sum() bit for bit (_mode_counts' totals and _msum_gammas' even-cell sums rely on it)
+        rows, length = shape
+        rng = np.random.default_rng(seed)
+        size = (rows * step[0], length * step[1] + offset)
+        base = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)  # sums that depend on their order
+        values = base[:: step[0], offset :: step[1]][:, :length]
+        assert bits(values.sum(axis=1)).tolist() == bits([row.sum() for row in values]).tolist()
+
     @pytest.mark.parametrize("length", [81, 201])
     def test_experiment_sized_rows_keep_the_one_slice_bits(self, length):
         values = np.random.default_rng(length).poisson(40.0, (100, length)).astype(float)
