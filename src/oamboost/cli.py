@@ -22,7 +22,8 @@ from .estimate import (
     DEFAULT_GAMMA_BOUNDS,
     METHOD_LEAST_SQUARES,
     METHOD_M_SUM,
-    _estimate_runs,
+    _fit,
+    _msum_runs,
     batch_csv,
     check_gamma_bounds,
     estimate_gamma_fit,
@@ -385,27 +386,22 @@ def cmd_experiment(opts) -> int:
 
     window, mode = windows[1], None if subtract == "none" else subtract
     counts = None if model is None else _count_runs(gammas, windows, model, seeds)[:, :, 0]  # (gammas, runs, cells)
-    meas, resid, summary_rows = [], [], []
-    for i, gamma in enumerate(gammas):
+    per_gamma = []
+    for i, gamma in enumerate(gammas):  # every check and warning of one gamma comes before the next gamma's
         if model is None:
             values = np.tile(geometric_kernel(window.indices(), gamma), (runs, 1))
         else:  # each subtraction step is per cell or per row, so subtracting the stacked rows moves no bit
             values = _subtract(counts[i].astype(float), model, mode)
-        omegas = _mode_counts(values)
-        m_sum, fit, residual = _estimate_runs(values, 0, window, bounds)
-        # each run's m_sum row, then its least_squares row
-        meas.append(np.stack((m_sum, fit), axis=1).ravel())
-        resid.append(np.stack((np.zeros(runs), residual), axis=1).ravel())
-        frame = frame_from_gamma(float(np.mean(fit)))
+        per_gamma.append((np.mean(_mode_counts(values)), *_msum_runs(values, 0, window)))
+    omegas, norms, m_sums = zip(*per_gamma)
+    # one search for every gamma's rows: _fit is per row and raises nothing, so stacking them moves no bit
+    fit, residual = _fit(np.concatenate(norms), window.indices(), *bounds)
+    summary_rows = []
+    for gamma, omega, m_sum, fits in zip(gammas, omegas, m_sums, np.split(fit, len(gammas))):
+        frame = frame_from_gamma(float(np.mean(fits)))
         summary_rows.append(
-            {
-                "gamma_encoded": gamma,
-                "omega_empirical": float(np.mean(omegas)),
-                "gamma_meas_m_sum": float(np.mean(m_sum)),
-                "gamma_meas_least_squares": float(np.mean(fit)),
-                "eta": frame.rapidity,
-                "beta": frame.beta,
-            }
+            {"gamma_encoded": gamma, "omega_empirical": float(omega), "gamma_meas_m_sum": float(np.mean(m_sum)),
+             "gamma_meas_least_squares": frame.gamma, "eta": frame.rapidity, "beta": frame.beta}
         )
 
     keys = ("seed", "runs", "half_width", "noiseless", "subtract", "pair_rate", "accidental_rate", "integration")
@@ -413,7 +409,10 @@ def cmd_experiment(opts) -> int:
     out = Path(opts["out"])
     seed_column = np.tile(np.repeat(np.array(seeds, dtype=object), 2), len(gammas))
     methods = np.tile([METHOD_M_SUM, METHOD_LEAST_SQUARES], runs * len(gammas))
-    columns = seed_column, np.repeat(gammas, 2 * runs), np.concatenate(meas), methods, np.concatenate(resid)
+    # each run's m_sum row, then its least_squares row
+    meas = np.stack((np.concatenate(m_sums), fit), axis=1).ravel()
+    resid = np.stack((np.zeros_like(residual), residual), axis=1).ravel()
+    columns = seed_column, np.repeat(gammas, 2 * runs), meas, methods, resid
     _emit(out / "experiment_batch.csv", batch_csv(*columns))
     _emit(out / "experiment_summary.json", _json_text({"parameters": parameters, "results": summary_rows}))
     return EXIT_OK

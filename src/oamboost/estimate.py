@@ -144,15 +144,14 @@ def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.n
     return gammas, _squared_residuals(all_norm, geometric_kernel(index, gammas[:, None]))
 
 
-def _estimate_runs(values: np.ndarray, l_a: int, window: OamWindow, gamma_bounds=DEFAULT_GAMMA_BOUNDS):
-    """Columns (m_sum gamma, least-squares gamma, residual) of each row of slice values at one l_a over one window.
+def _msum_runs(values: np.ndarray, l_a: int, window: OamWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Peak-normalised rows of slice values at one l_a over one window, and m_sum's gamma of each row.
 
-    Bit for bit those of estimate_gamma_msum and estimate_gamma_fit on each row as a slice; each row is
-    peak-normalised once.
+    Each row is normalised once for both estimators: the rows go on to _fit, which, being per row, may take
+    them stacked with other such arrays.  Bit for bit estimate_gamma_msum on each row as a slice.
     """
-    lo, hi = check_gamma_bounds(gamma_bounds)
     norm = _peak_normalised(values, l_a, window)
-    return (_msum_gammas(norm, l_a, window), *_fit(norm, l_a + window.indices(), lo, hi))
+    return norm, _msum_gammas(norm, l_a, window)
 
 
 def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> FitResult:

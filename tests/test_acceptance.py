@@ -10,6 +10,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oamboost.estimate import estimate_gamma_fit, estimate_gamma_msum
 from oamboost.hologram import export_hologram, generate_hologram, grid_coordinates, winding_number
@@ -116,24 +118,69 @@ def test_criterion_07_noisy_end_to_end():
             assert hits >= 90, f"gamma={gamma}: only {hits}/100 within 5%"
 
 
+WINDOWS = st.tuples(st.integers(-30, 30), st.integers(0, 20)).map(lambda bounds: OamWindow(bounds[0], sum(bounds)))
+# cells (l_a, l_b) with |l_a|, |l_b| <= 30, made odd as the hand-picked draws were: l_b + 1 where the sum is even
+ODD_CELLS = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)).map(lambda c: (c[0], c[1] + 1 - (c[0] + c[1]) % 2)),
+    min_size=1,
+    max_size=25,
+)
+
+
+def drawn_odd_cells():
+    """The former hand-picked odd cells: 25 seeded draws from [-10, 10]^2 for each of 4 gammas, in draw order."""
+    rng = np.random.default_rng(2024)
+    cells = []
+    for _ in range(4):
+        drawn = [(int(rng.integers(-10, 11)), int(rng.integers(-10, 11))) for _ in range(25)]
+        cells.append([(l_a, l_b + 1 - (l_a + l_b) % 2) for l_a, l_b in drawn])
+    return cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_a=WINDOWS, window_b=WINDOWS, gamma=st.floats(1.0, 1e3))
+@example(window_a=OamWindow(-10, 10), window_b=OamWindow(-10, 10), gamma=1.0)
+@example(window_a=OamWindow(-10, 10), window_b=OamWindow(-10, 10), gamma=2.0)
+@example(window_a=OamWindow(-10, 10), window_b=OamWindow(-10, 10), gamma=5.0)
+@example(window_a=OamWindow(-10, 10), window_b=OamWindow(-10, 10), gamma=10.0)
+@example(window_a=OamWindow(-10, 10), window_b=OamWindow(-10, 10), gamma=20.0)
+def closed_form_odd_sums_vanish(window_a, window_b, gamma):
+    for l_a in window_a.indices().tolist():
+        for l_b in window_b.indices().tolist():
+            if (l_a + l_b) % 2 != 0:
+                assert joint_probability(l_a, l_b, gamma, 1) == 0.0
+
+
+QUADRATURE_CELLS = drawn_odd_cells()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1.0, 1e3), cells=ODD_CELLS)
+@example(gamma=1.0, cells=QUADRATURE_CELLS[0])
+@example(gamma=2.0, cells=QUADRATURE_CELLS[1])
+@example(gamma=5.0, cells=QUADRATURE_CELLS[2])
+@example(gamma=10.0, cells=QUADRATURE_CELLS[3])
+def quadrature_odd_sums_vanish(gamma, cells):
+    for l_a, l_b in cells:
+        assert joint_probability_quadrature(l_a, l_b, gamma, 1, 4096) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1.0, 1e3), cells=ODD_CELLS)
+@example(gamma=1.0, cells=[(0, l_b) for l_b in (-5, -3, -1, 1, 3, 5)])
+@example(gamma=2.0, cells=[(0, l_b) for l_b in (-5, -3, -1, 1, 3, 5)])
+@example(gamma=5.0, cells=[(0, l_b) for l_b in (-5, -3, -1, 1, 3, 5)])
+def spdc_oracle_odd_sums_vanish(gamma, cells):
+    for l_a, l_b in cells:
+        assert joint_probability_spdc_oracle(l_a, l_b, gamma) < 1e-9
+
+
 def test_criterion_08_parity_selection_rule():
+    # properties over windows, l_a and gamma, each run to its end inside the one budget
     with budget(8, 5.0, "odd sums: exact zeros closed form, < 1e-9 in both oracles"):
-        rng = np.random.default_rng(2024)
-        for gamma in (1.0, 2.0, 5.0, 10.0, 20.0):
-            for l_a in range(-10, 11):
-                for l_b in range(-10, 11):
-                    if (l_a + l_b) % 2 != 0:
-                        assert joint_probability(l_a, l_b, gamma, 1) == 0.0
-        for gamma in (1.0, 2.0, 5.0, 10.0):
-            for _ in range(25):
-                l_a = int(rng.integers(-10, 11))
-                l_b = int(rng.integers(-10, 11))
-                if (l_a + l_b) % 2 == 0:
-                    l_b += 1
-                assert joint_probability_quadrature(l_a, l_b, gamma, 1, 4096) < 1e-9
-        for gamma in (1.0, 2.0, 5.0):
-            for l_b in (-5, -3, -1, 1, 3, 5):
-                assert joint_probability_spdc_oracle(0, l_b, gamma) < 1e-9
+        closed_form_odd_sums_vanish()
+        quadrature_odd_sums_vanish()
+        spdc_oracle_odd_sums_vanish()
 
 
 def test_criterion_09_spdc_proportionality():

@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oamboost import cli
 from oamboost.cli import OPTION_TABLES, build_parser, main
 from oamboost.estimate import FitResult
 from oamboost.simulate import CountSpectrum, NoiseModel, simulate_counts
@@ -338,6 +340,19 @@ class TestExperimentCommand:
         for name in ("experiment_batch.csv", "experiment_summary.json"):
             assert (tmp_path / "guarded" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
+    @pytest.mark.parametrize("extra", [["--subtract", "both"], ["--noiseless"]])
+    def test_one_search_for_every_gamma(self, tmp_path, monkeypatch, extra):
+        calls, fit = [], cli._fit
+
+        def spy(norm, sums, lo, hi):
+            calls.append((norm.shape, sums.tolist(), lo, hi))
+            return fit(norm, sums, lo, hi)
+
+        monkeypatch.setattr(cli, "_fit", spy)
+        argv = ["experiment", "--gamma", "1,5,20", "--seed", "3", "--runs", "4", "--half-width", "12"]
+        assert main(argv + extra + ["--gamma-max", "30", "--out", str(tmp_path)]) == 0
+        assert calls == [((12, 25), list(range(-12, 13)), 1.0, 30.0)]
+
     def test_default_gamma_ladder(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "experiment_summary.json").read_text())
@@ -368,6 +383,33 @@ class TestExperimentCommand:
         assert "seed must lie in [0, 2**64), got 18446744073709551616" in capsys.readouterr().err
         assert not (tmp_path / "over").exists()
         assert main(args + ["--runs", "2", "--out", str(tmp_path / "top")]) == 0
+
+    @pytest.mark.parametrize(
+        ("gamma_zero", "message", "floor_warnings"),
+        [
+            # a zero peak beside positive cells: _mode_counts passes the row, _peak_normalised rejects it
+            ([[1, 2, 5, 2, 1], [1, 1, 0, 1, 1]],
+             "conditional slice peak at l_b = 0 in window [-2, 2] must be positive, got 0.0", []),
+            # an even-sum of 0 clamps with a warning, then one of 1e7 + 1 inverts past GAMMA_MAX
+            ([[-1, 0, 1, 0, 0], [0, 0, 1, 0, 10**7]], "gamma must be <= 1e+06, got 20000001.999999948", ["even-sum 0"]),
+        ],
+    )
+    def test_first_failing_gamma_decides_stderr(self, tmp_path, monkeypatch, capsys, gamma_zero, message,
+                                                 floor_warnings):
+        # gamma 1's all-zero row fails _mode_counts, yet gamma 0's fault is the one reported, as gamma by gamma
+        counts = np.array([gamma_zero, [[0, 0, 0, 0, 0], [1, 2, 5, 2, 1]]])[:, :, None, :]
+        monkeypatch.setattr(cli, "_count_runs", lambda *args: counts)
+        argv = ["experiment", "--gamma", "2,3", "--runs", "2", "--half-width", "2", "--subtract", "none"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        floor = " fell below the physical floor 1; clamping gamma to 1"
+        # m_sum's floor warning names the command's module, not the estimator's
+        assert [(str(w.message), w.category, w.filename) for w in caught] == [
+            (m + floor, RuntimeWarning, cli.__file__) for m in floor_warnings
+        ]
+        assert not list(tmp_path.iterdir())
 
 
 # Every option error: the command, and the text its message shows the bad value with.

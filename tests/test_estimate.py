@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oamboost import estimate
+from oamboost import cli, estimate
 from oamboost.estimate import (
     GAMMA_TOL,
     GRID_POINTS,
@@ -378,7 +378,7 @@ class TestBatchedFit:
         message = rf"value at l_b = -6 in window \[-9, 7\] must be finite, got {bad}"
         monkeypatch.setattr(estimate, "geometric_kernel", None)
         with pytest.raises(ValueError, match=message):
-            estimate._estimate_runs(values, l_a, window)
+            estimate._msum_runs(values, l_a, window)
         for estimator in (estimate_gamma_fit, estimate_gamma_msum):
             with pytest.raises(ValueError, match=message):
                 estimator(cond)
@@ -393,19 +393,24 @@ class TestBatchedFit:
     def test_row_of_one_is_the_single_fit(self):
         cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
         result = estimate_gamma_fit(cond, (1.0, 50.0))
-        _, fit, residual = estimate._estimate_runs(cond.values[None], -2, cond.window_b, (1.0, 50.0))
+        norm, _ = estimate._msum_runs(cond.values[None], -2, cond.window_b)
+        fit, residual = estimate._fit(norm, -2 + cond.window_b.indices(), 1.0, 50.0)
         assert bits([result.gamma_meas, result.residual]) == bits([fit[0], residual[0]])
 
     @pytest.mark.parametrize("bounds", [(0.5, 50.0), (2.0, 2.0), (1.0, math.inf), (1.0, math.nan), (5.0, 1.0)])
-    def test_argument_errors_come_before_any_kernel_work(self, monkeypatch, bounds):
+    def test_argument_errors_come_before_any_kernel_work(self, monkeypatch, capsys, tmp_path, bounds):
         values, l_a, window = noiseless_rows(0, OamWindow.symmetric(5), (2.0, 3.0))
 
-        def no_kernel(s, gamma):
+        def no_kernel(*args):
             raise AssertionError("the kernel ran before the arguments were checked")
 
-        monkeypatch.setattr(estimate, "geometric_kernel", no_kernel)
-        with pytest.raises(ValueError, match="gamma bounds"):
-            estimate._estimate_runs(values, l_a, window, bounds)
+        for module, name in ((estimate, "geometric_kernel"), (cli, "geometric_kernel"), (cli, "_count_runs")):
+            monkeypatch.setattr(module, name, no_kernel)
+        # the experiment's path checks its bounds before it draws, normalises or fits a row
+        for argv in (["--noiseless"], []):
+            flags = ["--gamma-min", str(bounds[0]), "--gamma-max", str(bounds[1]), "--out", str(tmp_path / "out")]
+            assert cli.main(["experiment", "--gamma", "2,3", "--half-width", "5", *argv, *flags]) == 2
+            assert "gamma bounds" in capsys.readouterr().err
         with pytest.raises(ValueError, match="gamma bounds"):
             estimate_gamma_fit(ConditionalSlice(l_a=l_a, window_b=window, values=values[0]), bounds)
 
@@ -424,7 +429,7 @@ class TestBatchedFit:
             values[position] = bad
         monkeypatch.setattr(estimate, "geometric_kernel", None)
         with pytest.raises(ValueError, match=message):
-            estimate._estimate_runs(values, l_a, window)
+            estimate._msum_runs(values, l_a, window)
         with pytest.raises(ValueError, match=message):
             estimate_gamma_fit(ConditionalSlice(l_a=l_a, window_b=window, values=values[position]))
 
@@ -484,8 +489,55 @@ class TestBlockedGrid:
         assert bits(search[0]) == bits(b - estimate._INV_PHI * (b - a))
 
 
+@st.composite
+def stacked_groups(draw):
+    """(l_a, window, groups): 1-8 arrays of 1-120 noisy rows each, every array drawn at its own gamma."""
+    half_width = draw(st.integers(1, 60))
+    l_a, window = draw(st.integers(-half_width, half_width)), OamWindow.symmetric(half_width)
+    sizes = draw(st.lists(st.integers(1, 120), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = []
+    for size in sizes:
+        means = 1e3 * conditional_slice(l_a, window, rng.uniform(1.0, 60.0)).values + 5.0
+        values = rng.poisson(means, (size, len(window))).astype(float)
+        values[:, window.index_of(-l_a)] += 1.0
+        groups.append(values)
+    return l_a, window, groups
+
+
+def noiseless_groups(l_a, window, gammas_by_group):
+    """(l_a, window, groups): one array of noiseless rows per list of gammas."""
+    return l_a, window, [noiseless_rows(l_a, window, gammas)[0] for gammas in gammas_by_group]
+
+
+class TestStackedSearch:
+    """_fit on the stacked rows of several arrays, as experiment runs it over all its gammas, against one _fit each."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        runs=stacked_groups(),
+        bounds=st.just((1.0, 50.0))
+        | st.floats(1.0, 49.0).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo + 0.01, 50.0))),
+    )
+    # brackets that close after different numbers of steps, in the same group and across groups
+    @example(runs=noiseless_groups(-2, OamWindow(-18, 22), [(45.0, 1.0), (2.0, 45.0)]), bounds=(1.0, 50.0))
+    # the experiment's noiseless defaults: 100 runs at each of 5 gammas over +-40
+    @example(
+        runs=noiseless_groups(0, OamWindow.symmetric(40), [[g] * 100 for g in (1.0, 2.0, 5.0, 10.0, 20.0)]),
+        bounds=(1.0, 50.0),
+    )
+    def test_stacked_fit_is_each_group_fit(self, runs, bounds):
+        l_a, window, groups = runs
+        norms = [estimate._peak_normalised(values, l_a, window) for values in groups]
+        sums = l_a + window.indices()
+        stacked = estimate._fit(np.concatenate(norms), sums, *bounds)
+        each = [estimate._fit(norm, sums, *bounds) for norm in norms]
+        for column, columns in zip(stacked, zip(*each)):  # gammas, then residuals
+            assert bits(column) == bits(np.concatenate(columns))
+
+
 class TestArrayPath:
-    """_estimate_runs, the experiment's path: one normalised array per gamma, estimated as columns."""
+    """_msum_runs then _fit, the experiment's path: one normalised array per gamma, estimated as columns."""
 
     @settings(max_examples=100, deadline=None)
     @given(runs=run_arrays(), bounds=BOUNDS)
@@ -498,8 +550,9 @@ class TestArrayPath:
         conds = [ConditionalSlice(l_a=l_a, window_b=window, values=row) for row in values]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # flat slices clamp m_sum at the floor
-            m_sum, fit, residual = estimate._estimate_runs(values, l_a, window, bounds)
+            norm, m_sum = estimate._msum_runs(values, l_a, window)
             msum_results = [estimate_gamma_msum(cond) for cond in conds]
+        fit, residual = estimate._fit(norm, l_a + window.indices(), *bounds)
         fits = [estimate_gamma_fit(cond, bounds) for cond in conds]
         assert bits(m_sum) == bits([r.gamma_meas for r in msum_results])
         assert bits(fit) == bits([r.gamma_meas for r in fits])
@@ -513,25 +566,25 @@ class TestArrayPath:
         values[position, 4] = np.nan
         values[3, 6] = 0.0
         with pytest.raises(ValueError, match=r"value at l_b = -2 in window \[-6, 6\] must be finite, got nan"):
-            estimate._estimate_runs(values, 0, window)
+            estimate._msum_runs(values, 0, window)
         values[position, 4] = 1.0
         with pytest.raises(ValueError, match=r"peak at l_b = 0 in window \[-6, 6\] must be positive, got 0\.0"):
-            estimate._estimate_runs(values, 0, window)
+            estimate._msum_runs(values, 0, window)
 
     def test_m_sum_beyond_gamma_max_raises(self):
         # as estimate_gamma_msum does: an even-sum of 1e7 inverts to gamma ~ 2e7
         values = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1e7]])
         with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
-            estimate._estimate_runs(values, 0, OamWindow(0, 2))
+            estimate._msum_runs(values, 0, OamWindow(0, 2))
 
     def test_floor_warnings_come_one_per_row_in_row_order(self):
-        # m_sum's warnings point at the caller of _estimate_runs, and every row's warning comes before
+        # m_sum's warnings point at the caller of _msum_runs, and every row's warning comes before
         # the first row's error, as when the rows' even-sums were summed one at a time
         window = OamWindow.symmetric(2)  # even cells at l_b = -2, 0, 2
         values = np.array([[-0.5, 9.0, 1.0, 9.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0, -0.25]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            m_sum = estimate._estimate_runs(values, 0, window)[0]
+            m_sum = estimate._msum_runs(values, 0, window)[1]
         floor = "fell below the physical floor 1; clamping gamma to 1"
         assert [str(w.message) for w in caught] == [f"even-sum 0.5 {floor}", f"even-sum 0.75 {floor}"]
         assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
@@ -540,7 +593,7 @@ class TestArrayPath:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
-                estimate._estimate_runs(values, 0, window)
+                estimate._msum_runs(values, 0, window)
         assert len(caught) == 2
 
     def test_each_row_is_normalised_once(self, monkeypatch):
@@ -553,7 +606,7 @@ class TestArrayPath:
 
         monkeypatch.setattr(estimate, "_peak_normalised", spy)
         values = np.array([conditional_slice(0, OamWindow.symmetric(10), g).values for g in (2.0, 3.0, 9.0)])
-        estimate._estimate_runs(values, 0, OamWindow.symmetric(10))
+        estimate._msum_runs(values, 0, OamWindow.symmetric(10))
         assert calls == [3]
 
 

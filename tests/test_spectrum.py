@@ -107,17 +107,47 @@ class TestJointProbability:
         assert joint_probability(3, 3, 1.0, 10) == 0.0
         assert joint_probability(0, 0, 1.0, 1) == 1.0
 
-    def test_even_sum(self):
-        assert joint_probability(0, 2, 3.0, 1) == pytest.approx(0.25, rel=1e-15)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        l_a=st.integers(-30, 30),
+        below=st.integers(0, 30),
+        above=st.integers(0, 30),
+        gamma=st.floats(1.0, 1e3),
+        n_modes=st.integers(1, 10),
+    )
+    @example(l_a=0, below=0, above=2, gamma=3.0, n_modes=1)  # joint_probability(0, 2, 3.0, 1) is 0.25
+    def test_even_sum(self, l_a, below, above, gamma, n_modes):
+        # a window about the peak l_b = -l_a: each even sum s is q**|s| / n_modes, and the row over the
+        # window plus the two geometric tails beyond it is the even-sum identity (gamma + 1/gamma) / 2
+        q = geometric_ratio(gamma)
+        row = [joint_probability(l_a, l_b, gamma, n_modes) for l_b in range(-l_a - below, -l_a + above + 1)]
+        for s, value in zip(range(-below, above + 1), row):
+            if s % 2 == 0:
+                assert value == pytest.approx(q ** abs(s) / n_modes, rel=1e-15)
 
-    def test_odd_sum_exact_zero(self):
-        assert joint_probability(0, 3, 5.0, 1) == 0.0
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            l_a = int(rng.integers(-30, 31))
-            l_b = int(rng.integers(-30, 31))
-            if (l_a + l_b) % 2 != 0:
-                assert joint_probability(l_a, l_b, 7.3, 4) == 0.0
+        def tail(edge):  # the even |s| beyond a window edge at |s| = edge
+            return q ** (2 * (edge // 2 + 1)) / (1.0 - q * q)
+
+        total = n_modes * math.fsum(row) + tail(below) + tail(above)
+        assert total == pytest.approx(measurement_sum(gamma), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        window_a=st.tuples(st.integers(-40, 40), st.integers(0, 20)).map(lambda b: OamWindow(b[0], sum(b))),
+        window_b=st.tuples(st.integers(-40, 40), st.integers(0, 20)).map(lambda b: OamWindow(b[0], sum(b))),
+        gamma=st.floats(1.0, 1e3),
+        n_modes=st.integers(1, 10),
+    )
+    @example(window_a=OamWindow(0, 0), window_b=OamWindow(3, 3), gamma=5.0, n_modes=1)
+    # every cell of the hand-picked draws from [-30, 30]^2
+    @example(window_a=OamWindow(-30, 30), window_b=OamWindow(-30, 30), gamma=7.3, n_modes=4)
+    def test_odd_sum_exact_zero(self, window_a, window_b, gamma, n_modes):
+        spectrum = joint_spectrum(gamma, window_a, window_b, n_modes)
+        for i, l_a in enumerate(window_a.indices().tolist()):
+            for j, l_b in enumerate(window_b.indices().tolist()):
+                if (l_a + l_b) % 2 != 0:
+                    assert joint_probability(l_a, l_b, gamma, n_modes) == 0.0
+                    assert spectrum.values[i, j] == 0.0
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
