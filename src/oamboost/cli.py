@@ -1,8 +1,15 @@
 """Command line front end emitting spectra, holograms, simulated counts and fits.
 
 Plot-data emission only: every command writes CSV/JSON/PGM files for
-external tooling.  All outputs are deterministic given the full flag set
-and carry their producing parameters in a header or JSON sidecar.
+external tooling, deterministic given the full flag set.  What each records
+of how it was made (ROADMAP item 3 plans the rest):
+- spectrum: gamma, n_modes and windows, in a .meta.json sidecar per CSV or
+  beside the values in each JSON; sweep: the gamma list, in its sidecar;
+- simulate: gamma, seed, rates and windows, in the counts' sidecar, though
+  the file name holds only gamma and seed;
+- estimate: fit_*.json holds l_a and the window, not the bounds, --subtract
+  or the counts file; experiment: every option, in its summary JSON;
+- hologram: l, gamma and the size, in the file name only; --extent is lost.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .estimate import (
     estimate_gamma_fit,
     estimate_gamma_msum,
 )
-from .hologram import export_hologram, generate_hologram, hologram_filename
+from .hologram import export_hologram, generate_hologram
 from .relativity import frame_from_gamma, require_gamma
 from .simulate import (
     SUBTRACT_MODES,
@@ -52,7 +59,6 @@ from .spectrum import (
     geometric_kernel,
     joint_spectrum,
     joint_spectrum_to_csv,
-    joint_spectrum_to_json_dict,
     measurement_sum,
     mode_count_closed,
 )
@@ -259,48 +265,28 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit(path: Path, data) -> None:
+def _emit(path: Path, data, meta=None) -> None:
+    """Write data to path, then meta, if given, as JSON to path's sidecar, and report each file on stdout."""
     _write_atomic(path, data)
     print(f"wrote {path}")
+    if meta is not None:
+        _emit(sidecar_path(path), _json_text(meta))
 
 
 def cmd_spectrum(opts) -> int:
     window = _library_check(OamWindow.symmetric, opts["half_width"])
     spec = _library_check(joint_spectrum, opts["gamma"], window, window, opts["n_modes"])
-    gamma, n_modes = spec.gamma, spec.n_modes
-    cond = conditional_slice(0, window, gamma)
-    out = Path(opts["out"])
-    tag = f"g{gamma:g}"
+    cond = conditional_slice(0, window, spec.gamma)
+    bounds = [window.l_min, window.l_max]
+    meta = {"gamma": spec.gamma, "n_modes": spec.n_modes, "window": {"a": bounds, "b": bounds}}
+    cond_meta = {"gamma": spec.gamma, "l_a": 0, "window": bounds}
+    out, tag = Path(opts["out"]), f"g{spec.gamma:g}"
     if opts["format"] == "csv":
-        _emit(out / f"spectrum_{tag}.csv", joint_spectrum_to_csv(spec))
-        _emit(
-            out / f"spectrum_{tag}.meta.json",
-            _json_text(
-                {
-                    "gamma": gamma,
-                    "n_modes": n_modes,
-                    "window": {"a": [window.l_min, window.l_max], "b": [window.l_min, window.l_max]},
-                }
-            ),
-        )
-        _emit(out / f"conditional_{tag}_la0.csv", format_table("l_b,value", window.indices(), cond.values))
-        _emit(
-            out / f"conditional_{tag}_la0.meta.json",
-            _json_text({"gamma": gamma, "l_a": 0, "window": [window.l_min, window.l_max]}),
-        )
+        _emit(out / f"spectrum_{tag}.csv", joint_spectrum_to_csv(spec), meta)
+        _emit(out / f"conditional_{tag}_la0.csv", format_table("l_b,value", window.indices(), cond.values), cond_meta)
     else:
-        _emit(out / f"spectrum_{tag}.json", _json_text(joint_spectrum_to_json_dict(spec)))
-        _emit(
-            out / f"conditional_{tag}_la0.json",
-            _json_text(
-                {
-                    "gamma": gamma,
-                    "l_a": 0,
-                    "window": [window.l_min, window.l_max],
-                    "values": [float(v) for v in cond.values],
-                }
-            ),
-        )
+        _emit(out / f"spectrum_{tag}.json", _json_text({**meta, "values": spec.values.tolist()}))
+        _emit(out / f"conditional_{tag}_la0.json", _json_text({**cond_meta, "values": cond.values.tolist()}))
     return EXIT_OK
 
 
@@ -314,9 +300,7 @@ def cmd_sweep(opts) -> int:
         [frame.rapidity for frame in frames],
         [frame.beta for frame in frames],
     )
-    out = Path(opts["out"])
-    _emit(out / "sweep.csv", format_table("gamma,omega_closed,m,eta,beta", *columns))
-    _emit(out / "sweep.meta.json", _json_text({"gamma": gammas}))
+    _emit(Path(opts["out"]) / "sweep.csv", format_table("gamma,omega_closed,m,eta,beta", *columns), {"gamma": gammas})
     return EXIT_OK
 
 
@@ -326,7 +310,7 @@ def cmd_hologram(opts) -> int:
         generate_hologram, opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"]
     )
     data = export_hologram(field, "pgm8" if fmt == "pgm" else "csv")
-    _emit(Path(opts["out"]) / hologram_filename(field, fmt), data)
+    _emit(Path(opts["out"]) / f"holo_l{field.l}_g{field.gamma:g}_{field.width}x{field.height}.{fmt}", data)
     return EXIT_OK
 
 
@@ -343,11 +327,8 @@ def cmd_simulate(opts) -> int:
     _library_check(check_stream_keys, windows, (opts["seed"],))
     _library_check(check_cells, *windows)
     counts = simulate_counts(gamma, windows, model, opts["seed"])
-    out = Path(opts["out"])
-    name = f"counts_g{gamma:g}_seed{opts['seed']}"
-    csv_file = out / f"{name}.csv"
-    _emit(csv_file, count_spectrum_to_csv(counts))
-    _emit(sidecar_path(csv_file), _json_text(count_spectrum_sidecar(counts)))
+    csv_file = Path(opts["out"]) / f"counts_g{gamma:g}_seed{opts['seed']}.csv"
+    _emit(csv_file, count_spectrum_to_csv(counts), count_spectrum_sidecar(counts))
     return EXIT_OK
 
 

@@ -47,15 +47,13 @@ def grid_coordinates(n: int, extent: float) -> np.ndarray:
     return (np.arange(n) - (n - 1) / 2.0) * (2.0 * extent / (n - 1))
 
 
-def _wrap(phase: np.ndarray, l: int | None = None) -> np.ndarray:
-    """numpy's float remainder by 2*pi in place, bit for bit: fmod, +2*pi below 0, -0.0 made +0.0.
+def _wrap(phase: np.ndarray, l: int) -> np.ndarray:
+    """numpy's float remainder by 2*pi in place, bit for bit, where |phase| <= |l|*pi: fmod, +2*pi below 0, -0 made +0.
 
-    For |phase| <= |l|*pi, fmod is |phase| less k*2*pi where it is at least k*2*pi, for k = 2**j down to 1:
-    each k*2*pi is exact and each difference is exact (Sterbenz), so the remainder is exact, -0.0 included.
+    fmod is |phase| less k*2*pi where it is at least k*2*pi, for k = 2**j down to 1: each k*2*pi is exact and
+    each difference is exact (Sterbenz), so the remainder is exact, -0.0 included.
     """
-    if l is None:
-        np.fmod(phase, TWO_PI, out=phase)
-    elif abs(l) > 1:
+    if abs(l) > 1:
         negative = np.signbit(phase)
         np.abs(phase, out=phase)
         k = 1 << (abs(l).bit_length() - 2)  # the largest power of two with 2k <= |l|
@@ -132,11 +130,6 @@ def export_hologram(field: HologramField, format: str) -> bytes:
     raise ValueError(f"unsupported hologram format {format!r}; expected one of {EXPORT_FORMATS}")
 
 
-def hologram_filename(field: HologramField, ext: str) -> str:
-    """File naming convention holo_l{l}_g{gamma}_{width}x{height}.{ext}."""
-    return f"holo_l{field.l}_g{field.gamma:g}_{field.width}x{field.height}.{ext}"
-
-
 def winding_number(l: int, gamma: float, samples: int = 3600) -> float:
     """Accumulated mask phase around the core divided by 2*pi; equals l for any gamma, or raises if undersampled."""
     gamma = require_gamma(gamma)
@@ -150,5 +143,5 @@ def winding_number(l: int, gamma: float, samples: int = 3600) -> float:
         need = int(np.ceil(1.000000001 * np.pi / np.arctan(np.tan(np.pi / 2 / max(1, abs(l))) / gamma)))
         raise ValueError(f"winding_number cannot resolve l = {l} at gamma = {gamma} with {samples} samples: "
                          f"a sampled mask-phase step reaches pi; {need} samples would suffice")
-    unwrapped = np.unwrap(_wrap(l * azimuth))
+    unwrapped = np.unwrap(_wrap(l * azimuth, l))  # atan2 lies in [-pi, pi], so |l * azimuth| <= |l| * pi
     return float((unwrapped[-1] - unwrapped[0]) / TWO_PI)

@@ -261,6 +261,7 @@ def _board(keys, draws, start, n_keys, key0, key1, lam):
     head, tail = np.flatnonzero(lam >= 10.0), np.flatnonzero((lam > 0.0) & (lam < 10.0))
     fresh = [np.arange(start, start + m), lam, np.zeros(lam.size, np.int64), np.ones(lam.size)]
     key_head, key_tail = head, tail  # k = 1: the keys keep their draws' order, so draw i reads key i
+    # k = 1 is kept apart: the keyed path made a one-gamma 201^2 _count_runs 18% slower (19 -> 22 ms, 6/6 pairs)
     if k > 1:  # a key with a draw boards behind the keys in flight, and each draw holds its key's place
         live = (lam > 0.0).reshape(k, m).any(axis=0)
         key_head, key_tail = [], np.flatnonzero(live)

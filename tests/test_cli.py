@@ -571,6 +571,28 @@ class TestConfigFile:
         assert (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["spectrum", "--gamma", "3", "--half-width", "2"],
+         ["spectrum_g3.csv", "spectrum_g3.meta.json", "conditional_g3_la0.csv", "conditional_g3_la0.meta.json"]),
+        (["spectrum", "--gamma", "3", "--half-width", "2", "--format", "json"],
+         ["spectrum_g3.json", "conditional_g3_la0.json"]),
+        (["sweep", "--gamma", "1,2.5"], ["sweep.csv", "sweep.meta.json"]),
+        (["simulate", "--gamma", "5", "--half-width", "2", "--seed", "7"],
+         ["counts_g5_seed7.csv", "counts_g5_seed7.meta.json"]),
+        (["hologram", "--l", "-2", "--gamma", "4", "--width", "8", "--height", "6"], ["holo_l-2_g4_8x6.pgm"]),
+        (["hologram", "--l", "3", "--gamma", "2.5", "--width", "5", "--height", "4", "--format", "csv"],
+         ["holo_l3_g2.5_5x4.csv"]),
+    ],
+)
+def test_stdout_names_each_file_in_write_order(tmp_path, capsys, argv, written):
+    # each table is reported before its sidecar, and nothing is written that stdout does not name
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "".join(f"wrote {tmp_path / name}\n" for name in written)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(written)
+
+
 @pytest.mark.parametrize("command", list(OPTION_TABLES))
 def test_every_option_has_help(command):
     subparsers = next(action for action in build_parser()._actions if action.dest == "command")

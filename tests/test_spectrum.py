@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import warnings
@@ -22,7 +21,6 @@ from oamboost.spectrum import (
     joint_probability_spdc_oracle,
     joint_spectrum,
     joint_spectrum_to_csv,
-    joint_spectrum_to_json_dict,
     measurement_sum,
     mode_count_closed,
     mode_count_empirical,
@@ -777,13 +775,3 @@ class TestSerialization:
         assert parsed[(0, 0)] == 1.0
         assert parsed[(1, 1)] == pytest.approx(0.25, rel=1e-15)
         assert parsed[(1, 0)] == 0.0
-
-    def test_json_dict(self):
-        spec = joint_spectrum(2.0, OamWindow(-2, 2), OamWindow(-2, 2), 3)
-        payload = joint_spectrum_to_json_dict(spec)
-        text = json.dumps(payload)
-        back = json.loads(text)
-        assert back["gamma"] == 2.0
-        assert back["n_modes"] == 3
-        assert back["window"] == {"a": [-2, 2], "b": [-2, 2]}
-        np.testing.assert_allclose(np.array(back["values"]), spec.values)
