@@ -36,7 +36,7 @@ from .estimate import (
     estimate_gamma_fit,
     estimate_gamma_msum,
 )
-from .hologram import export_hologram, generate_hologram
+from .hologram import _render, export_hologram, generate_hologram
 from .relativity import frame_from_gamma, require_gamma
 from .simulate import (
     SUBTRACT_MODES,
@@ -249,11 +249,10 @@ def _library_check(check, *args):
 
 def _write_atomic(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = data if isinstance(data, bytes) else data.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)  # a bytes-like buffer goes as it is
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -261,19 +260,15 @@ def _write_atomic(path: Path, data) -> None:
         raise
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _emit(path: Path, data, meta=None) -> None:
-    """Write data to path, then meta, if given, as JSON to path's sidecar, and report each file on stdout."""
-    _write_atomic(path, data)
+    """Write data (a dict as indented JSON) to path, then meta, if given, to its sidecar; report each file on stdout."""
+    _write_atomic(path, json.dumps(data, indent=2) + "\n" if isinstance(data, dict) else data)
     print(f"wrote {path}")
     if meta is not None:
-        _emit(sidecar_path(path), _json_text(meta))
+        _emit(sidecar_path(path), meta)
 
 
-def cmd_spectrum(opts) -> int:
+def cmd_spectrum(opts) -> None:
     window = _library_check(OamWindow.symmetric, opts["half_width"])
     spec = _library_check(joint_spectrum, opts["gamma"], window, window, opts["n_modes"])
     cond = conditional_slice(0, window, spec.gamma)
@@ -285,12 +280,11 @@ def cmd_spectrum(opts) -> int:
         _emit(out / f"spectrum_{tag}.csv", joint_spectrum_to_csv(spec), meta)
         _emit(out / f"conditional_{tag}_la0.csv", format_table("l_b,value", window.indices(), cond.values), cond_meta)
     else:
-        _emit(out / f"spectrum_{tag}.json", _json_text({**meta, "values": spec.values.tolist()}))
-        _emit(out / f"conditional_{tag}_la0.json", _json_text({**cond_meta, "values": cond.values.tolist()}))
-    return EXIT_OK
+        _emit(out / f"spectrum_{tag}.json", {**meta, "values": spec.values.tolist()})
+        _emit(out / f"conditional_{tag}_la0.json", {**cond_meta, "values": cond.values.tolist()})
 
 
-def cmd_sweep(opts) -> int:
+def cmd_sweep(opts) -> None:
     gammas = [_library_check(require_gamma, g) for g in opts["gamma"]]
     frames = [frame_from_gamma(gamma) for gamma in gammas]
     columns = (
@@ -301,24 +295,22 @@ def cmd_sweep(opts) -> int:
         [frame.beta for frame in frames],
     )
     _emit(Path(opts["out"]) / "sweep.csv", format_table("gamma,omega_closed,m,eta,beta", *columns), {"gamma": gammas})
-    return EXIT_OK
 
 
-def cmd_hologram(opts) -> int:
-    fmt = opts["format"]
-    field = _library_check(
-        generate_hologram, opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"]
-    )
-    data = export_hologram(field, "pgm8" if fmt == "pgm" else "csv")
-    _emit(Path(opts["out"]) / f"holo_l{field.l}_g{field.gamma:g}_{field.width}x{field.height}.{fmt}", data)
-    return EXIT_OK
+def cmd_hologram(opts) -> None:
+    fmt, args = opts["format"], (opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"])
+    if fmt == "pgm":  # the P5 buffer straight from row blocks of phase, with no float64 field
+        data = _library_check(_render, *args, True)
+    else:
+        data = export_hologram(_library_check(generate_hologram, *args), "csv")
+    _emit(Path(opts["out"]) / f"holo_l{opts['l']}_g{opts['gamma']:g}_{opts['width']}x{opts['height']}.{fmt}", data)
 
 
 def _noise_model(opts) -> NoiseModel:
     return _library_check(NoiseModel, opts["pair_rate"], opts["accidental_rate"], opts["integration"])
 
 
-def cmd_simulate(opts) -> int:
+def cmd_simulate(opts) -> None:
     gamma = _library_check(require_gamma, opts["gamma"])
     half_width = opts["half_width"]
     half_width_a = half_width if opts["half_width_a"] is None else opts["half_width_a"]
@@ -329,10 +321,9 @@ def cmd_simulate(opts) -> int:
     counts = simulate_counts(gamma, windows, model, opts["seed"])
     csv_file = Path(opts["out"]) / f"counts_g{gamma:g}_seed{opts['seed']}.csv"
     _emit(csv_file, count_spectrum_to_csv(counts), count_spectrum_sidecar(counts))
-    return EXIT_OK
 
 
-def cmd_estimate(opts) -> int:
+def cmd_estimate(opts) -> None:
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     counts_file = Path(opts["counts"])
     if not counts_file.exists():
@@ -347,16 +338,14 @@ def cmd_estimate(opts) -> int:
     cond = counts_conditional(counts, opts["l_a"], None if subtract == "none" else subtract)
     out = Path(opts["out"])
     if opts["method"] in ("m_sum", "both"):
-        _emit(out / "fit_m_sum.json", _json_text(estimate_gamma_msum(cond).to_dict()))
+        _emit(out / "fit_m_sum.json", estimate_gamma_msum(cond).to_dict())
     if opts["method"] in ("least_squares", "both"):
-        _emit(out / "fit_least_squares.json", _json_text(estimate_gamma_fit(cond, bounds).to_dict()))
-    return EXIT_OK
+        _emit(out / "fit_least_squares.json", estimate_gamma_fit(cond, bounds).to_dict())
 
 
-def cmd_experiment(opts) -> int:
+def cmd_experiment(opts) -> None:
     gammas = [_library_check(require_gamma, g) for g in opts["gamma"]]
-    half_width = opts["half_width"]
-    windows = (OamWindow(0, 0), _library_check(OamWindow.symmetric, half_width))
+    windows = (OamWindow(0, 0), _library_check(OamWindow.symmetric, opts["half_width"]))
     runs, subtract = opts["runs"], opts["subtract"]
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     model = None if opts["noiseless"] else _noise_model(opts)
@@ -395,8 +384,7 @@ def cmd_experiment(opts) -> int:
     resid = np.stack((np.zeros_like(residual), residual), axis=1).ravel()
     columns = seed_column, np.repeat(gammas, 2 * runs), meas, methods, resid
     _emit(out / "experiment_batch.csv", batch_csv(*columns))
-    _emit(out / "experiment_summary.json", _json_text({"parameters": parameters, "results": summary_rows}))
-    return EXIT_OK
+    _emit(out / "experiment_summary.json", {"parameters": parameters, "results": summary_rows})
 
 
 COMMANDS = {
@@ -431,13 +419,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve_options(args.command, args)
-        return COMMANDS[args.command](opts)
-    except UsageError as exc:
+        COMMANDS[args.command](opts)
+    except Exception as exc:  # noqa: BLE001 - a usage error exits 2, any other failure 1
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

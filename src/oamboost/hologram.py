@@ -17,8 +17,6 @@ from .spectrum import _require_index
 DEFAULT_SIZE = 512
 DEFAULT_EXTENT = 1.0
 
-EXPORT_FORMATS = ("pgm8", "csv")
-
 MAX_PIXELS = 8192 * 8192  # 512 MB of float64; width * height is checked before any allocation
 _BLOCK_CELLS = 1 << 16  # cells in a row block of generation and export: 32 rows at 2048 wide
 
@@ -65,14 +63,24 @@ def _wrap(phase: np.ndarray, l: int) -> np.ndarray:
     return np.add(phase, 0.0, out=phase)
 
 
-def generate_hologram(
-    l: int,
-    gamma: float,
-    width: int = DEFAULT_SIZE,
-    height: int = DEFAULT_SIZE,
-    extent: float = DEFAULT_EXTENT,
-) -> HologramField:
-    """Sample the contracted vortex phase l * atan2(gamma*y, x) over the grid.
+def _p5(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """A binary P5 buffer (maxval 255) with its header written, and the (height, width) view of its pixels."""
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    buf = np.empty(len(header) + width * height, dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    return buf, buf[len(header) :].reshape(height, width)
+
+
+def _quantise(phase: np.ndarray, scratch: np.ndarray, pixels: np.ndarray) -> None:
+    """pixels = round(phase / 2*pi * 255), halves away from zero, scaled in float64 scratch (phase itself allowed)."""
+    scaled = np.divide(phase, TWO_PI, out=scratch[: len(phase)])
+    scaled *= 255.0
+    scaled += 0.5  # phase < 2*pi, so the scaled value never reaches 256
+    pixels[...] = scaled  # scaled >= 0.5, so the cast's truncation is floor
+
+
+def _render(l, gamma, width, height, extent, pgm: bool) -> HologramField | np.ndarray:
+    """After the checks, generate_hologram's field or, with pgm, a P5 buffer of its pgm8 bytes, one row block at a time.
 
     Even sizes place the vortex core between pixels; for odd sizes the centre pixel uses atan2(0, 0) = 0.  Only rows
     where l * atan2 >= 0 are computed: y[::-1] == -y and atan2 is odd in y, bit for bit, so each other row is 2*pi - r
@@ -87,21 +95,41 @@ def generate_hologram(
     if width * height > MAX_PIXELS:
         raise ValueError(f"width x height must be at most {MAX_PIXELS} pixels, got {width}x{height}")
     extent = float(extent)
-    if not 0.0 < extent < np.inf:
-        raise ValueError(f"extent must be positive and finite, got {extent}")
+    if not (0.0 < extent and gamma * ((height - 1) / 2.0 * (2.0 * extent / (height - 1))) < np.inf):  # gamma * last y
+        raise ValueError(f"extent must be positive and finite, got {extent}; 2*extent, gamma*extent (gamma {gamma})")
     x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)
-    phase, half = np.empty((height, width)), height // 2
-    rows, y = (phase, y) if l >= 0 else (phase[::-1], y[::-1])  # l * atan2 >= 0 from row half on
-    step = max(1, _BLOCK_CELLS // width)
+    half, step = height // 2, max(1, _BLOCK_CELLS // width)
+    if pgm:
+        out, pixels = _p5(width, height)
+        scratch = np.empty((2, min(step, height - half), width))  # a block and its mirror, quantised in place
+    else:
+        out = pixels = np.empty((height, width))
+    rows, y = (pixels, y) if l >= 0 else (pixels[::-1], y[::-1])  # l * atan2 >= 0 from row half on
     for start in range(half, height, step):
-        block = np.arctan2(gamma * y[start : start + step, None], x, out=rows[start : start + step])
+        stop = min(start + step, height)
+        mirrored = slice(max(start, height - half), stop)  # not an odd height's centre row
+        block, mirror = (scratch[0], scratch[1]) if pgm else (rows[start:stop], rows[::-1][mirrored])
+        block = np.arctan2(gamma * y[start:stop, None], x, out=block[: stop - start])
         block *= l
         _wrap(block, l)  # |l * atan2| <= |l| * pi bounds the remainder's steps
         block[block >= TWO_PI] = 0.0
-        mirrored = slice(max(start, height - half), start + step)  # not an odd height's centre row
-        block = np.subtract(TWO_PI, rows[mirrored], out=rows[::-1][mirrored])
-        block[block >= TWO_PI] = 0.0
-    return HologramField(width=width, height=height, extent=extent, l=l, gamma=gamma, phase=phase)
+        mirror = np.subtract(TWO_PI, block[mirrored.start - start :], out=mirror[: stop - mirrored.start])
+        mirror[mirror >= TWO_PI] = 0.0
+        if pgm:
+            _quantise(block, block, rows[start:stop])
+            _quantise(mirror, mirror, rows[::-1][mirrored])
+    return out if pgm else HologramField(width=width, height=height, extent=extent, l=l, gamma=gamma, phase=out)
+
+
+def generate_hologram(
+    l: int,
+    gamma: float,
+    width: int = DEFAULT_SIZE,
+    height: int = DEFAULT_SIZE,
+    extent: float = DEFAULT_EXTENT,
+) -> HologramField:
+    """Sample the contracted vortex phase l * atan2(gamma*y, x), wrapped to [0, 2*pi), over the grid."""
+    return _render(l, gamma, width, height, extent, pgm=False)
 
 
 def export_hologram(field: HologramField, format: str) -> bytes:
@@ -112,22 +140,16 @@ def export_hologram(field: HologramField, format: str) -> bytes:
     per pixel row, 17 significant digits.
     """
     if format == "pgm8":
-        header = f"P5\n{field.width} {field.height}\n255\n".encode("ascii")
-        buf = np.empty(len(header) + field.phase.size, dtype=np.uint8)
-        buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-        pixels = buf[len(header) :].reshape(field.phase.shape)
+        buf, pixels = _p5(field.width, field.height)
         step = max(1, _BLOCK_CELLS // field.width)
-        scaled = np.empty((min(step, field.height), field.width))
+        scratch = np.empty((min(step, field.height), field.width))
         for start in range(0, field.height, step):
-            block = np.divide(field.phase[start : start + step], TWO_PI, out=scaled[: field.height - start])
-            block *= 255.0
-            block += 0.5  # phase < 2*pi, so the scaled value never reaches 256
-            pixels[start : start + step] = block  # block >= 0.5, so the cast's truncation is floor
+            _quantise(field.phase[start : start + step], scratch, pixels[start : start + step])
         return buf.tobytes()
     if format == "csv":
         lines = [",".join(f"{v:.17g}" for v in row) for row in field.phase]
         return ("\n".join(lines) + "\n").encode("ascii")
-    raise ValueError(f"unsupported hologram format {format!r}; expected one of {EXPORT_FORMATS}")
+    raise ValueError(f"unsupported hologram format {format!r}; expected one of ('pgm8', 'csv')")
 
 
 def winding_number(l: int, gamma: float, samples: int = 3600) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -393,15 +393,8 @@ def count_spectrum_sidecar(counts: CountSpectrum) -> dict:
     return {
         "gamma_encoded": counts.gamma_encoded,
         "seed": counts.seed,
-        "model": {
-            "pair_rate": counts.model.pair_rate,
-            "accidental_rate": counts.model.accidental_rate,
-            "integration": counts.model.integration,
-        },
-        "windows": {
-            "a": [counts.window_a.l_min, counts.window_a.l_max],
-            "b": [counts.window_b.l_min, counts.window_b.l_max],
-        },
+        "model": asdict(counts.model),
+        "windows": {side: [w.l_min, w.l_max] for side, w in zip("ab", (counts.window_a, counts.window_b))},
     }
 
 

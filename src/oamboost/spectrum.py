@@ -235,8 +235,8 @@ def _azimuth_grid(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b) -> tuple[int, np.ndarray, np.ndarray]:
-    """Checked node count, cos(phi_k)**2 and exp(-1j*s*phi_k) as cached unit roots at exact angles.
+def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b, gamma: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Checked node count, shear (gamma**2 - 1)*cos(phi_k)**2 + 1 and exp(-1j*s*phi_k) as unit roots at exact angles.
 
     s = l_a + l_b.  The trapezoid rule cannot tell s from s - nodes, so nodes must exceed 2*|s|.
     """
@@ -245,7 +245,7 @@ def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b) -> tuple[int, np.ndar
     if 2 * abs(s) >= nodes:
         raise ValueError(f"{name} = {nodes} cannot resolve l_a + l_b = {s}: it needs {name} >= {2 * abs(s) + 1}")
     k, cos2, roots = _azimuth_grid(nodes)
-    return nodes, cos2, roots[(s * k) % nodes]
+    return nodes, (gamma * gamma - 1.0) * cos2 + 1.0, roots[(s * k) % nodes]
 
 
 def joint_probability_quadrature(
@@ -258,8 +258,8 @@ def joint_probability_quadrature(
     """
     gamma = require_gamma(gamma)
     n = _require_index("n_modes", n_modes, 1)
-    panels, cos2, phases = _azimuth_nodes("panels", panels, 64, l_a, l_b)
-    total = phases @ (gamma / ((gamma * gamma - 1.0) * cos2 + 1.0))
+    panels, shear, phases = _azimuth_nodes("panels", panels, 64, l_a, l_b, gamma)
+    total = phases @ (gamma / shear)
     return float(abs(total) ** 2 / (panels * panels * n))
 
 
@@ -278,8 +278,7 @@ def joint_probability_spdc_oracle(
     radial_cutoff = float(radial_cutoff)
     if not radial_cutoff > 0.0:
         raise ValueError(f"radial_cutoff must be positive, got {radial_cutoff}")
-    grid, cos2, phases = _azimuth_nodes("grid", grid, 256, l_a, l_b)
-    shear = (gamma * gamma - 1.0) * cos2 + 1.0
+    grid, shear, phases = _azimuth_nodes("grid", grid, 256, l_a, l_b, gamma)
     radial = -np.expm1(-shear * (radial_cutoff * radial_cutoff)) / (2.0 * shear)
     return float(abs(phases @ radial * (TWO_PI / grid)) ** 2)
 

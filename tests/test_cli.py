@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oamboost import cli
+from oamboost import cli, hologram
 from oamboost.cli import OPTION_TABLES, build_parser, main
 from oamboost.estimate import FitResult
+from oamboost.hologram import export_hologram, generate_hologram
 from oamboost.simulate import CountSpectrum, NoiseModel, simulate_counts
 from oamboost.spectrum import ConditionalSlice, OamWindow
 
@@ -128,6 +129,55 @@ class TestHologramCommand:
         assert code == 2
         assert "at most 67108864 pixels, got 1000000x1000000" in capsys.readouterr().err
         assert peak < 1 << 20
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pgm_never_builds_a_field(self, tmp_path, monkeypatch):
+        def no_field(*args, **kwargs):
+            raise AssertionError("a float64 field was built")
+
+        expected = export_hologram(generate_hologram(-7, 3.0, width=2048, height=131), "pgm8")
+        for module in (cli, hologram):
+            monkeypatch.setattr(module, "generate_hologram", no_field)
+        monkeypatch.setattr(hologram, "HologramField", no_field)
+        argv = ["hologram", "--l", "-7", "--gamma", "3", "--width", "2048", "--height", "131", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "holo_l-7_g3_2048x131.pgm").read_bytes() == expected
+
+    def test_pgm_holds_one_byte_per_pixel(self, tmp_path):
+        # the PGM buffer goes to the file as it is: no float64 field (8 MB here) and no copy of the buffer (1 MB)
+        size, rows = 1000, hologram._BLOCK_CELLS // 1000
+        main(["hologram", "--l", "3", "--gamma", "5", "--width", "8", "--height", "8", "--out", str(tmp_path)])
+        tracemalloc.start()
+        try:
+            code = main(["hologram", "--l", "3", "--gamma", "5", "--width", "1000", "--height", "1000",
+                         "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        expected = export_hologram(generate_hologram(3, 5.0, width=size, height=size), "pgm8")
+        assert (tmp_path / "holo_l3_g5_1000x1000.pgm").read_bytes() == expected
+        assert peak <= size * size + 3 * rows * size * 8
+
+    def test_a_buffer_is_written_without_a_copy(self, tmp_path):
+        buf = (np.arange(1 << 22) % 251).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            cli._write_atomic(tmp_path / "buf.pgm", buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "buf.pgm").read_bytes() == buf.tobytes()
+        assert peak < buf.nbytes // 4  # a bytes copy of the 4 MB buffer would show here
+
+    @pytest.mark.parametrize("fmt", ["pgm", "csv"])
+    @pytest.mark.parametrize(("gamma", "extent"), [("1e6", "9e307"), ("1e6", "1e303"), ("1", "9e307")])
+    def test_extent_whose_grid_overflows_exits_2(self, tmp_path, capsys, fmt, gamma, extent):
+        # the former code wrote a mask off by up to 3.93 rad at 9e307, and warned of overflow at 1e303
+        argv = ["hologram", "--l", "3", "--gamma", gamma, "--width", "8", "--height", "8", "--extent", extent]
+        assert main(argv + ["--format", fmt, "--out", str(tmp_path)]) == 2
+        shown = f"got {float(extent)}; 2*extent, gamma*extent (gamma {float(gamma)})"
+        assert capsys.readouterr().err == f"error: extent must be positive and finite, {shown}\n"
         assert list(tmp_path.iterdir()) == []
 
 

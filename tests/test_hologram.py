@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +163,37 @@ class TestGenerateHologram:
         with pytest.raises(ValueError, match="extent must be positive and finite, got inf"):
             generate_hologram(1, 2.0, width=4, height=4, extent=math.inf)
 
+    @pytest.mark.parametrize(("gamma", "extent"), [(1e6, 9e307), (1e6, 1e303), (1.0, 9e307)])
+    def test_extent_whose_grid_overflows_raises(self, gamma, extent):
+        # the former code wrote a mask off by up to 3.93 rad at 9e307, and warned of overflow at 1e303
+        message = f"extent must be positive and finite, got {extent}; 2*extent, gamma*extent (gamma {gamma})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_hologram(3, gamma, width=8, height=8, extent=extent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        height=st.integers(2, 40),
+        l=st.integers(-5, 5),
+        gamma=st.one_of(st.just(1.0), st.just(1e6), st.floats(1.0, 1e6)),
+        scale=st.floats(0.25, 4.0),
+    )
+    @example(height=8, l=3, gamma=1e6, scale=1.0)
+    @example(height=8, l=3, gamma=1.0, scale=1.0)
+    @example(height=2, l=-1, gamma=1.5, scale=1.0)
+    def test_rejects_exactly_the_extents_whose_grid_overflows(self, height, l, gamma, scale):
+        # about scale = 1 lies the limit of 2*extent (gamma < 2) or of gamma*extent; width 7 puts x = 0 on the grid
+        extent = min(sys.float_info.max, sys.float_info.max / max(2.0, gamma) * scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflows = not np.isfinite(gamma * grid_coordinates(height, extent)).all()
+        if overflows:
+            with pytest.raises(ValueError, match=re.escape(f"got {extent}; 2*extent, gamma*extent (gamma {gamma})")):
+                generate_hologram(l, gamma, width=7, height=height, extent=extent)
+        else:
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                field = generate_hologram(l, gamma, width=7, height=height, extent=extent)
+            assert field.phase.tobytes() == reference_phase(l, gamma, 7, height, extent).tobytes()
+
     @pytest.mark.parametrize(
         ("args", "message"),
         [
@@ -218,6 +251,32 @@ class TestSameBitsAsWholeArray:
         expected = parse_pgm(reference_pgm(reference_phase(l, gamma, width, height, hologram.DEFAULT_EXTENT)))
         assert pixels.shape == expected.shape == (height, width)
         assert pixels.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=block_shapes(),
+        l=st.integers(-12, 12),
+        gamma=st.one_of(st.just(1.0), st.floats(1.0, 1e6)),
+        extent=st.floats(0.01, 10.0),
+    )
+    @example(shape=(2, 2), l=0, gamma=1.0, extent=1.0)
+    # block seams: 130 rows at 2048 wide cross four, and 2 blocks + 1 row puts the last block at one row
+    @example(shape=(2048, 130), l=5, gamma=7.0, extent=1.0)
+    @example(shape=(5, 2 * (hologram._BLOCK_CELLS // 5) + 1), l=3, gamma=1e6, extent=0.01)
+    # odd heights, whose centre row has no mirror, at negative l, which computes the rows with y <= 0
+    @example(shape=(2048, 131), l=-7, gamma=3.0, extent=1.0)
+    @example(shape=(2049, 2 * (hologram._BLOCK_CELLS // 2049) + 1), l=-1, gamma=1.0, extent=1.0)
+    @example(shape=(511, 3 * (hologram._BLOCK_CELLS // 511) - 1), l=-12, gamma=11.0, extent=3.0)
+    @example(shape=(3, 3), l=-2, gamma=2.0, extent=1.0)
+    # wider than a block: one row per block, so the centre row's block mirrors no row
+    @example(shape=(hologram._BLOCK_CELLS + 1, 3), l=-2, gamma=5.0, extent=1.0)
+    def test_streamed_pgm_bytes(self, shape, l, gamma, extent):
+        width, height = shape
+        streamed = hologram._render(l, gamma, width, height, extent, pgm=True)
+        expected = reference_pgm(reference_phase(l, gamma, width, height, extent))
+        assert streamed.dtype == np.uint8 and streamed.shape == (len(expected),)
+        assert streamed.tobytes() == expected
+        assert export_hologram(generate_hologram(l, gamma, width, height, extent), "pgm8") == expected
 
     def test_pgm_of_any_field_phase(self):
         # a hand-built field quantises as the whole-array formula, also just below 2*pi and at rounding halves
@@ -300,6 +359,19 @@ class TestMemoryBudget:
         assert generate_peak <= 1.25 * field.phase.nbytes
         assert export_peak <= 0.6 * field.phase.nbytes
 
+    def test_streamed_pgm_peak(self):
+        size, rows = 1000, hologram._BLOCK_CELLS // 1000
+        tracemalloc.start()
+        try:
+            buf = hologram._render(3, 5.0, size, size, 1.0, pgm=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buf.nbytes == len(b"P5\n1000 1000\n255\n") + size * size
+        # one byte per pixel plus two float64 scratch row blocks (and one block's masks), well under one float field
+        assert peak <= size * size + 3 * rows * size * 8
+        assert peak <= 0.35 * size * size * 8
+
     def test_size_cap_comes_before_any_allocation(self, monkeypatch):
         def no_grid(n, extent):
             raise AssertionError("the grid was built")
@@ -310,6 +382,19 @@ class TestMemoryBudget:
         # 8192 x 8192 itself passes the cap and reaches the grid
         with pytest.raises(AssertionError, match="the grid was built"):
             generate_hologram(1, 2.0, width=8192, height=8192)
+        # the streamed PGM checks the size and the grid's overflow first too, and allocates nothing before the grid
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 67108864 pixels, got 8193x8192"):
+                hologram._render(1, 2.0, 8193, 8192, 1.0, pgm=True)
+            with pytest.raises(ValueError, match=re.escape("got 9e+307; 2*extent, gamma*extent (gamma 1000000.0)")):
+                hologram._render(3, 1e6, 8192, 8192, 9e307, pgm=True)
+            with pytest.raises(AssertionError, match="the grid was built"):
+                hologram._render(1, 2.0, 8192, 8192, 1.0, pgm=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWinding:
