@@ -50,9 +50,7 @@ def gamma_from_m(m: float) -> float:
     """Invert the even-sum measurement total: gamma = m + sqrt(m^2 - 1)."""
     m = float(m)
     if not math.isfinite(m) or m < 1.0:
-        raise ValueError(
-            f"measurement sum must be >= 1, got {m}; values below 1 indicate an over-subtracted spectrum"
-        )
+        raise ValueError(f"measurement sum must be >= 1, got {m}; values below 1 indicate an over-subtracted spectrum")
     return m + math.sqrt(m * m - 1.0)
 
 

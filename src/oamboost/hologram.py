@@ -122,11 +122,7 @@ def _render(l, gamma, width, height, extent, pgm: bool) -> HologramField | np.nd
 
 
 def generate_hologram(
-    l: int,
-    gamma: float,
-    width: int = DEFAULT_SIZE,
-    height: int = DEFAULT_SIZE,
-    extent: float = DEFAULT_EXTENT,
+    l: int, gamma: float, width: int = DEFAULT_SIZE, height: int = DEFAULT_SIZE, extent: float = DEFAULT_EXTENT
 ) -> HologramField:
     """Sample the contracted vortex phase l * atan2(gamma*y, x), wrapped to [0, 2*pi), over the grid."""
     return _render(l, gamma, width, height, extent, pgm=False)

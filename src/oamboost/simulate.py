@@ -134,9 +134,7 @@ def check_stream_keys(windows, seeds) -> None:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     for name, window in zip(("l_a", "l_b"), windows):
         if window.l_min < -_I32_OFFSET or window.l_max >= _I32_OFFSET:
-            raise ValueError(
-                f"{name} window [{window.l_min}, {window.l_max}] must lie in [-2**31, 2**31)"
-            )
+            raise ValueError(f"{name} window [{window.l_min}, {window.l_max}] must lie in [-2**31, 2**31)")
 
 
 def _mulhilo(m, m_lo, m_hi, x):

@@ -22,7 +22,6 @@ import numpy as np
 from ._table import Indexed, format_table
 from .relativity import TWO_PI, require_gamma
 
-DEFAULT_PANELS = 4096
 MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
 MAX_NODES = 1 << 20  # azimuth nodes of an oracle; its cached table costs 32 B a node
 
@@ -228,8 +227,9 @@ def joint_spectrum(gamma: float, window_a: OamWindow, window_b: OamWindow, n_mod
 def _azimuth_grid(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node numbers k, cos(phi_k)**2 and exp(-1j*phi_k) at phi_k = 2*pi*k/points, built once per count."""
     k = np.arange(points)
-    phi = k * (TWO_PI / points)
-    tables = k, np.cos(phi) ** 2, np.exp(-1j * phi)
+    j = (2 * points - 4 * k) % (2 * points) - points  # cos(phi_k) = +-sin(pi*j/(2*points)), j in [-points, points):
+    # its rounding stays relative where it vanishes, the nodes where the shear multiplies it by gamma**2
+    tables = k, np.sin(j * (math.pi / (2 * points))) ** 2, np.exp(-1j * k * (TWO_PI / points))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -241,6 +241,11 @@ def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b, gamma: float) -> tupl
     s = l_a + l_b.  The trapezoid rule cannot tell s from s - nodes, so nodes must exceed 2*|s|.
     """
     s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
+    if nodes is None:  # the smallest power of two >= floor that resolves s and has 4*q**(nodes/2) <= 2**-52
+        need = math.ceil(2 * math.log(2**-54) / math.log((gamma - 1.0) / (gamma + 1.0))) if gamma > 1.0 else 0
+        if need > MAX_NODES:
+            raise ValueError(f"gamma = {gamma} needs {name} >= {need} for an error <= 2**-52, over the cap {MAX_NODES}")
+        nodes = min(1 << (max(floor, need, 2 * abs(s) + 1) - 1).bit_length(), MAX_NODES)
     nodes = _require_index(name, nodes, floor, MAX_NODES)
     if 2 * abs(s) >= nodes:
         raise ValueError(f"{name} = {nodes} cannot resolve l_a + l_b = {s}: it needs {name} >= {2 * abs(s) + 1}")
@@ -249,12 +254,13 @@ def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b, gamma: float) -> tupl
 
 
 def joint_probability_quadrature(
-    l_a: int, l_b: int, gamma: float, n_modes: int = 1, panels: int = DEFAULT_PANELS
+    l_a: int, l_b: int, gamma: float, n_modes: int = 1, panels: int | None = None
 ) -> float:
     """Overlap-integral oracle for joint_probability: the periodic trapezoid rule in azimuth.
 
-    The integrand is smooth and 2*pi-periodic, so the rule converges
-    spectrally on `panels` nodes, which must exceed 2*|l_a + l_b|.
+    The integrand is smooth and 2*pi-periodic, so the rule's error on N = `panels` nodes (N > 2*|l_a + l_b|) is
+    4*q**(N/2), q = (gamma - 1)/(gamma + 1).  None takes the smallest power of two N >= 64 that bounds it by 2**-52
+    (64, 256, 1024, 2048 at gamma 1, 5, 20, 50) and raises past gamma ~ 3e4, where that N exceeds MAX_NODES.
     """
     gamma = require_gamma(gamma)
     n = _require_index("n_modes", n_modes, 1)
@@ -264,14 +270,15 @@ def joint_probability_quadrature(
 
 
 def joint_probability_spdc_oracle(
-    l_a: int, l_b: int, gamma: float, radial_cutoff: float = 6.0, grid: int = 256
+    l_a: int, l_b: int, gamma: float, radial_cutoff: float = 6.0, grid: int | None = None
 ) -> float:
     """Gaussian-source 2-D integral seen from the moving detectors.
 
     The polar form of the overlap integral for a unit Gaussian source whose
     radius the boost shears: the exact radial factor (1 - exp(-shear*R**2)) /
     (2*shear) up to R = radial_cutoff (inf allowed), then the trapezoid rule of
-    joint_probability_quadrature on `grid` azimuth nodes (> 2*|l_a + l_b|).
+    joint_probability_quadrature on `grid` azimuth nodes (> 2*|l_a + l_b|), which
+    None sizes by that oracle's rule with a floor of 256.
     Unnormalised: as R grows it tends to that quadrature times pi**2/gamma**2.
     """
     gamma = require_gamma(gamma)

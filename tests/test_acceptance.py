@@ -185,7 +185,7 @@ def test_criterion_08_parity_selection_rule():
 
 def test_criterion_09_spdc_proportionality():
     with budget(9, 10.0, "Gaussian-source integral is a constant multiple of the closed form"):
-        for gamma in (2.0, 5.0):
+        for gamma in (2.0, 5.0, 20.0, 50.0):
             ratios = []
             for s in (0, 2, -2, 4, -4):
                 ratios.append(

@@ -439,7 +439,7 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError, match="cannot resolve l_a \\+ l_b = 1099511627778"):
             joint_probability_quadrature(0, 2**40 + 2, 5.0)
         with pytest.raises(ValueError, match="needs panels >= 4097"):
-            joint_probability_quadrature(1024, 1024, 5.0)
+            joint_probability_quadrature(1024, 1024, 5.0, 1, 4096)
 
     @pytest.mark.parametrize("panels", [300.9, 300.0, "300", 2**20 + 1, 2**70])
     def test_panels_must_be_an_integer_under_the_cap(self, panels):
@@ -501,7 +501,7 @@ class TestSpdcOracle:
     def test_infinite_cutoff_gives_the_limit(self, gamma):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = joint_probability_spdc_oracle(0, 2, gamma, radial_cutoff=math.inf)
+            value = joint_probability_spdc_oracle(0, 2, gamma, radial_cutoff=math.inf, grid=256)
         limit = joint_probability_quadrature(0, 2, gamma, 1, 256) * math.pi**2 / gamma**2
         assert math.isfinite(value)
         assert value == pytest.approx(limit, rel=1e-13)
@@ -515,7 +515,68 @@ class TestSpdcOracle:
             with pytest.raises(ValueError, match=r"grid must be an integer in \[256, 1048576\]"):
                 joint_probability_spdc_oracle(0, 0, 2.0, grid=grid)
         with pytest.raises(ValueError, match="grid = 256 cannot resolve l_a \\+ l_b = 128: it needs grid >= 257"):
-            joint_probability_spdc_oracle(64, 64, 2.0)
+            joint_probability_spdc_oracle(64, 64, 2.0, grid=256)
+
+
+SPDC_SUMS = (0, 2, -2, 4, -4)
+
+
+class TestDefaultNodes:
+    """Each oracle's default node count, sized from q = (gamma - 1)/(gamma + 1) and l_a + l_b."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gamma=st.floats(1.0, 1e3), s=st.integers(-40, 40))
+    @example(gamma=1e3, s=0)
+    @example(gamma=1e3, s=-40)
+    @example(gamma=50.0, s=0)
+    @example(gamma=859.2609267134784, s=-10)  # 1.8e-14 off with cos(phi_k) taken at rounded angles
+    def test_default_quadrature_is_the_closed_form(self, gamma, s):
+        assert abs(joint_probability_quadrature(s, 0, gamma) - joint_probability(s, 0, gamma)) <= 1e-14
+
+    @pytest.mark.parametrize("gamma, panels, grid", [(1.0, 64, 256), (5.0, 256, 256), (20.0, 1024, 1024),
+                                                     (50.0, 2048, 2048)])
+    def test_picks_the_smallest_power_of_two_that_bounds_the_error(self, gamma, panels, grid):
+        assert spectrum._azimuth_nodes("panels", None, 64, 0, 0, gamma)[0] == panels
+        assert spectrum._azimuth_nodes("grid", None, 256, 0, 0, gamma)[0] == grid
+        q = (gamma - 1.0) / (gamma + 1.0)
+        assert 4.0 * q ** (panels / 2) <= 2.0**-52 and (panels == 64 or 4.0 * q ** (panels / 4) > 2.0**-52)
+        assert joint_probability_quadrature(0, 2, gamma) == joint_probability_quadrature(0, 2, gamma, 1, panels)
+        assert joint_probability_spdc_oracle(0, 2, gamma) == joint_probability_spdc_oracle(0, 2, gamma, grid=grid)
+
+    def test_resolves_any_sum_under_the_cap(self):
+        # 4096 panels and 256 grid nodes used to raise at these sums
+        assert spectrum._azimuth_nodes("panels", None, 64, 1024, 1024, 5.0)[0] == 8192
+        closed = joint_probability(1024, 1024, 5.0)
+        assert joint_probability_quadrature(1024, 1024, 5.0) == pytest.approx(closed, abs=1e-14)
+        assert joint_probability_spdc_oracle(64, 64, 2.0) == pytest.approx(0.0, abs=1e-14)
+
+    def test_beyond_the_cap_raises_before_building_a_table(self):
+        built = spectrum._azimuth_grid.cache_info()
+        for call, name in ((joint_probability_quadrature, "panels"), (joint_probability_spdc_oracle, "grid")):
+            with pytest.raises(ValueError, match=rf"gamma = 100000.0 needs {name} >= 3742995 .* over the cap 1048576"):
+                call(0, 0, 1e5)
+        assert spectrum._azimuth_grid.cache_info() == built
+
+    def test_gaussian_source_ratio_is_constant_to_1e12(self):
+        for gamma in (2.0, 5.0, 20.0, 50.0):
+            ratios = [joint_probability_spdc_oracle(0, s, gamma) / joint_probability(0, s, gamma) for s in SPDC_SUMS]
+            assert max(abs(ratio / ratios[0] - 1.0) for ratio in ratios) < 1e-12, gamma
+
+    def test_a_crosscheck_sweep_builds_few_tables_and_then_none(self):
+        # powers of two: gamma in [1, 50] and |s| <= 20 need at most six sizes, which _azimuth_grid's 8 slots keep
+        gammas = np.random.default_rng(20).uniform(1.0, 50.0, 30).tolist() + [1.0, 50.0]
+
+        def sweep():
+            before = spectrum._azimuth_grid.cache_info().misses
+            for gamma in gammas:
+                for s in range(-20, 21):
+                    assert abs(joint_probability_quadrature(0, s, gamma) - joint_probability(0, s, gamma)) <= 1e-14
+                spdc = [joint_probability_spdc_oracle(0, s, gamma) for s in (0, 2, -2)]
+                assert all(abs(value / spdc[0] - joint_probability(0, 2, gamma)) < 1e-12 for value in spdc[1:]), gamma
+            return spectrum._azimuth_grid.cache_info().misses - before
+
+        assert sweep() <= 8
+        assert sweep() == 0
 
 
 class TestMeasurementSum:
