@@ -7,8 +7,8 @@ of how it was made (ROADMAP item 3 plans the rest):
   beside the values in each JSON; sweep: the gamma list, in its sidecar;
 - simulate: gamma, seed, rates and windows, in the counts' sidecar, though
   the file name holds only gamma and seed;
-- estimate: fit_*.json holds l_a and the window, not the bounds, --subtract
-  or the counts file; experiment: every option, in its summary JSON;
+- estimate: fit_*.json holds l_a, the window and at_bound, not the bounds,
+  --subtract or the counts file; experiment: every option, in its summary JSON;
 - hologram: l, gamma and the size, in the file name only; --extent is lost.
 """
 
@@ -247,6 +247,13 @@ def _library_check(check, *args):
         raise UsageError(str(exc)) from None
 
 
+def _warn_at_bound(what: str, fits, bounds) -> None:
+    """One stderr line naming the bound flags that the given at-bound fits stopped at, if there are any."""
+    flags = [f"{flag} {bound:g}" for flag, bound in zip(("--gamma-min", "--gamma-max"), bounds) if bound in fits]
+    if flags:
+        print(f"warning: {what} stopped at the bound {' and '.join(flags)}", file=sys.stderr)
+
+
 def _write_atomic(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -340,7 +347,9 @@ def cmd_estimate(opts) -> None:
     if opts["method"] in ("m_sum", "both"):
         _emit(out / "fit_m_sum.json", estimate_gamma_msum(cond).to_dict())
     if opts["method"] in ("least_squares", "both"):
-        _emit(out / "fit_least_squares.json", estimate_gamma_fit(cond, bounds).to_dict())
+        fit = estimate_gamma_fit(cond, bounds)
+        _emit(out / "fit_least_squares.json", fit.to_dict())
+        _warn_at_bound("the least-squares fit", [fit.gamma_meas] if fit.at_bound else [], bounds)
 
 
 def cmd_experiment(opts) -> None:
@@ -365,14 +374,17 @@ def cmd_experiment(opts) -> None:
         per_gamma.append((np.mean(_mode_counts(values)), *_msum_runs(values, 0, window)))
     omegas, norms, m_sums = zip(*per_gamma)
     # one search for every gamma's rows: _fit is per row and raises nothing, so stacking them moves no bit
-    fit, residual = _fit(np.concatenate(norms), window.indices(), *bounds)
+    fit, residual, at_bound = _fit(np.concatenate(norms), window.indices(), *bounds)
     summary_rows = []
-    for gamma, omega, m_sum, fits in zip(gammas, omegas, m_sums, np.split(fit, len(gammas))):
+    columns = (np.split(column, len(gammas)) for column in (fit, at_bound))
+    for gamma, omega, m_sum, fits, hits in zip(gammas, omegas, m_sums, *columns):
         frame = frame_from_gamma(float(np.mean(fits)))
         summary_rows.append(
             {"gamma_encoded": gamma, "omega_empirical": float(omega), "gamma_meas_m_sum": float(np.mean(m_sum)),
-             "gamma_meas_least_squares": frame.gamma, "eta": frame.rapidity, "beta": frame.beta}
+             "gamma_meas_least_squares": frame.gamma, "eta": frame.rapidity, "beta": frame.beta,
+             "at_bound_runs": int(hits.sum())}
         )
+        _warn_at_bound(f"gamma {gamma:g}: {hits.sum()} of {runs} least-squares fits", fits[hits], bounds)
 
     keys = ("seed", "runs", "half_width", "noiseless", "subtract", "pair_rate", "accidental_rate", "integration")
     parameters = {"gamma": gammas, **{key: opts[key] for key in keys}, "gamma_bounds": list(bounds)}

@@ -16,13 +16,10 @@ import numpy as np
 
 from ._table import format_table
 from .relativity import GAMMA_MAX, frame_from_gamma, require_gamma
-from .spectrum import ConditionalSlice, OamWindow, _check_finite, _sum_index, geometric_kernel
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .spectrum import ConditionalSlice, OamWindow, _check_finite, _sum_index, _SumIndex, geometric_kernel
 
 DEFAULT_GAMMA_BOUNDS = (1.0, 50.0)
 GRID_POINTS = 64
-_GRID_ROWS = 8  # coarse-grid rows per batched dot, which bounds its (rows, GRID_POINTS, cells) residuals
 GAMMA_TOL = 1e-6
 
 METHOD_M_SUM = "m_sum"
@@ -40,10 +37,12 @@ class FitResult:
     beta: float
     l_a: int
     window: OamWindow
+    at_bound: bool | None = None  # whether the fit stopped at a gamma bound; None for m_sum, which has none
 
     def to_dict(self) -> dict:
         fields = {key: getattr(self, key) for key in ("gamma_meas", "method", "residual", "eta", "beta")}
-        return {**fields, "window": [self.window.l_min, self.window.l_max], "l_a": self.l_a}
+        bound = {} if self.at_bound is None else {"at_bound": self.at_bound}
+        return {**fields, "window": [self.window.l_min, self.window.l_max], "l_a": self.l_a, **bound}
 
 
 def gamma_from_m(m: float) -> float:
@@ -81,9 +80,9 @@ def _peak_normalised(values: np.ndarray, l_a: int, window: OamWindow) -> np.ndar
     return values / peaks[:, None]
 
 
-def _result(gamma: float, method: str, residual: float, conditional: ConditionalSlice) -> FitResult:
-    frame = frame_from_gamma(gamma)
-    return FitResult(gamma, method, residual, frame.rapidity, frame.beta, conditional.l_a, conditional.window_b)
+def _result(gamma: float, method: str, residual: float, conditional: ConditionalSlice, at_bound=None) -> FitResult:
+    frame, cond = frame_from_gamma(gamma), conditional
+    return FitResult(gamma, method, residual, frame.rapidity, frame.beta, cond.l_a, cond.window_b, at_bound)
 
 
 def _msum_gammas(norm: np.ndarray, l_a: int, window: OamWindow) -> np.ndarray:
@@ -91,8 +90,7 @@ def _msum_gammas(norm: np.ndarray, l_a: int, window: OamWindow) -> np.ndarray:
     # each row's even cells, compacted into one contiguous row, summed along it with the bits of one slice's .sum()
     sums = norm.compress((l_a + window.indices()) % 2 == 0, axis=1).sum(axis=1).tolist()
     for m in (m for m in sums if m < 1.0):
-        message = f"even-sum {m:.6g} fell below the physical floor 1; clamping gamma to 1"
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        warnings.warn(f"even-sum {m:.6g} fell below the physical floor 1; clamping gamma to 1", RuntimeWarning, 3)
     return np.array([1.0 if m < 1.0 else require_gamma(gamma_from_m(m)) for m in sums])
 
 
@@ -103,43 +101,47 @@ def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
     return _result(float(gamma[0]), METHOD_M_SUM, 0.0, conditional)
 
 
-def _squared_residuals(norm, model):
-    """resid @ resid along the last axis of norm - model: one batched dot, the same bits for any leading axes."""
-    resid = norm - model
-    return (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
+def _row_dots(a, b):
+    """a @ b along the last axis: one batched dot per row, the same bits for any leading axes."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares gamma and residual of each row of peak-normalised values against one row of sums.
+def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares gamma, residual and at_bound of each row of peak-normalised values against one row of sums.
 
-    Equal weighting over all cells.  A coarse logarithmic grid over (lo, hi), one model matrix for every row
-    and one batched dot for each block of _GRID_ROWS rows, locates each row's basin; then one golden-section
-    search, on one exponent index, narrows every row's minimiser below GAMMA_TOL at once.
+    Equal weighting.  In p = q**2 a row's objective is sum(y**2) - 2 sum_k Y_k p**k + sum_k n_k p**(2k), Y_k being its
+    total over the n_k cells at |s| = 2k.  A logarithmic grid over (lo, hi) picks each row's basin.  A row whose grid
+    minimum is a bound with the slope there pointing out returns that bound and at_bound; the others take Newton steps
+    in p (in q, gamma = 1 converges linearly) inside their bracket, bisecting where a step leaves it or f'' <= 0.
     """
-    grid = np.geomspace(lo, hi, GRID_POINTS)
-    kernel = geometric_kernel(sums, grid[:, None])
-    blocks = np.array_split(norm, range(_GRID_ROWS, len(norm), _GRID_ROWS))
-    best = np.concatenate([np.argmin(_squared_residuals(block[:, None], kernel), axis=1) for block in blocks])
-    a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     index = _sum_index(sums)
-    fc, fd = (_squared_residuals(norm, geometric_kernel(index, g[:, None])) for g in (c, d))
-    all_norm, rows, gammas = norm, np.arange(len(norm)), np.empty(len(norm))
-    while rows.size:
-        closed = b - a <= GAMMA_TOL
-        if closed.any():
-            gammas[rows[closed]] = 0.5 * (a[closed] + b[closed])
-            rows, a, b, c, d, fc, fd, norm = (v[~closed] for v in (rows, a, b, c, d, fc, fd, norm))
-            continue
-        # where fc < fd the minimum lies in [a, d] and c becomes d, else in [c, b] and d becomes c
-        left = fc < fd
-        right = ~left
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        f_new = _squared_residuals(norm, geometric_kernel(index, new[:, None]))
-        c[left], fc[left], d[right], fd[right] = new[left], f_new[left], new[right], f_new[right]
-    return gammas, _squared_residuals(all_norm, geometric_kernel(index, gammas[:, None]))
+    width = len(index.exponents)  # each even |s|, then the zero slot; bincount adds each row's cells in their order
+    even, k = _SumIndex(index.exponents, np.arange(width - 1)), index.exponents[:-1] // 2
+    counts, ids = np.bincount(index.slots, minlength=width)[:-1], np.arange(len(norm))[:, None] * width + index.slots
+    totals = np.bincount(ids.ravel(), norm.ravel(), len(norm) * width).reshape(len(norm), width)[:, :-1]
+    grid = np.geomspace(lo, hi, GRID_POINTS)
+    powers, p_grid = geometric_kernel(even, grid[:, None]), ((grid - 1.0) / (grid + 1.0)) ** 2  # p**k, p at each point
+    best = np.argmin(powers**2 @ counts - 2.0 * (totals[:, None, :] @ powers.T)[:, 0], axis=1)
+    at_bound = np.zeros(len(norm), dtype=bool)
+    for end, bound, outward in ((0, lo, -1.0), (GRID_POINTS - 1, hi, 1.0)):  # the slope in p, from the slices' bits
+        rows, rise = np.flatnonzero(best == end), counts * geometric_kernel(even, bound) - totals[best == end]
+        at_bound[rows] = outward * _row_dots(rise, k * ((bound - 1.0) / (bound + 1.0)) ** np.maximum(2 * k - 2, 0)) <= 0
+    fit, rows = np.zeros(len(norm)), np.flatnonzero(~at_bound)
+    a, b = p_grid[np.maximum(best[rows] - 1, 0)], p_grid[np.minimum(best[rows] + 1, GRID_POINTS - 1)]
+    p = np.where(best[rows] % (GRID_POINTS - 1) == 0, 0.5 * (a + b), p_grid[best[rows]])  # a grid end's slope is known
+    for _ in range(64):  # a bound on the steps; rows converge in about five
+        powers = (np.repeat(p, len(k)) ** np.tile(k, len(p))).reshape(len(p), len(k))  # flat operands, as in the kernel
+        rise = _row_dots(k * powers, counts * powers - totals[rows])  # p * f'(p) / 2, then p**2 * f''(p) / 2
+        curve = _row_dots(powers, k * ((2 * k - 1) * counts * powers - (k - 1) * totals[rows]))
+        a, b = np.where(rise < 0.0, p, a), np.where(rise > 0.0, p, b)
+        new = p - np.divide(p * rise, curve, out=np.full(len(p), np.inf), where=curve > 0.0)
+        new = np.where((a <= new) & (new <= b), new, 0.5 * (a + b))  # a step onto a or b stays
+        fit[rows], done = new, np.abs(new - p) <= 2.0**-50 * new
+        if done.all():
+            break
+        rows, p, a, b = rows[~done], new[~done], a[~done], b[~done]
+    fit = np.where(at_bound, np.where(best == 0, lo, hi), np.clip((1.0 + fit**0.5) / (1.0 - fit**0.5), lo, hi))
+    return fit, _row_dots(*2 * [norm - geometric_kernel(index, fit[:, None])]), at_bound
 
 
 def _msum_runs(values: np.ndarray, l_a: int, window: OamWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +159,8 @@ def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA
     lo, hi = check_gamma_bounds(gamma_bounds)
     l_a, window = conditional.l_a, conditional.window_b
     norm = _peak_normalised(conditional.values[None], l_a, window)
-    (gamma,), (residual,) = _fit(norm, l_a + window.indices(), lo, hi)
-    return _result(float(gamma), METHOD_LEAST_SQUARES, float(residual), conditional)
+    (gamma,), (residual,), (at_bound,) = _fit(norm, l_a + window.indices(), lo, hi)
+    return _result(float(gamma), METHOD_LEAST_SQUARES, float(residual), conditional, bool(at_bound))
 
 
 def batch_csv(seeds, gamma_encoded, gamma_meas, method, residual) -> str:

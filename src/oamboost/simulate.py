@@ -102,6 +102,9 @@ class NoiseModel:
             raise ValueError(f"accidental_rate must be >= 0, got {self.accidental_rate}")
         if self.integration <= 0.0:
             raise ValueError(f"integration must be positive, got {self.integration}")
+        if not (self.pair_rate + self.accidental_rate) * self.integration <= _POISSON_LAM_MAX:  # the largest cell mean
+            raise ValueError(f"(pair_rate + accidental_rate) * integration must be at most {_POISSON_LAM_MAX:.4g}, got "
+                             f"({self.pair_rate:g} + {self.accidental_rate:g}) * {self.integration:g}")
 
 
 @dataclass(frozen=True)
@@ -332,8 +335,6 @@ def _count_runs(gammas, windows, model: NoiseModel, seeds) -> np.ndarray:
     offset = model.accidental_rate * model.integration
     mu = scale * np.array([geometric_kernel(window_a.indices()[:, None] + window_b.indices(), g) for g in gammas])
     mu = (mu + offset).reshape(len(gammas), -1)
-    if not mu.max() <= _POISSON_LAM_MAX:
-        raise ValueError("lam value too large")
     la = (window_a.indices() + _I32_OFFSET).astype(np.uint64) << _S32
     lb = (window_b.indices() + _I32_OFFSET).astype(np.uint64)
     seed_keys = np.array(seeds, dtype=np.uint64)

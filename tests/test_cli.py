@@ -118,6 +118,15 @@ class TestHologramCommand:
         assert main(["hologram", "--l", "1", "--gamma", "0.2", "--out", str(tmp_path)]) == 2
         assert "gamma must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["pgm", "csv"])
+    def test_huge_charge_exits_2(self, tmp_path, capsys, fmt):
+        # 10**20 and 10**20 + 1 used to write the same noise: float(l) rounds above 2**53
+        for l in (10**20, 10**20 + 1, -(10**12) - 1):
+            assert main(["hologram", "--l", str(l), "--gamma", "3", "--width", "6", "--height", "4",
+                         "--format", fmt, "--out", str(tmp_path)]) == 2
+            assert "l must be an integer in [-1000000000000, 1000000000000]" in capsys.readouterr().err
+        assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
     def test_size_cap_exits_2_before_allocating(self, tmp_path, capsys):
         tracemalloc.start()
         try:
@@ -246,9 +255,10 @@ class TestSimulateAndEstimateCommands:
                 "--subtract", "both", "--out", str(tmp_path),
             ]
         ) == 0
-        for method in ("m_sum", "least_squares"):
+        for method, extra in (("m_sum", set()), ("least_squares", {"at_bound"})):
             payload = json.loads((tmp_path / f"fit_{method}.json").read_text())
-            assert set(payload) == {"gamma_meas", "method", "residual", "eta", "beta", "window", "l_a"}
+            assert set(payload) == {"gamma_meas", "method", "residual", "eta", "beta", "window", "l_a"} | extra
+            assert payload.get("at_bound", False) is False
             assert payload["method"] == method
             assert payload["gamma_meas"] == pytest.approx(5.0, rel=0.1)
             assert payload["window"] == [-15, 15]
@@ -278,10 +288,28 @@ class TestSimulateAndEstimateCommands:
         assert message in capsys.readouterr().err
         assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
-    def test_simulate_lam_too_large_fails_without_outputs(self, tmp_path, capsys):
-        assert main(["simulate", "--gamma", "2", "--pair-rate", "1e19", "--out", str(tmp_path)]) == 1
-        assert "lam value too large" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags", [["--pair-rate", "1e19"], ["--pair-rate", "1e300"], ["--integration", "1e300"]]
+    )
+    def test_simulate_lam_too_large_fails_without_outputs(self, tmp_path, capsys, flags):
+        # the rates alone decide it, so it is a usage error that names them, found before any draw
+        assert main(["simulate", "--gamma", "5", *flags, "--out", str(tmp_path)]) == 2
+        assert "error: (pair_rate + accidental_rate) * integration must be at most 9.223e+18" in capsys.readouterr().err
         assert not tmp_path.exists() or not list(tmp_path.iterdir())
+
+    def test_estimate_at_a_bound_says_so(self, tmp_path, capsys):
+        # the fit's minimum lies above --gamma-max 4: the fit is 4 itself, flagged, with one warning naming the bound
+        assert main(["simulate", "--gamma", "5", "--seed", "3", "--out", str(tmp_path)]) == 0
+        counts = str(tmp_path / "counts_g5_seed3.csv")
+        capsys.readouterr()
+        assert main(["estimate", "--counts", counts, "--gamma-max", "4", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "fit_least_squares.json").read_text())
+        assert (payload["gamma_meas"], payload["at_bound"]) == (4.0, True)
+        err = capsys.readouterr().err
+        assert err == "warning: the least-squares fit stopped at the bound --gamma-max 4\n"
+        assert main(["estimate", "--counts", counts, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "fit_least_squares.json").read_text())["at_bound"] is False
+        assert "warning" not in capsys.readouterr().err
 
     def test_estimate_rejects_truncated_counts(self, tmp_path, capsys):
         assert self.run_simulate(tmp_path) == 0
@@ -402,6 +430,21 @@ class TestExperimentCommand:
         argv = ["experiment", "--gamma", "1,5,20", "--seed", "3", "--runs", "4", "--half-width", "12"]
         assert main(argv + extra + ["--gamma-max", "30", "--out", str(tmp_path)]) == 0
         assert calls == [((12, 25), list(range(-12, 13)), 1.0, 30.0)]
+
+    def test_fits_at_a_bound_are_counted_with_one_line_per_gamma(self, tmp_path, capsys):
+        # noiseless gamma = 1 sits on --gamma-min and 30 lies beyond --gamma-max; 5 is resolved
+        argv = ["experiment", "--gamma", "1,5,30", "--noiseless", "--runs", "3", "--half-width", "20"]
+        assert main(argv + ["--gamma-max", "20", "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: gamma 1: 3 of 3 least-squares fits stopped at the bound --gamma-min 1",
+            "warning: gamma 30: 3 of 3 least-squares fits stopped at the bound --gamma-max 20",
+        ]
+        summary = json.loads((tmp_path / "experiment_summary.json").read_text())
+        assert [row["at_bound_runs"] for row in summary["results"]] == [3, 0, 3]
+        assert [row["gamma_meas_least_squares"] for row in summary["results"]][::2] == [1.0, 20.0]
+        header, rows = read_csv_rows(tmp_path / "experiment_batch.csv")
+        assert header == ["seed", "gamma_encoded", "gamma_meas", "method", "residual"]
 
     def test_default_gamma_ladder(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path)]) == 0

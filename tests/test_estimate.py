@@ -22,7 +22,6 @@ from oamboost.spectrum import (
     ConditionalSlice,
     OamWindow,
     _sum_index,
-    _SumIndex,
     conditional_slice,
     geometric_kernel,
     measurement_sum,
@@ -269,16 +268,22 @@ def noisy_slices(draw, length=None, l_a=None, below=None):
     return ConditionalSlice(l_a=l_a, window_b=window, values=values)
 
 
+def assert_no_worse_than_reference(gamma, residual, at_bound, conditional, bounds):
+    """The fit against scalar_grid_fit: within GAMMA_TOL of it or no worse in residual, and exactly on a bound if flagged."""
+    ref_gamma, ref_residual = scalar_grid_fit(conditional, bounds)
+    assert abs(gamma - ref_gamma) <= GAMMA_TOL or residual <= ref_residual * (1.0 + 1e-12), (gamma, ref_gamma)
+    assert not at_bound or gamma in bounds
+
+
 class TestCoarseGrid:
     @settings(max_examples=150, deadline=None)
     @given(cond=noisy_slices(), bounds=st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)]))
+    # a constant objective: every grid point ties, and the fit is the lower bound
     @example(cond=ConditionalSlice(l_a=0, window_b=OamWindow(0, 0), values=[3.0]), bounds=(1.0, 50.0))
     @example(cond=ConditionalSlice(l_a=2, window_b=OamWindow(-3, -1), values=[0.4, 1.0, 7.0]), bounds=(1.0, 50.0))
-    def test_broadcast_grid_matches_scalar_objective(self, cond, bounds):
-        # same bracket, hence the same golden-section steps, bit for bit
+    def test_no_worse_than_the_golden_section_fit(self, cond, bounds):
         result = estimate_gamma_fit(cond, bounds)
-        gamma, residual = scalar_grid_fit(cond, bounds)
-        assert (result.gamma_meas, result.residual) == (gamma, residual)
+        assert_no_worse_than_reference(result.gamma_meas, result.residual, result.at_bound, cond, bounds)
 
 
 @st.composite
@@ -300,41 +305,36 @@ def noiseless_rows(l_a, window, gammas):
 
 
 def fit_rows(values, l_a, window, bounds):
-    """_fit's (gamma, residual) bits for rows of slice values at one l_a over one window."""
+    """_fit's (gamma, residual, at_bound) bits for rows of slice values at one l_a over one window."""
     norm = estimate._peak_normalised(values, l_a, window)
     return [bits(column) for column in estimate._fit(norm, l_a + window.indices(), *bounds)]
-
-
-def scalar_fit_rows(values, l_a, window, bounds):
-    """scalar_grid_fit's (gamma, residual) bits for each row as a slice."""
-    fits = [scalar_grid_fit(ConditionalSlice(l_a=l_a, window_b=window, values=row), bounds) for row in values]
-    return [bits(column) for column in zip(*fits)]
 
 
 BOUNDS = st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)])
 
 
 class TestBatchedFit:
-    """_fit on the rows of one l_a and window: one coarse-grid model and one search for every row."""
+    """_fit on the rows of one l_a and window: one coarse grid on the totals and one Newton iteration for every row."""
 
     @settings(max_examples=100, deadline=None)
     @given(runs=run_arrays(), bounds=BOUNDS)
     @example(runs=noiseless_rows(3, OamWindow(-103, 97), [5.0]), bounds=(1.0, 50.0))
-    # three brackets that close after different numbers of steps
+    # rows that converge after different numbers of steps, and one on the lower bound
     @example(runs=noiseless_rows(7, OamWindow(-27, 13), [1.0, 2.0, 45.0]), bounds=(1.0, 50.0))
-    def test_matches_the_scalar_fit_on_each_row(self, runs, bounds):
-        assert fit_rows(*runs, bounds) == scalar_fit_rows(*runs, bounds)
+    def test_each_row_no_worse_than_the_golden_section_fit(self, runs, bounds):
+        values, l_a, window = runs
+        norm = estimate._peak_normalised(values, l_a, window)
+        for row, fit in zip(values, zip(*estimate._fit(norm, l_a + window.indices(), *bounds))):
+            assert_no_worse_than_reference(*fit, ConditionalSlice(l_a=l_a, window_b=window, values=row), bounds)
 
     @pytest.mark.parametrize("l_a", [0, 3, -2])
     def test_one_coarse_kernel_and_one_sum_index_per_fit(self, monkeypatch, l_a):
         runs = noiseless_rows(l_a, OamWindow(-l_a - 40, -l_a + 40), np.linspace(1.0, 30.0, 100))
-        grids, indexes, search_indexes = [], [], set()
+        shapes, indexes, kernel_indexes = [], [], set()
 
         def kernel_spy(s, gamma):
-            if isinstance(s, _SumIndex):  # the search, with the fit's one exponent index
-                search_indexes.add(id(s.exponents))
-            else:  # the coarse grid, with the one sums row
-                grids.append((s.tolist(), np.shape(gamma)))
+            kernel_indexes.add(id(s.exponents))  # every call shares the fit's one exponent index
+            shapes.append(np.shape(gamma))
             return geometric_kernel(s, gamma)
 
         def index_spy(s):
@@ -344,29 +344,30 @@ class TestBatchedFit:
         monkeypatch.setattr(estimate, "geometric_kernel", kernel_spy)
         monkeypatch.setattr(estimate, "_sum_index", index_spy)
         fits = fit_rows(*runs, (1.0, 50.0))
-        sums = list(range(-40, 41))
-        assert grids == [(sums, (GRID_POINTS, 1))]
-        assert indexes == [sums] and len(search_indexes) == 1
+        # the coarse grid, each bound's slope test, then the residuals at the fitted gammas
+        assert shapes == [(GRID_POINTS, 1), (), (), (100, 1)]
+        assert indexes == [list(range(-40, 41))] and len(kernel_indexes) == 1
         monkeypatch.undo()
-        assert fits == scalar_fit_rows(*runs, (1.0, 50.0))
+        assert fits == fit_rows(*runs, (1.0, 50.0))
 
-    def test_rows_leave_the_search_as_their_brackets_close(self, monkeypatch):
-        # gamma = 1 brackets one step of the coarse grid at its end, the others two
-        # steps of the geometric grid, which are wider at larger gamma
-        runs = noiseless_rows(-2, OamWindow(-18, 22), (45.0, 1.0, 2.0, 45.0))
-        batch_sizes = []
+    def test_rows_leave_the_iteration_as_they_converge(self, monkeypatch):
+        # gamma = 1 stops at its bound before the first step; 1.01 and 49.9 start from a grid end's bracket midpoint
+        runs = noiseless_rows(-2, OamWindow(-18, 22), (45.0, 1.0, 2.0, 1.01, 49.9))
+        sizes = []
+        row_dots = estimate._row_dots
 
-        def spy(s, gamma):
-            batch_sizes.append(len(gamma))
-            return geometric_kernel(s, gamma)
+        def spy(a, b):
+            sizes.append(a.shape)
+            return row_dots(a, b)
 
-        monkeypatch.setattr(estimate, "geometric_kernel", spy)
-        fits = fit_rows(*runs, (1.0, 50.0))
-        assert batch_sizes[:2] == [GRID_POINTS, 4]
-        search = batch_sizes[1:-1]
-        assert search[:2] == [4, 4] and sorted(set(search)) == [2, 3, 4]
-        assert search == sorted(search, reverse=True)
-        assert fits == scalar_fit_rows(*runs, (1.0, 50.0))
+        monkeypatch.setattr(estimate, "_row_dots", spy)
+        gammas, _, at_bound = estimate._fit(estimate._peak_normalised(*runs), -2 + runs[2].indices(), 1.0, 50.0)
+        assert at_bound.tolist() == [False, True, False, False, False] and gammas[1] == 1.0
+        # the slope tests at each bound (gamma 1 and 1.01, then 49.9), a slope and a curvature per step, the residuals
+        bound_tests, steps, residuals = sizes[:2], [shape[0] for shape in sizes[2:-1:2]], sizes[-1]
+        assert bound_tests == [(2, 11), (1, 11)] and residuals == (5, 41) and sizes[2:-1:2] == sizes[3:-1:2]
+        assert steps[0] == 4 and steps == sorted(steps, reverse=True) and len(set(steps)) > 1 and len(steps) < 10
+        assert np.abs(gammas - [45.0, 1.0, 2.0, 1.01, 49.9]).max() <= GAMMA_TOL
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("position", [0, 2])
@@ -394,8 +395,9 @@ class TestBatchedFit:
         cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
         result = estimate_gamma_fit(cond, (1.0, 50.0))
         norm, _ = estimate._msum_runs(cond.values[None], -2, cond.window_b)
-        fit, residual = estimate._fit(norm, -2 + cond.window_b.indices(), 1.0, 50.0)
+        fit, residual, at_bound = estimate._fit(norm, -2 + cond.window_b.indices(), 1.0, 50.0)
         assert bits([result.gamma_meas, result.residual]) == bits([fit[0], residual[0]])
+        assert result.at_bound is bool(at_bound[0]) is False
 
     @pytest.mark.parametrize("bounds", [(0.5, 50.0), (2.0, 2.0), (1.0, math.inf), (1.0, math.nan), (5.0, 1.0)])
     def test_argument_errors_come_before_any_kernel_work(self, monkeypatch, capsys, tmp_path, bounds):
@@ -435,7 +437,7 @@ class TestBatchedFit:
 
 
 def row_loop_grid(norm, kernel):
-    """The coarse grid's residuals as computed before row blocks: one batched dot of every grid point a row."""
+    """The coarse grid's cell-based objective: one batched dot of every grid point's residuals a row."""
     rows = []
     for row in norm:
         resid = row - kernel
@@ -443,11 +445,11 @@ def row_loop_grid(norm, kernel):
     return np.array(rows)
 
 
-class TestBlockedGrid:
-    """_fit's coarse grid, in blocks of rows, against the per-row loop."""
+class TestTotalsGrid:
+    """_fit's coarse grid, evaluated on each row's per-|s| totals, against the objective summed over the cells."""
 
-    # rows across the seams of 8-row blocks (1, 7, 8, 9, 17) and the experiment's 500, of counts at random gammas
-    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17, 500])
+    # one row, a few, and the experiment's 500, of counts at random gammas
+    @pytest.mark.parametrize("rows", [1, 9, 500])
     @settings(max_examples=15, deadline=None)
     @given(
         window=st.integers(1, 60).flatmap(lambda w: st.tuples(st.integers(-w, w), st.just(OamWindow.symmetric(w)))),
@@ -455,38 +457,34 @@ class TestBlockedGrid:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(window=(0, OamWindow.symmetric(40)), bounds=(1.0, 50.0), seed=77)
-    def test_residuals_and_argmin_match_the_row_loop(self, rows, window, bounds, seed):
+    def test_each_row_fits_in_the_cell_objectives_grid_bracket(self, rows, window, bounds, seed):
         l_a, window = window
         rng = np.random.default_rng(seed)
         means = [1e3 * conditional_slice(l_a, window, g).values + 5.0 for g in rng.uniform(1.0, 60.0, rows)]
         values = rng.poisson(means).astype(float)
         values[:, window.index_of(-l_a)] += 1.0
         norm = estimate._peak_normalised(values, l_a, window)
-        blocks, search = [], []
-        squared_residuals, kernel = estimate._squared_residuals, estimate.geometric_kernel
-
-        def residual_spy(norm, model):
-            result = squared_residuals(norm, model)
-            if norm.ndim == 3:  # a block of the coarse grid: (rows, 1, cells) against every grid point
-                blocks.append(result)
-            return result
+        sums = l_a + window.indices()
+        powers = []
 
         def kernel_spy(s, gamma):
-            if isinstance(s, _SumIndex) and not search:  # c, the first search point of every row;
-                search.append(np.ravel(gamma).copy())  # a copy, as the search moves c in place
-            return kernel(s, gamma)
+            result = geometric_kernel(s, gamma)
+            if np.shape(gamma) == (GRID_POINTS, 1):  # the coarse grid's p**k, one row per grid point
+                powers.append(result)
+            return result
 
-        with mock.patch.object(estimate, "_squared_residuals", residual_spy):
-            with mock.patch.object(estimate, "geometric_kernel", kernel_spy):
-                estimate._fit(norm, l_a + window.indices(), *bounds)
+        with mock.patch.object(estimate, "geometric_kernel", kernel_spy):
+            fit, _, at_bound = estimate._fit(norm, sums, *bounds)
         grid = np.geomspace(*bounds, GRID_POINTS)
-        expected = row_loop_grid(norm, geometric_kernel(l_a + window.indices(), grid[:, None]))
-        step = estimate._GRID_ROWS
-        assert [len(block) for block in blocks] == [len(norm[i : i + step]) for i in range(0, rows, step)]
-        assert bits(np.concatenate(blocks)) == bits(expected)
-        best = np.array([np.argmin(row) for row in expected])
-        a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
-        assert bits(search[0]) == bits(b - estimate._INV_PHI * (b - a))
+        best = np.argmin(row_loop_grid(norm, geometric_kernel(sums, grid[:, None])), axis=1)
+        # the totals' objective, less sum(y**2), picks the cells' grid point
+        totals = np.array([[row[np.abs(sums) == 2 * k].sum() for k in range(powers[0].shape[1])] for row in norm])
+        counts = [np.count_nonzero(np.abs(sums) == 2 * k) for k in range(powers[0].shape[1])]
+        assert np.argmin(powers[0] ** 2 @ counts - 2.0 * totals @ powers[0].T, axis=1).tolist() == best.tolist()
+        # and the fit stays in that point's bracket, on the bound where it is flagged
+        low, high = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, GRID_POINTS - 1)]
+        assert (low * (1.0 - 1e-12) <= fit).all() and (fit <= high * (1.0 + 1e-12)).all()
+        assert np.isin(fit[at_bound], bounds).all() and np.isin(best[at_bound], [0, GRID_POINTS - 1]).all()
 
 
 @st.composite
@@ -532,7 +530,7 @@ class TestStackedSearch:
         sums = l_a + window.indices()
         stacked = estimate._fit(np.concatenate(norms), sums, *bounds)
         each = [estimate._fit(norm, sums, *bounds) for norm in norms]
-        for column, columns in zip(stacked, zip(*each)):  # gammas, then residuals
+        for column, columns in zip(stacked, zip(*each)):  # gammas, residuals, then at_bound
             assert bits(column) == bits(np.concatenate(columns))
 
 
@@ -552,11 +550,12 @@ class TestArrayPath:
             warnings.simplefilter("ignore", RuntimeWarning)  # flat slices clamp m_sum at the floor
             norm, m_sum = estimate._msum_runs(values, l_a, window)
             msum_results = [estimate_gamma_msum(cond) for cond in conds]
-        fit, residual = estimate._fit(norm, l_a + window.indices(), *bounds)
+        fit, residual, at_bound = estimate._fit(norm, l_a + window.indices(), *bounds)
         fits = [estimate_gamma_fit(cond, bounds) for cond in conds]
         assert bits(m_sum) == bits([r.gamma_meas for r in msum_results])
         assert bits(fit) == bits([r.gamma_meas for r in fits])
         assert bits(residual) == bits([r.residual for r in fits])
+        assert at_bound.tolist() == [r.at_bound for r in fits]
 
     @pytest.mark.parametrize("position", [0, 2])
     def test_first_bad_row_names_its_fault(self, position):
@@ -611,7 +610,7 @@ class TestArrayPath:
 
 
 class TestDenseScan:
-    """The coarse grid and the golden-section search find the global minimum on noiseless slices."""
+    """The coarse grid, the bound tests and the Newton iteration find the global minimum on noiseless slices."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -623,7 +622,9 @@ class TestDenseScan:
     )
     @example(half_width=40, l_a=0, bounds_gamma=((1.0, 50.0), 1.0))
     @example(half_width=5, l_a=0, bounds_gamma=((2.0, 3.0), 2.0))
+    @example(half_width=5, l_a=0, bounds_gamma=((2.0, 3.0), 3.0))
     @example(half_width=60, l_a=3, bounds_gamma=((1.0, 50.0), 49.99999999999999))
+    @example(half_width=60, l_a=3, bounds_gamma=((1.0, 1e6), 999999.9999999999))
     def test_fit_is_no_worse_than_a_dense_scan(self, half_width, l_a, bounds_gamma):
         bounds, gamma = bounds_gamma
         window = OamWindow(-l_a - half_width, -l_a + half_width)
@@ -633,9 +634,42 @@ class TestDenseScan:
         resid = cond.values - geometric_kernel(l_a + window.indices(), scan[:, None])
         scan_residuals = (resid[:, None, :] @ resid[:, :, None]).ravel()
         best = int(np.argmin(scan_residuals))
-        # The search returns the midpoint of a bracket narrower than GAMMA_TOL, never a bound itself;
-        # so where gamma sits on a bound (within about an ulp), the scan point on that bound beats it.
-        assert result.residual <= scan_residuals[best] or abs(result.gamma_meas - scan[best]) <= GAMMA_TOL
+        on_bound = best in (0, len(scan) - 1) and result.gamma_meas == scan[best] and result.at_bound
+        assert result.residual <= scan_residuals[best] or on_bound
+
+
+class TestNoiselessFit:
+    """On noiseless slices the fit is gamma itself, or the bound that gamma lies beyond, exactly and flagged."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        l_a=st.integers(-20, 20),
+        below=st.integers(0, 60),
+        above=st.integers(0, 60),
+        gamma=st.floats(1.0, 50.0),
+        bounds=st.sampled_from([(1.0, 50.0), (1.0, 1e6)])
+        | st.floats(1.0, 49.0).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo + 0.01, 50.0))),
+    )
+    @example(l_a=0, below=40, above=40, gamma=50.0, bounds=(1.0, 50.0))
+    @example(l_a=0, below=40, above=40, gamma=1.0, bounds=(1.0, 50.0))
+    @example(l_a=1, below=3, above=3, gamma=1.0 + 1e-12, bounds=(1.0, 50.0))
+    @example(l_a=0, below=0, above=1, gamma=7.0, bounds=(1.0, 50.0))  # no even |s| > 0: every gamma fits alike
+    @example(l_a=0, below=20, above=20, gamma=5.0, bounds=(5.0, 9.0))
+    def test_fit_is_gamma_or_its_bound(self, l_a, below, above, gamma, bounds):
+        window = OamWindow(-l_a - below, -l_a + above)
+        result = estimate_gamma_fit(conditional_slice(l_a, window, gamma), bounds)
+        lo, hi = bounds
+        if not any((l_a + l_b) % 2 == 0 and l_a + l_b != 0 for l_b in range(window.l_min, window.l_max + 1)):
+            assert (result.gamma_meas, result.at_bound) == (lo, True)
+        elif lo < gamma < hi:
+            assert abs(result.gamma_meas - gamma) <= GAMMA_TOL
+        else:
+            assert (result.gamma_meas, result.at_bound) == (min(max(gamma, lo), hi), True)
+
+    def test_gamma_beyond_the_upper_bound_fits_the_bound(self):
+        result = estimate_gamma_fit(conditional_slice(0, OamWindow.symmetric(40), 100.0), (1.0, 50.0))
+        assert (result.gamma_meas, result.at_bound) == (50.0, True)
+        assert result.to_dict()["at_bound"] is True
 
 
 class TestFitResult:

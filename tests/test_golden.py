@@ -2,7 +2,9 @@
 
 The hashes were recorded before the CSV writers and the counts reader
 were rebuilt on one table writer and one numpy reader, and every output
-must stay byte-identical.  The fits and spectra come from numpy's
+must stay byte-identical.  The least-squares outputs (fit_least_squares.json and
+every experiment file) were re-recorded when the fit moved to per-|s| totals and
+a Newton iteration and gained at_bound.  The fits and spectra come from numpy's
 floating-point kernels, so another numpy build may move a last digit and
 call for new hashes; the CSV formatting itself must never do so.
 """
@@ -83,37 +85,37 @@ GOLDEN = {
         {
             "counts_g5_seed11.csv": "9009fbe72759f33d01504398fc1067abad01cc1e09a71484441ad3c18b562fc8",
             "counts_g5_seed11.meta.json": "220e1f413dd5c827ba2538d58c4f6868608b4d20f8f286d5f4676f770fd4f31a",
-            "fit_least_squares.json": "f2566653208b664da30bcc36e925ad91b08668160f681bfe73c5a7061a50062e",
+            "fit_least_squares.json": "04a27bd7fdacceddaf39b38d36cc0120dcbce9f1f097f1b5c1f543f444ab20c0",
             "fit_m_sum.json": "3f770d9ad2f3fed6a407bbb17ff71ccb2e1443f8c68dc00b8a7aacb95d1ce782",
         },
     ),
     "experiment": (
         [["experiment", "--gamma", "1,2,5", "--seed", "42", "--runs", "3", "--half-width", "25"]],
         {
-            "experiment_batch.csv": "edf35b068b821c95d561dbdf3b01b0d4598c2391c7aaeeb4c7c313a24bf78db1",
-            "experiment_summary.json": "ddf5021bff73c8ee6fd1576ee1181a86632893c78628319246769f6a1acd0dcd",
+            "experiment_batch.csv": "bc5a1ac54aff8749c2e4ce976d95a4f9759703e23b2ab1fe226e4205939bf6e6",
+            "experiment_summary.json": "6f783fee8f39afd3d58eee3607938ef07dc2ea8e9ccf5ad3b445a7b67a85e678",
         },
     ),
     # recorded before the runs of a gamma were background-subtracted as one stacked array
     "experiment_subtract_accidental": (
         [["experiment", "--gamma", "1,2,5", "--seed", "42", "--runs", "3", "--half-width", "25", "--subtract", "accidental"]],
         {
-            "experiment_batch.csv": "edf35b068b821c95d561dbdf3b01b0d4598c2391c7aaeeb4c7c313a24bf78db1",
-            "experiment_summary.json": "72ab95ebfd1950fca7450f3371c1624ca1090d615e1e53c29707ff904d98e35b",
+            "experiment_batch.csv": "bc5a1ac54aff8749c2e4ce976d95a4f9759703e23b2ab1fe226e4205939bf6e6",
+            "experiment_summary.json": "c3c489a36327cd5544c9fe82031088afe41989b0e1ef39826ec0eb8ec954340d",
         },
     ),
     "experiment_subtract_minimum": (
         [["experiment", "--gamma", "1,2,5", "--seed", "42", "--runs", "3", "--half-width", "25", "--subtract", "minimum"]],
         {
-            "experiment_batch.csv": "49e28972ce03e9c137a95491edc3edf10473d402009dffce63085a98b0911aba",
-            "experiment_summary.json": "14bc362a8b9bc581a3f7b695053e2ea6135bfe6b71d655ce1774b2e8bae026bb",
+            "experiment_batch.csv": "20c2219c79463a674e6ea447419e7fd9f16fe332eac7d316e4312ae65aa5d7ab",
+            "experiment_summary.json": "7b463b54de60ba2520c2406a957764aa1a3d7ce3b8375e8bd7097eba02f15ef8",
         },
     ),
     "experiment_subtract_none": (
         [["experiment", "--gamma", "1,2,5", "--seed", "42", "--runs", "3", "--half-width", "25", "--subtract", "none"]],
         {
-            "experiment_batch.csv": "a04b38d95e2dfb0ffb1e76659fea4cd68c0aa3551b2fbf5c0e4ee00b54f5ad9b",
-            "experiment_summary.json": "d50d8bcc4361369bafad7d6046a0eca550ffbdfa3a655b17b5843951862c8b69",
+            "experiment_batch.csv": "cd0a8abcb8cd8e1426ccb15c97d4aab067590a4c2834c4a5940381db697f6416",
+            "experiment_summary.json": "a7bdccf82d127a27af0aa83a98ebd1566f448babe6a13d9bc151e2c7d5420bea",
         },
     ),
     # the benchmark's experiment shape at a smaller --runs; recorded on the per-slice
@@ -121,15 +123,15 @@ GOLDEN = {
     "experiment_benchmark_shape": (
         [["experiment", "--gamma", "1,2,5,10,20", "--runs", "20", "--half-width", "40", "--subtract", "both", "--seed", "7"]],
         {
-            "experiment_batch.csv": "395c658769c326b98b146c0b13d0f5fbfcbb9f310920b2a2f7724b3d917bf890",
-            "experiment_summary.json": "4c503f277099dd14688bf70fa9b0a10ab6e3503c9aa5edded902ea2fe9da9f90",
+            "experiment_batch.csv": "64a28c80ff8e2c2709b3f4c7a177cef754941fca4df19cdbc0cda2491666943c",
+            "experiment_summary.json": "4f5ab77aa0a55945d3bc435d52c470bcb080287390e228ad3e80987b399830f8",
         },
     ),
     "experiment_noiseless": (
         [["experiment", "--gamma", "1.5,20", "--noiseless", "--half-width", "30"]],
         {
-            "experiment_batch.csv": "5dad21658ee52ce937c3cef268c8eea5af82810f842482b84a961f399857553d",
-            "experiment_summary.json": "e3e1837188e5c9635ed0d1822cf7298504c61197d64885570ff8e2ca7aeac131",
+            "experiment_batch.csv": "e06c79deb1086a021ffbfb5d145e0b92d6d0b24228f0ca190bc0e3bcfedef051",
+            "experiment_summary.json": "860a89023d4eb1915a9c514413a7972fcb75265a2fad584b594d79f2b3ceca43",
         },
     ),
 }

@@ -197,7 +197,7 @@ class TestGenerateHologram:
     @pytest.mark.parametrize(
         ("args", "message"),
         [
-            ((2.7, 2.0, 8, 8), "l must be an integer, got 2.7"),
+            ((2.7, 2.0, 8, 8), r"l must be an integer in \[-1000000000000, 1000000000000\], got 2\.7"),
             ((2, 2.0, 8.9, 8), "width must be an integer, got 8.9"),
             ((2, 2.0, 8, np.float64(8.0)), "height must be an integer, got "),
         ],
@@ -207,6 +207,17 @@ class TestGenerateHologram:
         # int() used to truncate: l = 2.7 drew the l = 2 mask, and a width of 8.9 gave 8 pixels
         with pytest.raises(ValueError, match=message):
             generate_hologram(*args)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_charge_bound(self, sign):
+        # above it l * atan2 rounds by more than 3% of half a grey level, and past 2**53 l itself rounds
+        limit = sign * hologram.MAX_L
+        assert generate_hologram(limit, 2.0, 4, 2).phase.shape == (2, 4)
+        assert len(hologram._render(limit, 2.0, 4, 2, 1.0, True)) == len(b"P5\n4 2\n255\n") + 8
+        for l in (limit + sign, sign * 10**20):
+            with pytest.raises(ValueError, match=r"l must be an integer in \[-1000000000000, 1000000000000\]"):
+                generate_hologram(l, 2.0, 4, 2)
+        assert hologram.MAX_L * math.pi * 2.0**-53 < 0.03 * math.pi / 255
 
     def test_phase_read_only(self):
         field = generate_hologram(1, 1.0, width=4, height=4)
@@ -426,13 +437,22 @@ class TestWinding:
 
     @pytest.mark.parametrize(
         ("l", "samples", "message"),
-        [(2.5, 3600, "l must be an integer, got 2.5"), (2, 3600.7, "samples must be an integer, got 3600.7")],
+        [(2.5, 3600, r"l must be an integer in \[-1000000000000, 1000000000000\], got 2\.5"),
+         (2, 3600.7, "samples must be an integer, got 3600.7")],
         ids=["l", "samples"],
     )
     def test_non_integral_arguments_raise(self, l, samples, message):
         # int() used to truncate: winding_number(2.5, 2.0) returned 2.0
         with pytest.raises(ValueError, match=message):
             winding_number(l, 2.0, samples)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_charge_bound(self, sign):
+        limit = sign * hologram.MAX_L
+        with pytest.raises(ValueError, match=f"cannot resolve l = {limit} at gamma = 1.0 with 3600 samples"):
+            winding_number(limit, 1.0)  # within the bound: checked, then too coarsely sampled
+        with pytest.raises(ValueError, match=r"l must be an integer in \[-1000000000000, 1000000000000\]"):
+            winding_number(limit + sign, 1.0)
 
     @pytest.mark.parametrize("samples", [0, 1, 2])
     def test_fewer_than_three_samples_raise(self, samples):

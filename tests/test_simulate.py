@@ -470,12 +470,16 @@ class TestStreamKeys:
         simulate_counts(2.0, windows, NoiseModel(), U64_MAX)
 
     def test_lam_too_large_raises_before_drawing(self):
-        model = NoiseModel(pair_rate=1e19)
-        assert model.pair_rate > simulate_module._POISSON_LAM_MAX
-        with mock.patch.object(simulate_module, "_draw_poisson") as draw:
-            with pytest.raises(ValueError, match="lam value too large"):
-                simulate_counts(2.0, square_windows(3), model, 0)
-        draw.assert_not_called()
+        # (pair_rate + accidental_rate) * integration bounds the largest cell mean, so the model itself is refused
+        limit = simulate_module._POISSON_LAM_MAX
+        message = r"\(pair_rate \+ accidental_rate\) \* integration must be at most 9\.223e\+18, got "
+        for rates in ((1e19, 5.0, 1.0), (limit, 1e9, 1.0), (1e4, 5.0, 1e300), (1e300, 0.0, 1e10)):
+            with pytest.raises(ValueError, match=message):
+                NoiseModel(*rates)
+        model = NoiseModel(limit / 2, limit / 4, 1.0)
+        with mock.patch.object(simulate_module, "_draw_poisson", return_value=np.zeros((1, 9), np.int64)) as draw:
+            simulate_counts(2.0, square_windows(1), model, 0)
+        draw.assert_called_once()
 
 
 def cleaned(counts, mode):
