@@ -1,8 +1,9 @@
 """The package's CSV format: one writer for every table, one reader of integer rows.
 
-Every CSV the package writes is a header line and then one row per
-element of its columns: comma-separated, LF-terminated (the last row
-too).  Floats print with '.17g', every other value with str.
+Every table the package writes as CSV is a header line and then one row
+per element of its columns: comma-separated, LF-terminated (the last row
+too).  Floats print with '.17g', every other value with str.  The hologram
+CSV (export_hologram(field, "csv")) is no table: a bare matrix, no header.
 """
 
 from __future__ import annotations

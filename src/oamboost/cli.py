@@ -7,8 +7,9 @@ of how it was made (ROADMAP item 3 plans the rest):
   beside the values in each JSON; sweep: the gamma list, in its sidecar;
 - simulate: gamma, seed, rates and windows, in the counts' sidecar, though
   the file name holds only gamma and seed;
-- estimate: fit_*.json holds l_a, the window and at_bound, not the bounds,
-  --subtract or the counts file; experiment: every option, in its summary JSON;
+- estimate: fit_*.json holds l_a and the window (fit_least_squares.json also
+  at_bound), not the bounds, --subtract or the counts file; experiment: every
+  option, in its summary JSON;
 - hologram: l, gamma and the size, in the file name only; --extent is lost.
 """
 
@@ -43,7 +44,6 @@ from .simulate import (
     NoiseModel,
     _count_runs,
     _subtract,
-    check_stream_keys,
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
@@ -318,15 +318,10 @@ def _noise_model(opts) -> NoiseModel:
 
 
 def cmd_simulate(opts) -> None:
-    gamma = _library_check(require_gamma, opts["gamma"])
-    half_width = opts["half_width"]
-    half_width_a = half_width if opts["half_width_a"] is None else opts["half_width_a"]
-    windows = tuple(_library_check(OamWindow.symmetric, h) for h in (half_width_a, half_width))
-    model = _noise_model(opts)
-    _library_check(check_stream_keys, windows, (opts["seed"],))
-    _library_check(check_cells, *windows)
-    counts = simulate_counts(gamma, windows, model, opts["seed"])
-    csv_file = Path(opts["out"]) / f"counts_g{gamma:g}_seed{opts['seed']}.csv"
+    half_widths = (opts["half_width"] if opts["half_width_a"] is None else opts["half_width_a"], opts["half_width"])
+    windows = tuple(_library_check(OamWindow.symmetric, h) for h in half_widths)
+    counts = _library_check(simulate_counts, opts["gamma"], windows, _noise_model(opts), opts["seed"])
+    csv_file = Path(opts["out"]) / f"counts_g{counts.gamma_encoded:g}_seed{counts.seed}.csv"
     _emit(csv_file, count_spectrum_to_csv(counts), count_spectrum_sidecar(counts))
 
 
@@ -359,12 +354,10 @@ def cmd_experiment(opts) -> None:
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     model = None if opts["noiseless"] else _noise_model(opts)
     seeds = range(opts["seed"], opts["seed"] + runs)
-    if model is not None:
-        _library_check(check_stream_keys, windows, (seeds[0], seeds[-1]))
     _library_check(check_cells, *windows, runs, len(gammas))
 
     window, mode = windows[1], None if subtract == "none" else subtract
-    counts = None if model is None else _count_runs(gammas, windows, model, seeds)[:, :, 0]  # (gammas, runs, cells)
+    counts = None if model is None else _library_check(_count_runs, gammas, windows, model, seeds)[:, :, 0]
     per_gamma = []
     for i, gamma in enumerate(gammas):  # every check and warning of one gamma comes before the next gamma's
         if model is None:

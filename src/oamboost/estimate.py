@@ -111,8 +111,8 @@ def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.n
 
     Equal weighting.  In p = q**2 a row's objective is sum(y**2) - 2 sum_k Y_k p**k + sum_k n_k p**(2k), Y_k being its
     total over the n_k cells at |s| = 2k.  A logarithmic grid over (lo, hi) picks each row's basin.  A row whose grid
-    minimum is a bound with the slope there pointing out returns that bound and at_bound; the others take Newton steps
-    in p (in q, gamma = 1 converges linearly) inside their bracket, bisecting where a step leaves it or f'' <= 0.
+    minimum is a bound that f does not fall from returns that bound and at_bound; the others take Newton steps in p
+    (in q, gamma = 1 converges linearly) inside their bracket, bisecting where a step leaves it or f'' <= 0.
     """
     index = _sum_index(sums)
     width = len(index.exponents)  # each even |s|, then the zero slot; bincount adds each row's cells in their order
@@ -126,6 +126,11 @@ def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.n
     for end, bound, outward in ((0, lo, -1.0), (GRID_POINTS - 1, hi, 1.0)):  # the slope in p, from the slices' bits
         rows, rise = np.flatnonzero(best == end), counts * geometric_kernel(even, bound) - totals[best == end]
         at_bound[rows] = outward * _row_dots(rise, k * ((bound - 1.0) / (bound + 1.0)) ** np.maximum(2 * k - 2, 0)) <= 0
+    if lo == 1.0:  # p = 0, where the slope -2 Y_1 can be 0: f(p) - f(0) = sum_m c_m p**m, c_m = n_{m/2}[m even] - 2 Y_m
+        rows, c = np.flatnonzero(best == 0), np.zeros((np.count_nonzero(best == 0), 2 * k.max(initial=0) + 2))
+        c[:, 2 * k] = counts
+        c[:, k] -= 2.0 * totals[rows]  # f does not fall from p = 0 if its first non-zero c_m is positive or all are 0
+        at_bound[rows] = c[np.arange(len(rows)), np.argmax(c[:, 1:] != 0.0, axis=1) + 1] >= 0.0
     fit, rows = np.zeros(len(norm)), np.flatnonzero(~at_bound)
     a, b = p_grid[np.maximum(best[rows] - 1, 0)], p_grid[np.minimum(best[rows] + 1, GRID_POINTS - 1)]
     p = np.where(best[rows] % (GRID_POINTS - 1) == 0, 0.5 * (a + b), p_grid[best[rows]])  # a grid end's slope is known

@@ -422,7 +422,7 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         window_a, window_b = (OamWindow(*map(_json_int, meta["windows"][side])) for side in "ab")
         check_cells(window_a, window_b)
-        model, seed, gamma = NoiseModel(**meta["model"]), _json_int(meta["seed"]), float(meta["gamma_encoded"])
+        model, seed, gamma = NoiseModel(**meta["model"]), _json_int(meta["seed"]), require_gamma(meta["gamma_encoded"])
     except OSError as exc:
         raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None
     except KeyError as exc:

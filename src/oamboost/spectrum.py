@@ -235,57 +235,49 @@ def _azimuth_grid(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _azimuth_nodes(name: str, nodes, floor: int, l_a, l_b, gamma: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """Checked node count, shear (gamma**2 - 1)*cos(phi_k)**2 + 1 and exp(-1j*s*phi_k) as unit roots at exact angles.
+def _azimuth_nodes(floor: int, l_a, l_b, gamma: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Node count N, shear (gamma**2 - 1)*cos(phi_k)**2 + 1 and exp(-1j*s*phi_k) as unit roots at exact angles.
 
-    s = l_a + l_b.  The trapezoid rule cannot tell s from s - nodes, so nodes must exceed 2*|s|.
+    s = l_a + l_b.  N is the smallest power of two >= floor that exceeds 2*|s|, as the trapezoid rule cannot tell s
+    from s - N, and has 4*q**(N/2) <= 2**-52; an N over MAX_NODES raises before any table is built.
     """
     s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
-    if nodes is None:  # the smallest power of two >= floor that resolves s and has 4*q**(nodes/2) <= 2**-52
-        need = math.ceil(2 * math.log(2**-54) / math.log((gamma - 1.0) / (gamma + 1.0))) if gamma > 1.0 else 0
-        if need > MAX_NODES:
-            raise ValueError(f"gamma = {gamma} needs {name} >= {need} for an error <= 2**-52, over the cap {MAX_NODES}")
-        nodes = min(1 << (max(floor, need, 2 * abs(s) + 1) - 1).bit_length(), MAX_NODES)
-    nodes = _require_index(name, nodes, floor, MAX_NODES)
-    if 2 * abs(s) >= nodes:
-        raise ValueError(f"{name} = {nodes} cannot resolve l_a + l_b = {s}: it needs {name} >= {2 * abs(s) + 1}")
+    need = math.ceil(2 * math.log(2**-54) / math.log((gamma - 1.0) / (gamma + 1.0))) if gamma > 1.0 else 0
+    nodes = 1 << (max(floor, need, 2 * abs(s) + 1) - 1).bit_length()
+    if nodes > MAX_NODES:
+        raise ValueError(f"gamma = {gamma} and l_a + l_b = {s} need {nodes} azimuth nodes, over the cap {MAX_NODES}")
     k, cos2, roots = _azimuth_grid(nodes)
     return nodes, (gamma * gamma - 1.0) * cos2 + 1.0, roots[(s * k) % nodes]
 
 
-def joint_probability_quadrature(
-    l_a: int, l_b: int, gamma: float, n_modes: int = 1, panels: int | None = None
-) -> float:
+def joint_probability_quadrature(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> float:
     """Overlap-integral oracle for joint_probability: the periodic trapezoid rule in azimuth.
 
-    The integrand is smooth and 2*pi-periodic, so the rule's error on N = `panels` nodes (N > 2*|l_a + l_b|) is
-    4*q**(N/2), q = (gamma - 1)/(gamma + 1).  None takes the smallest power of two N >= 64 that bounds it by 2**-52
-    (64, 256, 1024, 2048 at gamma 1, 5, 20, 50) and raises past gamma ~ 3e4, where that N exceeds MAX_NODES.
+    The integrand is smooth and 2*pi-periodic, so the rule's error on N nodes (N > 2*|l_a + l_b|) is 4*q**(N/2),
+    q = (gamma - 1)/(gamma + 1).  N is the smallest power of two >= 64 that bounds it by 2**-52 (64, 256, 1024,
+    2048 at gamma 1, 5, 20, 50); past gamma ~ 3e4, or |l_a + l_b| >= 2**19, N exceeds MAX_NODES and the call raises.
     """
     gamma = require_gamma(gamma)
     n = _require_index("n_modes", n_modes, 1)
-    panels, shear, phases = _azimuth_nodes("panels", panels, 64, l_a, l_b, gamma)
+    panels, shear, phases = _azimuth_nodes(64, l_a, l_b, gamma)
     total = phases @ (gamma / shear)
     return float(abs(total) ** 2 / (panels * panels * n))
 
 
-def joint_probability_spdc_oracle(
-    l_a: int, l_b: int, gamma: float, radial_cutoff: float = 6.0, grid: int | None = None
-) -> float:
+def joint_probability_spdc_oracle(l_a: int, l_b: int, gamma: float, radial_cutoff: float = 6.0) -> float:
     """Gaussian-source 2-D integral seen from the moving detectors.
 
     The polar form of the overlap integral for a unit Gaussian source whose
     radius the boost shears: the exact radial factor (1 - exp(-shear*R**2)) /
     (2*shear) up to R = radial_cutoff (inf allowed), then the trapezoid rule of
-    joint_probability_quadrature on `grid` azimuth nodes (> 2*|l_a + l_b|), which
-    None sizes by that oracle's rule with a floor of 256.
+    joint_probability_quadrature on nodes sized by its rule, with a floor of 256.
     Unnormalised: as R grows it tends to that quadrature times pi**2/gamma**2.
     """
     gamma = require_gamma(gamma)
     radial_cutoff = float(radial_cutoff)
     if not radial_cutoff > 0.0:
         raise ValueError(f"radial_cutoff must be positive, got {radial_cutoff}")
-    grid, shear, phases = _azimuth_nodes("grid", grid, 256, l_a, l_b, gamma)
+    grid, shear, phases = _azimuth_nodes(256, l_a, l_b, gamma)
     radial = -np.expm1(-shear * (radial_cutoff * radial_cutoff)) / (2.0 * shear)
     return float(abs(phases @ radial * (TWO_PI / grid)) ** 2)
 

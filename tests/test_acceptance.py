@@ -41,12 +41,12 @@ def budget(criterion, limit_seconds, detail=""):
 
 
 def test_criterion_01_oracle_equivalence():
-    with budget(1, 5.0, "closed form vs 4096-panel quadrature, |l| <= 10"):
+    with budget(1, 5.0, "closed form vs quadrature on the nodes its rule sizes, |l| <= 10"):
         for gamma in (1.0, 1.5, 2.0, 5.0, 10.0, 20.0):
             for l_a in range(-10, 11):
                 for l_b in range(-10, 11):
                     closed = joint_probability(l_a, l_b, gamma, 1)
-                    quad = joint_probability_quadrature(l_a, l_b, gamma, 1, 4096)
+                    quad = joint_probability_quadrature(l_a, l_b, gamma)
                     assert abs(closed - quad) < 1e-9
 
 
@@ -162,7 +162,7 @@ QUADRATURE_CELLS = drawn_odd_cells()
 @example(gamma=10.0, cells=QUADRATURE_CELLS[3])
 def quadrature_odd_sums_vanish(gamma, cells):
     for l_a, l_b in cells:
-        assert joint_probability_quadrature(l_a, l_b, gamma, 1, 4096) < 1e-9
+        assert joint_probability_quadrature(l_a, l_b, gamma) < 1e-9
 
 
 @settings(max_examples=60, deadline=None)

@@ -356,6 +356,17 @@ class TestSimulateAndEstimateCommands:
         assert f"error: {meta_file}: seed and window bounds must be JSON integers, got 7.9" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit_*.json"))
 
+    @pytest.mark.parametrize("gamma", [-5.0, float("nan"), 0.5, 1e300])
+    def test_estimate_rejects_an_invalid_gamma_in_the_sidecar(self, tmp_path, capsys, gamma):
+        assert self.run_simulate(tmp_path) == 0
+        meta_file, csv_file = tmp_path / "counts_g5_seed7.meta.json", tmp_path / "counts_g5_seed7.csv"
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        meta_file.write_text(json.dumps(dict(meta, gamma_encoded=gamma)), encoding="utf-8")
+        csv_file.write_bytes(b"")  # reported before the CSV is parsed
+        assert main(["estimate", "--counts", str(csv_file), "--out", str(tmp_path)]) == 1
+        assert f"error: {meta_file}: gamma must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit_*.json"))
+
 
 class TestExperimentCommand:
     def test_noiseless_recovery(self, tmp_path):

@@ -313,6 +313,17 @@ def fit_rows(values, l_a, window, bounds):
 BOUNDS = st.sampled_from([(1.0, 50.0), (1.0, 60.0), (1.5, 8.0), (1.0, 1e6)])
 
 
+def flat_start_rows(window, peak, far):
+    """(values, l_a, window): one row at l_a = 0 with its peak, the value far at l_b = 4 and 0 elsewhere.
+
+    At gamma = 1 (p = 0) the objective's slope -2*Y_1 is 0, as the |s| = 2 cells are, and it moves as
+    (n_1 - 2*Y_2)*p**2: it falls where Y_2 = far/peak exceeds n_1/2 = 1.
+    """
+    values = np.zeros((1, len(window)))
+    values[0, [window.index_of(0), window.index_of(4)]] = peak, far
+    return values, 0, window
+
+
 class TestBatchedFit:
     """_fit on the rows of one l_a and window: one coarse grid on the totals and one Newton iteration for every row."""
 
@@ -321,11 +332,28 @@ class TestBatchedFit:
     @example(runs=noiseless_rows(3, OamWindow(-103, 97), [5.0]), bounds=(1.0, 50.0))
     # rows that converge after different numbers of steps, and one on the lower bound
     @example(runs=noiseless_rows(7, OamWindow(-27, 13), [1.0, 2.0, 45.0]), bounds=(1.0, 50.0))
+    # a zero slope at gamma = 1 on a falling objective, which used to return the bound
+    @example(runs=flat_start_rows(OamWindow(-98, 15), 1.0, 1.00001), bounds=(1.0, 1e6))
     def test_each_row_no_worse_than_the_golden_section_fit(self, runs, bounds):
         values, l_a, window = runs
         norm = estimate._peak_normalised(values, l_a, window)
         for row, fit in zip(values, zip(*estimate._fit(norm, l_a + window.indices(), *bounds))):
             assert_no_worse_than_reference(*fit, ConditionalSlice(l_a=l_a, window_b=window, values=row), bounds)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 1e6), (1.0, 50.0)])
+    def test_a_zero_slope_at_gamma_1_leaves_the_bound_where_the_objective_falls(self, bounds):
+        values, l_a, window = flat_start_rows(OamWindow(-4, 4), 1.0, 1.00001)
+        result = estimate_gamma_fit(ConditionalSlice(l_a=l_a, window_b=window, values=values[0]), bounds)
+        # a dense scan puts the minimum at 1.0992, residual 1.00002000005; gamma = 1 has 1.0000200001
+        assert result.at_bound is False and result.gamma_meas == pytest.approx(1.0992, abs=1e-3)
+        assert result.residual < 1.0000200001
+
+    @pytest.mark.parametrize("far, flagged", [(0.99999, True), (1.0, True), (1.00001, False)])
+    def test_a_zero_slope_at_gamma_1_flags_the_bound_unless_the_objective_falls(self, far, flagged):
+        # f(p) - f(0) = (2 - 2*far)*p**2 + 2*p**4: the bound holds unless far > 1
+        values, l_a, window = flat_start_rows(OamWindow(-4, 4), 1.0, far)
+        fit, _, at_bound = estimate._fit(estimate._peak_normalised(values, l_a, window), window.indices(), 1.0, 1e6)
+        assert at_bound.tolist() == [flagged] and (fit[0] == 1.0) == flagged
 
     @pytest.mark.parametrize("l_a", [0, 3, -2])
     def test_one_coarse_kernel_and_one_sum_index_per_fit(self, monkeypatch, l_a):

@@ -669,6 +669,10 @@ class TestSerialization:
             (lambda meta: meta["model"].update(pair_rate=-1), r"counts\.meta\.json: pair_rate must be positive"),
             (lambda meta: meta["windows"].update(a=[3, -3]), r"counts\.meta\.json: l_min must not exceed l_max"),
             (lambda meta: meta.update(gamma_encoded="x"), r"counts\.meta\.json: could not convert string to float"),
+            (lambda meta: meta.update(gamma_encoded=-5), r"counts\.meta\.json: gamma must be >= 1 and finite, got -5\.0"),
+            (lambda meta: meta.update(gamma_encoded=float("nan")), r"counts\.meta\.json: gamma must be >= 1 and finite, got nan"),
+            (lambda meta: meta.update(gamma_encoded=0.5), r"counts\.meta\.json: gamma must be >= 1 and finite, got 0\.5"),
+            (lambda meta: meta.update(gamma_encoded=1e300), r"counts\.meta\.json: gamma must be <= 1e\+06, got 1e\+300"),
             (lambda meta: meta.update(seed=7.9), r"counts\.meta\.json: .*must be JSON integers, got 7\.9"),
             (lambda meta: meta.update(seed=True), r"counts\.meta\.json: .*must be JSON integers, got True"),
             (lambda meta: meta["windows"].update(b=[-2.6, 2.9]), r"counts\.meta\.json: .*must be JSON integers, got -2\.6"),

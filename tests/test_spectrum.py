@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import warnings
@@ -382,13 +383,13 @@ class TestSharedPowers:
 
 class TestQuadratureOracle:
     def test_constant_integrand(self):
-        assert joint_probability_quadrature(0, 0, 1.0, 1, 4096) == pytest.approx(1.0, abs=1e-10)
+        assert joint_probability_quadrature(0, 0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_even_sum(self):
-        assert joint_probability_quadrature(0, 2, 3.0, 1, 4096) == pytest.approx(0.25, abs=1e-9)
+        assert joint_probability_quadrature(0, 2, 3.0) == pytest.approx(0.25, abs=1e-9)
 
     def test_odd_cancellation(self):
-        assert joint_probability_quadrature(1, 2, 5.0, 1, 4096) == pytest.approx(0.0, abs=1e-9)
+        assert joint_probability_quadrature(1, 2, 5.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(31)
@@ -397,12 +398,8 @@ class TestQuadratureOracle:
                 l_a = int(rng.integers(-10, 11))
                 l_b = int(rng.integers(-10, 11))
                 closed = joint_probability(l_a, l_b, gamma, 3)
-                quad = joint_probability_quadrature(l_a, l_b, gamma, 3, 4096)
+                quad = joint_probability_quadrature(l_a, l_b, gamma, 3)
                 assert quad == pytest.approx(closed, abs=1e-9)
-
-    def test_panel_floor(self):
-        with pytest.raises(ValueError):
-            joint_probability_quadrature(0, 0, 2.0, 1, 32)
 
     def test_table_phases_give_the_former_values(self):
         # the trapezoid sum as written before the phases came from a cached table
@@ -417,37 +414,27 @@ class TestQuadratureOracle:
                 assert abs(joint_probability_quadrature(0, s, gamma) - former(s, gamma)) < 1e-14
 
     @settings(max_examples=300, deadline=None)
-    @given(s=st.integers(-3000, 3000) | st.integers(-(2**70), 2**70), panels=st.sampled_from([1024, 4096, 4097]),
-           gamma=st.floats(1.0, 20.0))
-    @example(s=2047, panels=4096, gamma=20.0)
-    @example(s=-2048, panels=4096, gamma=20.0)
-    @example(s=2048, panels=4097, gamma=20.0)
-    @example(s=2049, panels=4097, gamma=20.0)
-    def test_agrees_below_the_nyquist_limit_and_raises_at_it(self, s, panels, gamma):
-        if 2 * abs(s) < panels:
+    @given(s=st.integers(-3000, 3000) | st.integers(-(2**70), 2**70), gamma=st.floats(1.0, 20.0))
+    @example(s=2**19 - 1, gamma=20.0)
+    @example(s=-(2**19), gamma=1.0)
+    @example(s=2**70, gamma=20.0)
+    def test_agrees_below_the_nyquist_limit_and_raises_at_it(self, s, gamma):
+        # up to gamma 20 the error bound needs at most 1024 nodes, so only a sum the cap cannot resolve raises
+        if 2 * abs(s) < spectrum.MAX_NODES:
             closed = joint_probability(0, s, gamma)
-            assert joint_probability_quadrature(s, 0, gamma, 1, panels) == pytest.approx(closed, abs=1e-9)
-        else:
-            enough = f"needs panels >= {2 * abs(s) + 1}"
-            with pytest.raises(ValueError, match=enough):
-                joint_probability_quadrature(s, 0, gamma, 1, panels)
-            with pytest.raises(ValueError, match=enough.replace("panels", "grid")):
-                joint_probability_spdc_oracle(s, 0, gamma, grid=panels)
+            assert joint_probability_quadrature(s, 0, gamma) == pytest.approx(closed, abs=1e-9)
+            return
+        built = spectrum._azimuth_grid.cache_info()
+        cap = re.escape(f"l_a + l_b = {s} need {1 << (2 * abs(s)).bit_length()} azimuth nodes, over the cap 1048576")
+        for call in (joint_probability_quadrature, joint_probability_spdc_oracle):
+            with pytest.raises(ValueError, match=rf"^gamma = {re.escape(str(gamma))} and {cap}$"):
+                call(s, 0, gamma)
+        assert spectrum._azimuth_grid.cache_info() == built
 
     def test_unresolved_sum_raises(self):
-        # 2**40 + 2 aliases to 2 on 4096 panels, which used to give 0.4444576 for a closed-form 0.0
-        with pytest.raises(ValueError, match="cannot resolve l_a \\+ l_b = 1099511627778"):
+        # 2**40 + 2 aliases to 2 on 4096 nodes, which used to give 0.4444576 for a closed-form 0.0
+        with pytest.raises(ValueError, match="l_a \\+ l_b = 1099511627778 need 4398046511104 azimuth nodes"):
             joint_probability_quadrature(0, 2**40 + 2, 5.0)
-        with pytest.raises(ValueError, match="needs panels >= 4097"):
-            joint_probability_quadrature(1024, 1024, 5.0, 1, 4096)
-
-    @pytest.mark.parametrize("panels", [300.9, 300.0, "300", 2**20 + 1, 2**70])
-    def test_panels_must_be_an_integer_under_the_cap(self, panels):
-        # rejected before the azimuth table is built, so the cap costs nothing to test
-        built = spectrum._azimuth_grid.cache_info()
-        with pytest.raises(ValueError, match=r"panels must be an integer in \[64, 1048576\]"):
-            joint_probability_quadrature(0, 0, 2.0, 1, panels)
-        assert spectrum._azimuth_grid.cache_info() == built
 
     def test_azimuth_table_is_read_only(self):
         for table in spectrum._azimuth_grid(64):
@@ -470,10 +457,10 @@ class TestSpdcOracle:
     def test_rest_frame_off_diagonal(self):
         assert joint_probability_spdc_oracle(0, 2, 1.0) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("grid", [256, 300])
-    def test_closed_form_radial_matches_the_former_nodes(self, grid):
-        # the oracle as written with a Gauss-Legendre radial quadrature
+    def test_closed_form_radial_matches_the_former_nodes(self):
+        # the oracle as written with a Gauss-Legendre radial quadrature, on the azimuth nodes the rule sizes
         def former(s, gamma, radial_cutoff=6.0):
+            grid = spectrum._azimuth_nodes(256, 0, s, gamma)[0]
             nodes, weights = np.polynomial.legendre.leggauss(grid)
             r = 0.5 * radial_cutoff * (nodes + 1.0)
             wr = 0.5 * radial_cutoff * weights
@@ -485,7 +472,7 @@ class TestSpdcOracle:
 
         for gamma, s, cutoff in ((2.0, 0, 6.0), (5.0, -4, 6.0), (1.3, 2, 3.5), (2.0, 0, 6.0)):
             expected = former(s, gamma, cutoff)
-            assert joint_probability_spdc_oracle(0, s, gamma, cutoff, grid) == pytest.approx(expected, rel=1e-13)
+            assert joint_probability_spdc_oracle(0, s, gamma, cutoff) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 5.0])
     def test_zero_sum_is_pi_squared_over_gamma_squared(self, gamma):
@@ -494,28 +481,21 @@ class TestSpdcOracle:
     @pytest.mark.parametrize("gamma", [2.0, 5.0])
     def test_is_the_quadrature_times_pi_squared_over_gamma_squared(self, gamma):
         for s in (0, 2, -2, 4, -4, 10):
-            quad = joint_probability_quadrature(0, s, gamma, 1, 256)
+            quad = joint_probability_quadrature(0, s, gamma)
             assert joint_probability_spdc_oracle(0, s, gamma) == pytest.approx(quad * math.pi**2 / gamma**2, rel=1e-13)
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 20.0])
     def test_infinite_cutoff_gives_the_limit(self, gamma):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = joint_probability_spdc_oracle(0, 2, gamma, radial_cutoff=math.inf, grid=256)
-        limit = joint_probability_quadrature(0, 2, gamma, 1, 256) * math.pi**2 / gamma**2
+            value = joint_probability_spdc_oracle(0, 2, gamma, radial_cutoff=math.inf)
+        limit = joint_probability_quadrature(0, 2, gamma) * math.pi**2 / gamma**2
         assert math.isfinite(value)
         assert value == pytest.approx(limit, rel=1e-13)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             joint_probability_spdc_oracle(0, 0, 2.0, radial_cutoff=-1.0)
-        with pytest.raises(ValueError):
-            joint_probability_spdc_oracle(0, 0, 2.0, grid=64)
-        for grid in (256.5, 256.0, 2**20 + 1):
-            with pytest.raises(ValueError, match=r"grid must be an integer in \[256, 1048576\]"):
-                joint_probability_spdc_oracle(0, 0, 2.0, grid=grid)
-        with pytest.raises(ValueError, match="grid = 256 cannot resolve l_a \\+ l_b = 128: it needs grid >= 257"):
-            joint_probability_spdc_oracle(64, 64, 2.0, grid=256)
 
 
 SPDC_SUMS = (0, 2, -2, 4, -4)
@@ -536,24 +516,29 @@ class TestDefaultNodes:
     @pytest.mark.parametrize("gamma, panels, grid", [(1.0, 64, 256), (5.0, 256, 256), (20.0, 1024, 1024),
                                                      (50.0, 2048, 2048)])
     def test_picks_the_smallest_power_of_two_that_bounds_the_error(self, gamma, panels, grid):
-        assert spectrum._azimuth_nodes("panels", None, 64, 0, 0, gamma)[0] == panels
-        assert spectrum._azimuth_nodes("grid", None, 256, 0, 0, gamma)[0] == grid
+        assert spectrum._azimuth_nodes(64, 0, 0, gamma)[0] == panels
+        assert spectrum._azimuth_nodes(256, 0, 0, gamma)[0] == grid
         q = (gamma - 1.0) / (gamma + 1.0)
         assert 4.0 * q ** (panels / 2) <= 2.0**-52 and (panels == 64 or 4.0 * q ** (panels / 4) > 2.0**-52)
-        assert joint_probability_quadrature(0, 2, gamma) == joint_probability_quadrature(0, 2, gamma, 1, panels)
-        assert joint_probability_spdc_oracle(0, 2, gamma) == joint_probability_spdc_oracle(0, 2, gamma, grid=grid)
+
+    def test_the_rule_alone_sets_the_count(self):
+        # an explicit count could only repeat the rule's answer or alias a sum: 24.51 for a closed-form 1 at gamma 1e4
+        for call in (joint_probability_quadrature, joint_probability_spdc_oracle):
+            assert not {"panels", "grid"} & set(inspect.signature(call).parameters)
+        assert joint_probability_quadrature(0, 0, 1e4) == pytest.approx(1.0, abs=1e-14)
 
     def test_resolves_any_sum_under_the_cap(self):
         # 4096 panels and 256 grid nodes used to raise at these sums
-        assert spectrum._azimuth_nodes("panels", None, 64, 1024, 1024, 5.0)[0] == 8192
+        assert spectrum._azimuth_nodes(64, 1024, 1024, 5.0)[0] == 8192
         closed = joint_probability(1024, 1024, 5.0)
         assert joint_probability_quadrature(1024, 1024, 5.0) == pytest.approx(closed, abs=1e-14)
         assert joint_probability_spdc_oracle(64, 64, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_beyond_the_cap_raises_before_building_a_table(self):
         built = spectrum._azimuth_grid.cache_info()
-        for call, name in ((joint_probability_quadrature, "panels"), (joint_probability_spdc_oracle, "grid")):
-            with pytest.raises(ValueError, match=rf"gamma = 100000.0 needs {name} >= 3742995 .* over the cap 1048576"):
+        cap = "gamma = 100000.0 and l_a \\+ l_b = 0 need 4194304 azimuth nodes, over the cap 1048576"
+        for call in (joint_probability_quadrature, joint_probability_spdc_oracle):
+            with pytest.raises(ValueError, match=cap):
                 call(0, 0, 1e5)
         assert spectrum._azimuth_grid.cache_info() == built
 
