@@ -37,7 +37,7 @@ from .estimate import (
     estimate_gamma_fit,
     estimate_gamma_msum,
 )
-from .hologram import _render, export_hologram, generate_hologram
+from .hologram import DEFAULT_EXTENT, DEFAULT_SIZE, _render, export_hologram, generate_hologram
 from .relativity import frame_from_gamma, require_gamma
 from .simulate import (
     SUBTRACT_MODES,
@@ -137,9 +137,9 @@ _COMMON = {
     "config": (str, None, "key = value file mirroring the flags; flags take precedence"),
 }
 _RATES = {
-    "pair_rate": (_parse_float, 1.0e4, "expected true coincidences at the spectrum peak"),
-    "accidental_rate": (_parse_float, 5.0, "expected accidental coincidences per cell"),
-    "integration": (_parse_float, 1.0, "exposure multiplier"),
+    "pair_rate": (_parse_float, NoiseModel.pair_rate, "expected true coincidences at the spectrum peak"),
+    "accidental_rate": (_parse_float, NoiseModel.accidental_rate, "expected accidental coincidences per cell"),
+    "integration": (_parse_float, NoiseModel.integration, "exposure multiplier"),
 }
 _FIT_BOUNDS = {
     "gamma_min": (_parse_float, DEFAULT_GAMMA_BOUNDS[0], "lower fit bound"),
@@ -162,9 +162,9 @@ OPTION_TABLES = {
         **_COMMON,
         "l": (_parse_int, _REQUIRED, "OAM index of the projection hologram"),
         "gamma": (_parse_float, _REQUIRED, _GAMMA_HELP),
-        "width": (_parse_int, 512, "hologram width in pixels"),
-        "height": (_parse_int, 512, "hologram height in pixels"),
-        "extent": (_parse_float, 1.0, "half-width of the sampled plane in normalised units"),
+        "width": (_parse_int, DEFAULT_SIZE, "hologram width in pixels"),
+        "height": (_parse_int, DEFAULT_SIZE, "hologram height in pixels"),
+        "extent": (_parse_float, DEFAULT_EXTENT, "half-width of the sampled plane in normalised units"),
         "format": (_choice("pgm", "csv"), "pgm", "output format"),
     },
     "simulate": {

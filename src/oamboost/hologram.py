@@ -12,13 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .relativity import TWO_PI, require_gamma
-from .spectrum import _require_index
+from .spectrum import L_RANGE, _require_index
 
 DEFAULT_SIZE = 512
 DEFAULT_EXTENT = 1.0
 
 MAX_PIXELS = 8192 * 8192  # 512 MB of float64; width * height is checked before any allocation
-MAX_L = 10**12  # l * atan2 rounds by up to |l| * pi * 2**-53: under 3% of half a grey level (pi / 255) up to here
 _BLOCK_CELLS = 1 << 16  # cells in a row block of generation and export: 32 rows at 2048 wide
 
 
@@ -88,7 +87,7 @@ def _render(l, gamma, width, height, extent, pgm: bool) -> HologramField | np.nd
     of its mirror row's r, and 0 where that rounds to 2*pi (r = 0 too), the bits that computing it would give.
     """
     gamma = require_gamma(gamma)
-    l = _require_index("l", l, -MAX_L, MAX_L)
+    l = _require_index("l", l, *L_RANGE)
     width = _require_index("width", width)
     height = _require_index("height", height)
     if width < 2 or height < 2:
@@ -152,7 +151,7 @@ def export_hologram(field: HologramField, format: str) -> bytes:
 def winding_number(l: int, gamma: float, samples: int = 3600) -> float:
     """Accumulated mask phase around the core divided by 2*pi; equals l for any gamma, or raises if undersampled."""
     gamma = require_gamma(gamma)
-    l, samples = _require_index("l", l, -MAX_L, MAX_L), _require_index("samples", samples)
+    l, samples = _require_index("l", l, *L_RANGE), _require_index("samples", samples)
     angles = np.linspace(0.0, TWO_PI, samples + 1)
     azimuth = np.arctan2(gamma * np.sin(angles), np.cos(angles))
     # unwrap cannot resolve a mask-phase step of pi; the l = 1 azimuth's steps stay below pi from 3 samples on

@@ -10,9 +10,9 @@ RNG stream contract (a change to any point changes seeded counts):
 - Cell (l_a, l_b) of the run with seed `seed` owns one Philox4x64-10
   stream.  Its key words are (seed, (l_a + 2**31) << 32 | (l_b + 2**31)),
   i.e. the 128-bit key seed + 2**64 * ((l_a + 2**31) * 2**32 + l_b + 2**31).
-  Seeds lie in [0, 2**64) and indices in [-2**31, 2**31), so no two
-  cells share a key.  The key holds no gamma: an experiment's gammas
-  share each cell's stream, which is drawn once for them all.
+  Seeds lie in [0, 2**64), and OamWindow keeps indices in spectrum.L_RANGE
+  = [-2**31, 2**31), so no two cells share a key.  The key holds no gamma:
+  an experiment's gammas share each cell's stream, drawn once for them all.
 - The counter starts at 1 and runs (1, 0, 0, 0), (2, 0, 0, 0), ...;
   each block yields four 64-bit words, used in order.  A word u becomes
   the uniform (u >> 11) * 2**-53.
@@ -36,12 +36,12 @@ import numpy as np
 
 from ._table import format_table, parse_int_rows
 from .relativity import require_gamma
-from .spectrum import ConditionalSlice, OamWindow, _freeze_array, _require_index, check_cells, geometric_kernel
+from .spectrum import L_RANGE, ConditionalSlice, OamWindow, _freeze_array, _require_index, check_cells, geometric_kernel
 
 SUBTRACT_MODES = ("accidental", "minimum", "both")
 
 _U64 = (1 << 64) - 1
-_I32_OFFSET = 1 << 31
+_I32_OFFSET = -L_RANGE[0]
 
 # Largest Poisson mean numpy's Generator accepts.
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -124,20 +124,12 @@ class CountSpectrum:
         object.__setattr__(self, "seed", _require_index("seed", self.seed))
 
 
-def check_stream_keys(windows, seeds) -> None:
-    """Raise ValueError unless every cell of windows x seeds has its own Philox key.
-
-    Seeds must be integers (a float raises, not truncates) in [0, 2**64) and
-    window indices in [-2**31, 2**31); outside those ranges two cells would
-    share a key or the key would overflow its 128 bits.
-    """
+def check_stream_keys(seeds) -> None:
+    """Raise ValueError unless every seed, a key word, is an integer (a float raises, not truncates) in [0, 2**64)."""
     for seed in seeds:
         seed = _require_index("seed", seed)
         if not 0 <= seed <= _U64:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    for name, window in zip(("l_a", "l_b"), windows):
-        if window.l_min < -_I32_OFFSET or window.l_max >= _I32_OFFSET:
-            raise ValueError(f"{name} window [{window.l_min}, {window.l_max}] must lie in [-2**31, 2**31)")
 
 
 def _mulhilo(m, m_lo, m_hi, x):
@@ -328,7 +320,7 @@ def _draw_poisson(k: int, n_keys: int, key_means) -> np.ndarray:
 
 def _count_runs(gammas, windows, model: NoiseModel, seeds) -> np.ndarray:
     """simulate_counts' (gammas, seeds, window_a, window_b) counts, drawn in one pass; the caller checks the gammas."""
-    check_stream_keys(windows, seeds)
+    check_stream_keys(seeds)
     window_a, window_b = windows
     check_cells(window_a, window_b, len(seeds), len(gammas))
     scale = model.pair_rate * model.integration
@@ -422,7 +414,12 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         window_a, window_b = (OamWindow(*map(_json_int, meta["windows"][side])) for side in "ab")
         check_cells(window_a, window_b)
-        model, seed, gamma = NoiseModel(**meta["model"]), _json_int(meta["seed"]), require_gamma(meta["gamma_encoded"])
+        model, seed = NoiseModel(**meta["model"]), _json_int(meta["seed"])  # meta["model"] is a mapping from here on
+        # float() would read true as 1.0 and "5" as 5.0
+        bad = [value for value in (meta["gamma_encoded"], *meta["model"].values()) if type(value) not in (int, float)]
+        if bad:
+            raise ValueError(f"gamma_encoded and model rates must be JSON numbers, got {bad[0]!r}")
+        gamma = require_gamma(meta["gamma_encoded"])
     except OSError as exc:
         raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None
     except KeyError as exc:

@@ -24,6 +24,7 @@ from .relativity import TWO_PI, require_gamma
 
 MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
 MAX_NODES = 1 << 20  # azimuth nodes of an oracle; its cached table costs 32 B a node
+L_RANGE = (-(1 << 31), (1 << 31) - 1)  # every OAM index: a Philox key packs each in 32 bits, and sums fit int64
 
 
 def _require_index(name: str, value, low: int | None = None, high: float = math.inf) -> int:
@@ -38,19 +39,9 @@ def _require_index(name: str, value, low: int | None = None, high: float = math.
     raise ValueError(f"{name} must be an integer{span}, got {value!r}")
 
 
-def _fits_int64(*values: int) -> bool:
-    """Whether every |value| is below 2**63; -2**63 fails, as numpy's abs overflows on it."""
-    return max(map(abs, values)) < 1 << 63
-
-
-def _window_cells(*windows) -> tuple[int, ...]:
-    """Each window's number of cells as a Python int, as len() overflows on a window of 2**63 cells or more."""
-    return tuple(window.l_max - window.l_min + 1 for window in windows)
-
-
 def _freeze_array(owner, name: str, dtype, *windows) -> np.ndarray:
     """Store owner.<name> as a read-only array of dtype and of the windows' shape, and return it."""
-    array, shape = np.ascontiguousarray(getattr(owner, name), dtype=dtype), _window_cells(*windows)
+    array, shape = np.ascontiguousarray(getattr(owner, name), dtype=dtype), tuple(map(len, windows))
     if array.shape != shape:
         raise ValueError(f"{name} shape {array.shape} does not match the windows' shape {shape}")
     array.setflags(write=False)
@@ -66,21 +57,19 @@ class OamWindow:
     l_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "l_min", _require_index("l_min", self.l_min))
-        object.__setattr__(self, "l_max", _require_index("l_max", self.l_max))
+        object.__setattr__(self, "l_min", _require_index("l_min", self.l_min, *L_RANGE))
+        object.__setattr__(self, "l_max", _require_index("l_max", self.l_max, *L_RANGE))
         if self.l_min > self.l_max:
             raise ValueError(f"l_min must not exceed l_max, got [{self.l_min}, {self.l_max}]")
-        if self.l_min < -(1 << 63) or self.l_max >= 1 << 63:
-            raise ValueError(f"l_min and l_max must fit in int64, got [{self.l_min}, {self.l_max}]")
 
     @classmethod
     def symmetric(cls, half_width: int) -> "OamWindow":
         """Window [-half_width, half_width], the detection-range convention."""
-        half_width = _require_index("half_width", half_width, 0)
+        half_width = _require_index("half_width", half_width, 0, L_RANGE[1])
         return cls(-half_width, half_width)
 
     def indices(self) -> np.ndarray:
-        return np.arange(self.l_min, self.l_max + 1, dtype=np.int64)  # not float64 at the int64 edge
+        return np.arange(self.l_min, self.l_max + 1, dtype=np.int64)  # a sum of two needs 33 bits
 
     def index_of(self, l: int) -> int:
         l = _require_index("l", l)
@@ -123,7 +112,7 @@ class ConditionalSlice:
 
     def __post_init__(self):
         _freeze_array(self, "values", float, self.window_b)
-        object.__setattr__(self, "l_a", _require_index("l_a", self.l_a))
+        object.__setattr__(self, "l_a", _require_index("l_a", self.l_a, *L_RANGE))
 
 
 def _check_finite(values: np.ndarray, window: OamWindow) -> None:
@@ -136,7 +125,7 @@ def _check_finite(values: np.ndarray, window: OamWindow) -> None:
 
 def check_cells(window_a: OamWindow, window_b: OamWindow, runs: int = 1, gammas: int = 1) -> None:
     """Raise ValueError if runs spectra at each of gammas over the windows hold more than MAX_CELLS cells in all."""
-    rows, cols = _window_cells(window_a, window_b)
+    rows, cols = len(window_a), len(window_b)
     if rows * cols * runs * gammas > MAX_CELLS:
         by = f" ({runs} runs at each of {gammas} gammas)" if gammas > 1 else ""
         raise ValueError(f"window cells x runs must be at most {MAX_CELLS}, got {rows} x {cols} x {runs * gammas}{by}")
@@ -196,17 +185,13 @@ def joint_probability(l_a: int, l_b: int, gamma: float, n_modes: int = 1) -> flo
     """
     gamma = require_gamma(gamma)
     n = _require_index("n_modes", n_modes, 1)
-    s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
-    if not _fits_int64(s):
-        raise ValueError(f"l_a + l_b must fit in int64, got {s}")
+    s = _require_index("l_a", l_a, *L_RANGE) + _require_index("l_b", l_b, *L_RANGE)
     return float(geometric_kernel(s, gamma) / n)
 
 
 def conditional_slice(l_a: int, window: OamWindow, gamma: float) -> ConditionalSlice:
     """Noiseless conditional spectrum over a window; peak value 1 at l_b = -l_a."""
-    l_a = _require_index("l_a", l_a)
-    if not _fits_int64(l_a, l_a + window.l_min, l_a + window.l_max):
-        raise ValueError(f"l_a + l_b must fit in int64, got l_a = {l_a} on the window [{window.l_min}, {window.l_max}]")
+    l_a = _require_index("l_a", l_a, *L_RANGE)
     values = geometric_kernel(l_a + window.indices(), require_gamma(gamma))
     return ConditionalSlice(l_a=l_a, window_b=window, values=values)
 
@@ -216,9 +201,6 @@ def joint_spectrum(gamma: float, window_a: OamWindow, window_b: OamWindow, n_mod
     gamma = require_gamma(gamma)
     n = _require_index("n_modes", n_modes, 1)
     check_cells(window_a, window_b)
-    low, high = window_a.l_min + window_b.l_min, window_a.l_max + window_b.l_max
-    if not _fits_int64(low, high):
-        raise ValueError(f"l_a + l_b must fit in int64, got sums in [{low}, {high}]")
     values = geometric_kernel(window_a.indices()[:, None] + window_b.indices(), gamma) / n
     return JointSpectrum(window_a=window_a, window_b=window_b, values=values, n_modes=n, gamma=gamma)
 
@@ -241,7 +223,7 @@ def _azimuth_nodes(floor: int, l_a, l_b, gamma: float) -> tuple[int, np.ndarray,
     s = l_a + l_b.  N is the smallest power of two >= floor that exceeds 2*|s|, as the trapezoid rule cannot tell s
     from s - N, and has 4*q**(N/2) <= 2**-52; an N over MAX_NODES raises before any table is built.
     """
-    s = _require_index("l_a", l_a) + _require_index("l_b", l_b)
+    s = _require_index("l_a", l_a, *L_RANGE) + _require_index("l_b", l_b, *L_RANGE)
     need = math.ceil(2 * math.log(2**-54) / math.log((gamma - 1.0) / (gamma + 1.0))) if gamma > 1.0 else 0
     nodes = 1 << (max(floor, need, 2 * abs(s) + 1) - 1).bit_length()
     if nodes > MAX_NODES:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -120,12 +121,15 @@ class TestHologramCommand:
 
     @pytest.mark.parametrize("fmt", ["pgm", "csv"])
     def test_huge_charge_exits_2(self, tmp_path, capsys, fmt):
-        # 10**20 and 10**20 + 1 used to write the same noise: float(l) rounds above 2**53
-        for l in (10**20, 10**20 + 1, -(10**12) - 1):
+        # 10**20 and 10**20 + 1 used to write the same noise: float(l) rounds above 2**53; up to 10**12 was accepted
+        for l in (10**20, 10**20 + 1, -(10**12) - 1, 10**12, 2**31, -(2**31) - 1):
             assert main(["hologram", "--l", str(l), "--gamma", "3", "--width", "6", "--height", "4",
                          "--format", fmt, "--out", str(tmp_path)]) == 2
-            assert "l must be an integer in [-1000000000000, 1000000000000]" in capsys.readouterr().err
+            assert f"l must be an integer in [-2147483648, 2147483647], got {l}" in capsys.readouterr().err
         assert not tmp_path.exists() or not list(tmp_path.iterdir())
+        for l in (2**31 - 1, -(2**31)):
+            assert main(["hologram", "--l", str(l), "--gamma", "3", "--width", "6", "--height", "4",
+                         "--format", fmt, "--out", str(tmp_path)]) == 0
 
     def test_size_cap_exits_2_before_allocating(self, tmp_path, capsys):
         tracemalloc.start()
@@ -279,8 +283,8 @@ class TestSimulateAndEstimateCommands:
         [
             (["--seed", "-1"], "seed must lie in [0, 2**64)"),
             (["--seed", str(2**64)], "seed must lie in [0, 2**64)"),
-            (["--half-width", str(2**31), "--half-width-a", "0"], "l_b window"),
-            (["--half-width-a", str(2**31 + 5)], "l_a window"),
+            (["--half-width", str(2**31), "--half-width-a", "0"], "half_width must be an integer in [0, 2147483647]"),
+            (["--half-width-a", str(2**31 + 5)], f"half_width must be an integer in [0, 2147483647], got {2**31 + 5}"),
         ],
     )
     def test_simulate_key_out_of_range_exits_2(self, tmp_path, capsys, flags, message):
@@ -365,6 +369,38 @@ class TestSimulateAndEstimateCommands:
         csv_file.write_bytes(b"")  # reported before the CSV is parsed
         assert main(["estimate", "--counts", str(csv_file), "--out", str(tmp_path)]) == 1
         assert f"error: {meta_file}: gamma must be" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit_*.json"))
+
+    @pytest.mark.parametrize(
+        ("edit", "shown"),
+        [(lambda meta: meta.update(gamma_encoded=True), "True"), (lambda meta: meta.update(gamma_encoded="5"), "'5'"),
+         (lambda meta: meta["model"].update(pair_rate=True), "True"),
+         (lambda meta: meta["model"].update(accidental_rate="2"), "'2'")],
+    )
+    def test_estimate_rejects_sidecar_numbers_that_are_not_json_numbers(self, tmp_path, capsys, edit, shown):
+        # each used to read back as a float, and estimate exited 0
+        assert self.run_simulate(tmp_path) == 0
+        meta_file = tmp_path / "counts_g5_seed7.meta.json"
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        edit(meta)
+        meta_file.write_text(json.dumps(meta), encoding="utf-8")
+        assert main(["estimate", "--counts", str(tmp_path / "counts_g5_seed7.csv"), "--out", str(tmp_path)]) == 1
+        message = f"error: {meta_file}: gamma_encoded and model rates must be JSON numbers, got {shown}\n"
+        assert capsys.readouterr().err == message
+        assert not list(tmp_path.glob("fit_*.json"))
+
+    def test_estimate_rejects_a_sidecar_window_past_the_index_range(self, tmp_path, capsys):
+        # simulate cannot write such a file; estimate --l-a 1099511627776 used to fit it and exit 0
+        assert self.run_simulate(tmp_path) == 0
+        csv_file, meta_file = tmp_path / "counts_g5_seed7.csv", tmp_path / "counts_g5_seed7.meta.json"
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        meta["windows"] = {"a": [2**40, 2**40], "b": [-(2**40) - 3, -(2**40) + 3]}
+        meta_file.write_text(json.dumps(meta), encoding="utf-8")
+        rows = "".join(f"{2**40},{l_b},{100 - abs(l_b + 2**40)}\n" for l_b in range(-(2**40) - 3, -(2**40) + 4))
+        csv_file.write_text("l_a,l_b,count\n" + rows, encoding="utf-8")
+        assert main(["estimate", "--counts", str(csv_file), "--l-a", str(2**40), "--out", str(tmp_path)]) == 1
+        message = f"error: {meta_file}: l_min must be an integer in [-2147483648, 2147483647], got {2**40}\n"
+        assert capsys.readouterr().err == message
         assert not list(tmp_path.glob("fit_*.json"))
 
 
@@ -592,7 +628,52 @@ def test_option_error_exits_2_before_any_work(tmp_path, capsys, argv, shown):
     assert not out.exists()
 
 
+def test_defaults_come_from_the_library():
+    model, holograms = NoiseModel(), inspect.signature(generate_hologram).parameters
+    for command in ("simulate", "experiment"):
+        for key in ("pair_rate", "accidental_rate", "integration"):
+            assert OPTION_TABLES[command][key][1] == getattr(model, key)
+    assert [OPTION_TABLES["hologram"][key][1] for key in ("width", "height", "extent")] == [
+        holograms[key].default for key in ("width", "height", "extent")
+    ]
+
+
+def test_a_failed_write_leaves_no_file_and_exits_1(tmp_path, capsys, monkeypatch):
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full)
+    assert main(["sweep", "--gamma", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []  # the temporary file is removed
+
+
 class TestConfigFile:
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: [Errno 2] No such file")
+        assert not (tmp_path / "out").exists()
+
+    def test_line_without_equals_sign_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 2\nhalf-width 3\n", encoding="utf-8")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["0", "false", "No", "OFF"])
+    def test_false_spellings_turn_noiseless_off(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"noiseless = {text}\n", encoding="utf-8")
+        argv = ["experiment", "--gamma", "2", "--half-width", "4", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / "experiment_summary.json").read_text(encoding="utf-8"))
+        assert summary["parameters"]["noiseless"] is False
+        assert main(argv + ["--noiseless"]) == 0  # the flag still overrides the file
+        summary = json.loads((tmp_path / "experiment_summary.json").read_text(encoding="utf-8"))
+        assert summary["parameters"]["noiseless"] is True
+
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 3\nhalf-width = 4\nout = {}\n".format(tmp_path), encoding="utf-8")

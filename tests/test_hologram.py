@@ -18,6 +18,7 @@ from oamboost.hologram import (
     winding_number,
 )
 from oamboost.relativity import TWO_PI, boosted_azimuth, require_gamma
+from oamboost.spectrum import L_RANGE
 
 # Golden 4x4 unit-charge rest-frame mask, computed from wrap(atan2(y, x))
 # on the documented grid and frozen after verification by hand.
@@ -78,6 +79,7 @@ def reference_winding_number(l, gamma, samples=3600):
 
 
 # (|l|, gamma, samples) of test_winding_number where a sampled mask-phase step reaches pi
+IN_RANGE = r" in \[-2147483648, 2147483647\]"
 UNRESOLVED_WINDINGS = {(3, 2.5, 8), (3, 1e6, 8), (3, 1e6, 3600), (12, 1.0, 8), (12, 2.5, 8), (12, 1e6, 8), (12, 1e6, 3600)}
 
 
@@ -197,7 +199,7 @@ class TestGenerateHologram:
     @pytest.mark.parametrize(
         ("args", "message"),
         [
-            ((2.7, 2.0, 8, 8), r"l must be an integer in \[-1000000000000, 1000000000000\], got 2\.7"),
+            ((2.7, 2.0, 8, 8), rf"l must be an integer{IN_RANGE}, got 2\.7"),
             ((2, 2.0, 8.9, 8), "width must be an integer, got 8.9"),
             ((2, 2.0, 8, np.float64(8.0)), "height must be an integer, got "),
         ],
@@ -210,14 +212,15 @@ class TestGenerateHologram:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_charge_bound(self, sign):
-        # above it l * atan2 rounds by more than 3% of half a grey level, and past 2**53 l itself rounds
-        limit = sign * hologram.MAX_L
+        # L_RANGE bounds l as it does every OAM index; 10**12 was accepted, and past 2**53 l itself rounds
+        limit = L_RANGE[(sign + 1) // 2]
         assert generate_hologram(limit, 2.0, 4, 2).phase.shape == (2, 4)
         assert len(hologram._render(limit, 2.0, 4, 2, 1.0, True)) == len(b"P5\n4 2\n255\n") + 8
-        for l in (limit + sign, sign * 10**20):
-            with pytest.raises(ValueError, match=r"l must be an integer in \[-1000000000000, 1000000000000\]"):
+        for l in (limit + sign, sign * 10**12, sign * 10**20):
+            with pytest.raises(ValueError, match=rf"^l must be an integer{IN_RANGE}, got {l}$"):
                 generate_hologram(l, 2.0, 4, 2)
-        assert hologram.MAX_L * math.pi * 2.0**-53 < 0.03 * math.pi / 255
+        # at the edge, l * atan2 rounds by under 3% of half a grey level (pi / 255)
+        assert abs(limit) * math.pi * 2.0**-53 < 0.03 * math.pi / 255
 
     def test_phase_read_only(self):
         field = generate_hologram(1, 1.0, width=4, height=4)
@@ -296,6 +299,10 @@ class TestSameBitsAsWholeArray:
         phase[0, :4] = [0.0, np.nextafter(TWO_PI, 0.0), 0.5 / 255.0 * TWO_PI, 254.5 / 255.0 * TWO_PI]
         field = HologramField(width=37, height=phase.shape[0], extent=1.0, l=1, gamma=1.0, phase=phase)
         assert export_hologram(field, "pgm8") == reference_pgm(field.phase)
+
+    def test_field_phase_must_match_its_size(self):
+        with pytest.raises(ValueError, match=r"^phase shape \(4, 3\) does not match 3x4$"):
+            HologramField(width=4, height=3, extent=1.0, l=1, gamma=1.0, phase=np.zeros((4, 3)))
 
     @settings(max_examples=200, deadline=None)
     @given(l=st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 2**19 + 1, 2**20 - 1, 2**20]),
@@ -437,7 +444,7 @@ class TestWinding:
 
     @pytest.mark.parametrize(
         ("l", "samples", "message"),
-        [(2.5, 3600, r"l must be an integer in \[-1000000000000, 1000000000000\], got 2\.5"),
+        [(2.5, 3600, rf"l must be an integer{IN_RANGE}, got 2\.5"),
          (2, 3600.7, "samples must be an integer, got 3600.7")],
         ids=["l", "samples"],
     )
@@ -448,11 +455,12 @@ class TestWinding:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_charge_bound(self, sign):
-        limit = sign * hologram.MAX_L
+        limit = L_RANGE[(sign + 1) // 2]
         with pytest.raises(ValueError, match=f"cannot resolve l = {limit} at gamma = 1.0 with 3600 samples"):
             winding_number(limit, 1.0)  # within the bound: checked, then too coarsely sampled
-        with pytest.raises(ValueError, match=r"l must be an integer in \[-1000000000000, 1000000000000\]"):
-            winding_number(limit + sign, 1.0)
+        for l in (limit + sign, sign * 10**12):
+            with pytest.raises(ValueError, match=rf"^l must be an integer{IN_RANGE}, got {l}$"):
+                winding_number(l, 1.0)
 
     @pytest.mark.parametrize("samples", [0, 1, 2])
     def test_fewer_than_three_samples_raise(self, samples):

@@ -23,9 +23,10 @@ from oamboost.simulate import (
     sidecar_path,
     simulate_counts,
 )
-from oamboost.spectrum import MAX_CELLS, OamWindow, conditional_slice
+from oamboost.spectrum import L_RANGE, MAX_CELLS, OamWindow, conditional_slice
 
 U64_MAX = 2**64 - 1
+IN_RANGE = r" in \[-2147483648, 2147483647\]"
 
 
 def square_windows(half_width):
@@ -452,22 +453,26 @@ class TestStreamKeys:
         with pytest.raises(ValueError, match="seed must be an integer, got "):
             CountSpectrum(OamWindow(0, 0), OamWindow(0, 0), [[1]], seed, NoiseModel(), 2.0)
 
+    def test_count_spectrum_counts_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            CountSpectrum(OamWindow(0, 0), OamWindow(-1, 1), [[4, -1, 0]], 0, NoiseModel(), 2.0)
+
     @pytest.mark.parametrize(
-        "windows",
-        [
-            (OamWindow(0, 2**31), OamWindow(0, 0)),
-            (OamWindow(0, 0), OamWindow(-(2**31) - 1, -(2**31))),
-            (OamWindow(-(2**40), -(2**40)), OamWindow(0, 0)),
-        ],
+        ("bounds", "name", "bad"),
+        [((0, 2**31), "l_max", 2**31), ((-(2**31) - 1, -(2**31)), "l_min", -(2**31) - 1),
+         ((-(2**40), -(2**40)), "l_min", -(2**40))],
     )
-    def test_window_index_out_of_range(self, windows):
-        with pytest.raises(ValueError, match="must lie in \\[-2\\*\\*31, 2\\*\\*31\\)"):
-            check_stream_keys(windows, (0,))
+    def test_window_index_out_of_range(self, bounds, name, bad):
+        # the key packs each index in 32 bits, so OamWindow refuses any other before a key is built
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer{IN_RANGE}, got {bad}$"):
+            OamWindow(*bounds)
 
     def test_range_edges_accepted(self):
-        windows = (OamWindow(-(2**31), -(2**31)), OamWindow(2**31 - 1, 2**31 - 1))
-        check_stream_keys(windows, (0, U64_MAX))
-        simulate_counts(2.0, windows, NoiseModel(), U64_MAX)
+        assert simulate_module._I32_OFFSET == -L_RANGE[0] == 2**31
+        windows = (OamWindow(L_RANGE[0], L_RANGE[0]), OamWindow(L_RANGE[1], L_RANGE[1]))
+        check_stream_keys((0, U64_MAX))
+        counts = simulate_counts(2.0, windows, NoiseModel(), U64_MAX).counts
+        np.testing.assert_array_equal(counts, reference_counts(2.0, windows, NoiseModel(), U64_MAX))
 
     def test_lam_too_large_raises_before_drawing(self):
         # (pair_rate + accidental_rate) * integration bounds the largest cell mean, so the model itself is refused
@@ -668,7 +673,12 @@ class TestSerialization:
             (lambda meta: meta["model"].update(bogus=1), r"counts\.meta\.json: .*unexpected keyword argument 'bogus'"),
             (lambda meta: meta["model"].update(pair_rate=-1), r"counts\.meta\.json: pair_rate must be positive"),
             (lambda meta: meta["windows"].update(a=[3, -3]), r"counts\.meta\.json: l_min must not exceed l_max"),
-            (lambda meta: meta.update(gamma_encoded="x"), r"counts\.meta\.json: could not convert string to float"),
+            (lambda meta: meta.update(gamma_encoded="x"), r"counts\.meta\.json: .*must be JSON numbers, got 'x'"),
+            # float() read these as 1.0, 5.0, 1.0 and 10000.0
+            (lambda meta: meta.update(gamma_encoded=True), r"counts\.meta\.json: .*must be JSON numbers, got True"),
+            (lambda meta: meta.update(gamma_encoded="5"), r"counts\.meta\.json: .*must be JSON numbers, got '5'"),
+            (lambda meta: meta["model"].update(pair_rate=True), r"counts\.meta\.json: .*must be JSON numbers, got True"),
+            (lambda meta: meta["model"].update(pair_rate="1e4"), r"counts\.meta\.json: .*must be JSON numbers, got '1e4'"),
             (lambda meta: meta.update(gamma_encoded=-5), r"counts\.meta\.json: gamma must be >= 1 and finite, got -5\.0"),
             (lambda meta: meta.update(gamma_encoded=float("nan")), r"counts\.meta\.json: gamma must be >= 1 and finite, got nan"),
             (lambda meta: meta.update(gamma_encoded=0.5), r"counts\.meta\.json: gamma must be >= 1 and finite, got 0\.5"),
@@ -677,8 +687,11 @@ class TestSerialization:
             (lambda meta: meta.update(seed=True), r"counts\.meta\.json: .*must be JSON integers, got True"),
             (lambda meta: meta["windows"].update(b=[-2.6, 2.9]), r"counts\.meta\.json: .*must be JSON integers, got -2\.6"),
             (lambda meta: meta["windows"].update(a=[0, 1.0]), r"counts\.meta\.json: .*must be JSON integers, got 1\.0"),
-            # windows over the cell cap: 2**63 + 1 cells overflowed len(), and 10**10 reached np.bincount
-            (lambda meta: meta["windows"].update(a=[-(2**62), 2**62], b=[0, 0]), CAP + "9223372036854775809 x 1 x 1"),
+            # 2**63 + 1 cells overflowed len(); such a window now lies past L_RANGE
+            (lambda meta: meta["windows"].update(a=[-(2**62), 2**62], b=[0, 0]),
+             rf"counts\.meta\.json: l_min must be an integer{IN_RANGE}, got {-(2**62)}$"),
+            # windows over the cell cap: the widest window, and 10**10 cells, which reached np.bincount
+            (lambda meta: meta["windows"].update(a=list(L_RANGE), b=[0, 0]), CAP + "4294967296 x 1 x 1"),
             (lambda meta: meta["windows"].update(a=[0, 99_999], b=[0, 99_999]), CAP + "100000 x 100000 x 1"),
         ],
     )

@@ -28,6 +28,9 @@ from oamboost.spectrum import (
     spectrum_moments,
 )
 
+LO, HI = spectrum.L_RANGE
+IN_RANGE = r" in \[-2147483648, 2147483647\]"
+
 
 def geometric_ratio(gamma):
     return (gamma - 1.0) / (gamma + 1.0)
@@ -68,10 +71,10 @@ class TestOamWindow:
     @pytest.mark.parametrize(
         ("make", "message"),
         [
-            (lambda: OamWindow(0.5, 2.9), "l_min must be an integer, got 0.5"),
-            (lambda: OamWindow(0, 2.0), "l_max must be an integer, got 2.0"),
+            (lambda: OamWindow(0.5, 2.9), f"l_min must be an integer{IN_RANGE}, got 0.5"),
+            (lambda: OamWindow(0, 2.0), f"l_max must be an integer{IN_RANGE}, got 2.0"),
             (lambda: OamWindow(np.float64(-1.0), 1), "l_min must be an integer"),
-            (lambda: OamWindow.symmetric(2.7), r"half_width must be an integer in \[0, inf\], got 2.7"),
+            (lambda: OamWindow.symmetric(2.7), r"half_width must be an integer in \[0, 2147483647\], got 2.7"),
             (lambda: OamWindow.symmetric(2.0), "half_width must be an integer"),
             (lambda: OamWindow(-4, 4).index_of(1.5), "l must be an integer, got 1.5"),
         ],
@@ -81,15 +84,30 @@ class TestOamWindow:
         with pytest.raises(ValueError, match=message):
             make()
 
-    @pytest.mark.parametrize(("l_min", "l_max"), [(2**63, 2**63), (-(2**63) - 1, 0), (0, 2**63), (-(2**64), 2**64)])
-    def test_bounds_beyond_int64_raise(self, l_min, l_max):
-        # OamWindow(2**63, 2**63).indices() raised numpy's OverflowError
-        with pytest.raises(ValueError, match=rf"l_min and l_max must fit in int64, got \[{l_min}, {l_max}\]"):
+    @pytest.mark.parametrize(
+        ("l_min", "l_max", "name", "bad"),
+        [
+            (2**63, 2**63, "l_min", 2**63),  # its indices() raised numpy's OverflowError
+            (-(2**63) - 1, 0, "l_min", -(2**63) - 1),
+            (0, 2**63, "l_max", 2**63),
+            (-(2**64), 2**64, "l_min", -(2**64)),
+            (-(2**63), 2**63 - 1, "l_min", -(2**63)),  # the int64 edges, once accepted
+            (2**31, 2**31, "l_min", 2**31),
+            (-5, 2**31, "l_max", 2**31),
+            (-(2**31) - 1, 0, "l_min", -(2**31) - 1),
+        ],
+    )
+    def test_bounds_beyond_the_range_raise(self, l_min, l_max, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer{IN_RANGE}, got {bad}$"):
             OamWindow(l_min, l_max)
 
-    def test_int64_edges_accepted(self):
-        assert OamWindow(-(2**63), 2**63 - 1).l_min == -(2**63)
-        assert OamWindow(2**63 - 1, 2**63 - 1).indices().tolist() == [2**63 - 1]
+    def test_range_edges_accepted(self):
+        widest = OamWindow(LO, HI)
+        assert (widest.l_min, widest.l_max, len(widest)) == (-(2**31), 2**31 - 1, 2**32)
+        assert OamWindow(HI, HI).indices().tolist() == [HI]
+        assert OamWindow.symmetric(HI) == OamWindow(-HI, HI)
+        with pytest.raises(ValueError, match=r"half_width must be an integer in \[0, 2147483647\], got 2147483648"):
+            OamWindow.symmetric(HI + 1)
 
     def test_numpy_integers_accepted(self):
         assert OamWindow(np.int64(-2), np.int32(3)) == OamWindow(-2, 3)
@@ -162,24 +180,26 @@ class TestJointProbability:
             joint_spectrum(2.0, OamWindow(0, 1), OamWindow(0, 1), n_modes)
         assert joint_probability(0, 0, 2.0, n_modes=np.int64(2)) == 0.5
 
-    def test_sum_beyond_int64_raises(self):
-        with pytest.raises(ValueError, match=f"l_a \\+ l_b must fit in int64, got {2**70}"):
-            joint_probability(0, 2**70, 5.0)
-        with pytest.raises(ValueError, match="int64"):
-            joint_probability(-(2**62), -(2**62), 5.0)
-        assert joint_probability(0, 2**63 - 1, 5.0) == 0.0
+    def test_indices_beyond_the_range_raise(self):
+        # each of these once reached the int64 sum check, and joint_probability(0, 2**63 - 1, 5.0) returned 0.0
+        for l_a, l_b, name, bad in ((0, 2**70, "l_b", 2**70), (-(2**62), -(2**62), "l_a", -(2**62)),
+                                    (0, 2**63 - 1, "l_b", 2**63 - 1), (HI + 1, 0, "l_a", HI + 1)):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer{IN_RANGE}, got {bad}$"):
+                joint_probability(l_a, l_b, 5.0)
+        assert joint_probability(HI, -HI, 5.0) == 1.0
+        assert joint_probability(LO, LO, 5.0) == joint_probability(HI, LO, 5.0) == 0.0
 
     @pytest.mark.parametrize(
         ("call", "message"),
         [
-            (lambda: joint_probability(0.9, 1.9, 3.0), "l_a must be an integer, got 0.9"),
-            (lambda: joint_probability(0, 2.0, 3.0), "l_b must be an integer, got 2.0"),
+            (lambda: joint_probability(0.9, 1.9, 3.0), f"l_a must be an integer{IN_RANGE}, got 0.9"),
+            (lambda: joint_probability(0, 2.0, 3.0), f"l_b must be an integer{IN_RANGE}, got 2.0"),
             (lambda: joint_probability(np.float64(1.0), 1, 3.0), "l_a must be an integer"),
-            (lambda: conditional_slice(1.5, OamWindow(-2, 2), 3.0), "l_a must be an integer, got 1.5"),
-            (lambda: joint_probability_quadrature(0.5, 0, 3.0), "l_a must be an integer, got 0.5"),
-            (lambda: joint_probability_quadrature(0, "2", 3.0), "l_b must be an integer, got '2'"),
-            (lambda: joint_probability_spdc_oracle(2.0, 0, 3.0), "l_a must be an integer, got 2.0"),
-            (lambda: joint_probability_spdc_oracle(0, 0.5, 3.0), "l_b must be an integer, got 0.5"),
+            (lambda: conditional_slice(1.5, OamWindow(-2, 2), 3.0), f"l_a must be an integer{IN_RANGE}, got 1.5"),
+            (lambda: joint_probability_quadrature(0.5, 0, 3.0), f"l_a must be an integer{IN_RANGE}, got 0.5"),
+            (lambda: joint_probability_quadrature(0, "2", 3.0), f"l_b must be an integer{IN_RANGE}, got '2'"),
+            (lambda: joint_probability_spdc_oracle(2.0, 0, 3.0), f"l_a must be an integer{IN_RANGE}, got 2.0"),
+            (lambda: joint_probability_spdc_oracle(0, 0.5, 3.0), f"l_b must be an integer{IN_RANGE}, got 0.5"),
         ],
     )
     def test_non_integral_indices_raise(self, call, message):
@@ -236,27 +256,29 @@ class TestConditionalSlice:
             cond.values[0] = 5.0
 
     @pytest.mark.parametrize(
-        ("l_a", "window"),
+        "l_a",
         [
-            (2**70, OamWindow(0, 2)),  # numpy raised OverflowError: Python int too large to convert to C long
-            (2**62, OamWindow(2**62 - 1, 2**62)),  # the last sum is 2**63
-            (-(2**62), OamWindow(-(2**62), -(2**62))),  # -2**63, whose abs overflows int64
-            (2**63, OamWindow(-1, -1)),  # the sum 2**63 - 1 fits, but l_a does not
+            2**70,  # numpy raised OverflowError: Python int too large to convert to C long
+            2**62,  # with a window at 2**62, the last sum was 2**63
+            -(2**62),  # with a window at -2**62, the sum -2**63, whose abs overflows int64
+            2**63,  # the sum 2**63 - 1 fitted, but l_a did not
+            HI + 1,
+            LO - 1,
         ],
     )
-    def test_beyond_int64_raises_naming_l_a(self, l_a, window):
-        with pytest.raises(ValueError, match=f"l_a \\+ l_b must fit in int64, got l_a = {l_a} on the window"):
-            conditional_slice(l_a, window, 2.0)
+    def test_beyond_the_range_raises_naming_l_a(self, l_a):
+        for make in (lambda: conditional_slice(l_a, OamWindow(-1, 2), 2.0),
+                     lambda: ConditionalSlice(l_a=l_a, window_b=OamWindow(0, 0), values=[1.0])):
+            with pytest.raises(ValueError, match=rf"^l_a must be an integer{IN_RANGE}, got {l_a}$"):
+                make()
 
-    def test_int64_edges_accepted(self):
+    def test_range_edges_accepted(self):
         q2 = geometric_ratio(3.0) ** 2
-        cond = conditional_slice(-(2**62), OamWindow(2**62 - 2, 2**62), 3.0)
-        np.testing.assert_allclose(cond.values, [q2, 0.0, 1.0], rtol=1e-15)
-        np.testing.assert_array_equal(conditional_slice(2**63 - 3, OamWindow(0, 1), 3.0).values, [0.0, 0.0])
-        # indices at the top of int64 stay int64; as float64 they all rounded to 2**63
-        top = OamWindow(2**63 - 3, 2**63 - 1)
-        assert top.indices().dtype == np.int64
-        np.testing.assert_allclose(conditional_slice(-(2**63 - 3), top, 3.0).values, [1.0, 0.0, q2], rtol=1e-15)
+        np.testing.assert_allclose(conditional_slice(LO, OamWindow(HI - 2, HI), 3.0).values, [0.0, q2, 0.0], rtol=1e-15)
+        np.testing.assert_array_equal(conditional_slice(HI, OamWindow(LO, LO + 2), 3.0).values, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(conditional_slice(HI, OamWindow(HI - 1, HI), 3.0).values, [0.0, 0.0])
+        # sums of two indices reach 2**32 - 2, so the indices stay int64 on every platform
+        assert OamWindow(HI - 2, HI).indices().dtype == np.int64
 
 
 gammas = st.floats(1.0, GAMMA_MAX) | st.sampled_from([1.0, 1.0 + 2**-52, 3.0, 20.0, GAMMA_MAX])
@@ -414,27 +436,38 @@ class TestQuadratureOracle:
                 assert abs(joint_probability_quadrature(0, s, gamma) - former(s, gamma)) < 1e-14
 
     @settings(max_examples=300, deadline=None)
-    @given(s=st.integers(-3000, 3000) | st.integers(-(2**70), 2**70), gamma=st.floats(1.0, 20.0))
+    @given(s=st.integers(-3000, 3000) | st.integers(LO, HI) | st.integers(-(2**70), 2**70), gamma=st.floats(1.0, 20.0))
     @example(s=2**19 - 1, gamma=20.0)
     @example(s=-(2**19), gamma=1.0)
+    @example(s=HI, gamma=20.0)
+    @example(s=LO, gamma=1.0)
+    @example(s=HI + 1, gamma=20.0)
     @example(s=2**70, gamma=20.0)
     def test_agrees_below_the_nyquist_limit_and_raises_at_it(self, s, gamma):
-        # up to gamma 20 the error bound needs at most 1024 nodes, so only a sum the cap cannot resolve raises
-        if 2 * abs(s) < spectrum.MAX_NODES:
+        # up to gamma 20 the error bound needs at most 1024 nodes, so only a sum the cap cannot resolve raises,
+        # or an index past L_RANGE
+        if LO <= s <= HI and 2 * abs(s) < spectrum.MAX_NODES:
             closed = joint_probability(0, s, gamma)
             assert joint_probability_quadrature(s, 0, gamma) == pytest.approx(closed, abs=1e-9)
             return
         built = spectrum._azimuth_grid.cache_info()
         cap = re.escape(f"l_a + l_b = {s} need {1 << (2 * abs(s)).bit_length()} azimuth nodes, over the cap 1048576")
+        message = rf"^gamma = {re.escape(str(gamma))} and {cap}$"
+        if not LO <= s <= HI:
+            message = rf"^l_a must be an integer{IN_RANGE}, got {s}$"
         for call in (joint_probability_quadrature, joint_probability_spdc_oracle):
-            with pytest.raises(ValueError, match=rf"^gamma = {re.escape(str(gamma))} and {cap}$"):
+            with pytest.raises(ValueError, match=message):
                 call(s, 0, gamma)
         assert spectrum._azimuth_grid.cache_info() == built
 
     def test_unresolved_sum_raises(self):
-        # 2**40 + 2 aliases to 2 on 4096 nodes, which used to give 0.4444576 for a closed-form 0.0
-        with pytest.raises(ValueError, match="l_a \\+ l_b = 1099511627778 need 4398046511104 azimuth nodes"):
+        # 2**40 + 2 aliased to 2 on 4096 nodes, which used to give 0.4444576 for a closed-form 0.0; it lies past L_RANGE
+        with pytest.raises(ValueError, match=f"l_b must be an integer{IN_RANGE}, got 1099511627778"):
             joint_probability_quadrature(0, 2**40 + 2, 5.0)
+        with pytest.raises(ValueError, match="l_a \\+ l_b = 1048578 need 4194304 azimuth nodes, over the cap 1048576"):
+            joint_probability_quadrature(0, 2**20 + 2, 5.0)
+        with pytest.raises(ValueError, match="l_a \\+ l_b = 4294967294 need 8589934592 azimuth nodes"):
+            joint_probability_spdc_oracle(HI, HI, 5.0)
 
     def test_azimuth_table_is_read_only(self):
         for table in spectrum._azimuth_grid(64):
@@ -760,19 +793,20 @@ class TestJointSpectrumMatrix:
         with pytest.raises(AssertionError, match="indices were built"):
             joint_spectrum(2.0, OamWindow(0, 8191), OamWindow(0, 8191))
 
-    def test_cell_cap_counts_windows_wider_than_an_index(self):
-        # len() of a window of 2**64 cells raised OverflowError, not the cap's ValueError
-        wide = OamWindow(-(2**63), 2**63 - 1)
-        with pytest.raises(ValueError, match=rf"at most 67108864, got {2**64} x 1 x 1"):
+    def test_cell_cap_counts_the_widest_window(self):
+        # a window of 2**64 cells once made len() raise OverflowError; L_RANGE now bounds a window at 2**32
+        with pytest.raises(ValueError, match=rf"^l_min must be an integer{IN_RANGE}, got {-(2**63)}$"):
+            OamWindow(-(2**63), 2**63 - 1)
+        wide = OamWindow(LO, HI)
+        with pytest.raises(ValueError, match=rf"at most 67108864, got {2**32} x 1 x 1"):
             joint_spectrum(2.0, wide, OamWindow(0, 0))
-        with pytest.raises(ValueError, match=rf"got 1 x {2**64} x 3"):
+        with pytest.raises(ValueError, match=rf"got 1 x {2**32} x 3"):
             spectrum.check_cells(OamWindow(0, 0), wide, 3)
 
-    @pytest.mark.parametrize("cells", [2**63, 2**64])
     @pytest.mark.parametrize("construct", ["conditional", "joint", "counts"])
-    def test_constructors_count_windows_wider_than_an_index(self, construct, cells):
-        # len() of a window of 2**63 cells or more raised OverflowError, not the shape check's ValueError
-        wide, one = OamWindow(-(2**63), cells - 2**63 - 1), OamWindow(0, 0)
+    def test_constructors_check_the_shape_of_the_widest_window(self, construct):
+        # windows of 2**63 cells or more once made len() raise OverflowError; the widest window now has 2**32
+        wide, one, cells = OamWindow(LO, HI), OamWindow(0, 0), 2**32
         build = {
             "conditional": lambda: ConditionalSlice(l_a=0, window_b=wide, values=[1.0]),
             "joint": lambda: JointSpectrum(window_a=wide, window_b=one, values=[[1.0]], n_modes=1, gamma=2.0),
@@ -782,24 +816,23 @@ class TestJointSpectrumMatrix:
             build()
 
     @pytest.mark.parametrize(
-        ("window_a", "window_b", "sums"),
+        ("bounds_a", "bounds_b", "name", "bad"),
         [
             # the int64 sums wrapped: values was [[inf]] with only a RuntimeWarning
-            (OamWindow(2**62, 2**62), OamWindow(2**62, 2**62), f"[{2**63}, {2**63}]"),
-            (OamWindow(-(2**62), 1 - 2**62), OamWindow(-(2**62), 1 - 2**62), f"[{-(2**63)}, {2 - 2**63}]"),
-            (OamWindow(2**62 - 1, 2**62), OamWindow(2**62 - 3, 2**62), f"[{2**63 - 4}, {2**63}]"),
+            ((2**62, 2**62), (2**62, 2**62), "l_min", 2**62),
+            ((-(2**62), 1 - 2**62), (-(2**62), 1 - 2**62), "l_min", -(2**62)),
+            ((2**62 - 1, 2**62), (2**62 - 3, 2**62), "l_min", 2**62 - 1),
         ],
         ids=["top", "bottom", "last-sum"],
     )
-    def test_sums_beyond_int64_raise(self, window_a, window_b, sums):
-        with pytest.raises(ValueError, match=re.escape(f"l_a + l_b must fit in int64, got sums in {sums}")):
-            joint_spectrum(2.0, window_a, window_b)
+    def test_windows_whose_sums_wrapped_raise(self, bounds_a, bounds_b, name, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer{IN_RANGE}, got {bad}$"):
+            joint_spectrum(2.0, OamWindow(*bounds_a), OamWindow(*bounds_b))
 
-    def test_int64_edge_sums_accepted(self):
-        spec = joint_spectrum(3.0, OamWindow(2**62, 2**62), OamWindow(2**62 - 2, 2**62 - 1))
-        assert spec.values.tolist() == [[0.0, 0.0]]
-        spec = joint_spectrum(3.0, OamWindow(-(2**62), -(2**62)), OamWindow(2**62 - 2, 2**62 - 1))
-        assert spec.values.tolist() == [[0.25, 0.0]]
+    def test_range_edge_sums_accepted(self):
+        assert joint_spectrum(3.0, OamWindow(HI, HI), OamWindow(HI - 1, HI)).values.tolist() == [[0.0, 0.0]]
+        assert joint_spectrum(3.0, OamWindow(LO, LO), OamWindow(HI - 1, HI)).values.tolist() == [[0.25, 0.0]]
+        assert joint_spectrum(3.0, OamWindow(LO, LO + 1), OamWindow(LO, LO)).values.tolist() == [[0.0], [0.0]]
 
     def test_values_read_only(self):
         spec = joint_spectrum(2.0, OamWindow(-2, 2), OamWindow(-2, 2), 1)
