@@ -1,65 +1,80 @@
-"""The package's CSV format: one writer for every table, one reader of integer rows.
+"""The package's CSV format: one writer for every table and matrix, one reader of integer rows.
 
-Every table the package writes as CSV is a header line and then one row
-per element of its columns: comma-separated, LF-terminated (the last row
-too).  Floats print with '.17g', every other value with str.  The hologram
-CSV (export_hologram(field, "csv")) is no table: a bare matrix, no header.
+Every table the package writes as CSV is a header line and then one row per element of its columns: comma-separated,
+LF-terminated (the last row too).  Floats print with '.17g', every other value with str.  The hologram CSV
+(export_hologram(field, "csv")) is a bare matrix, no header.  A Table makes the text as bytes, a block at a time.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-# Rows joined at a time, which bounds the list of cell strings.
-_BLOCK_ROWS = 4096
+_BLOCK_CELLS = 3 * 4096  # cells joined at a time: 4,096 rows of a three-column table
 _INT64 = np.iinfo(np.int64)
 
 
 Indexed = NamedTuple("Indexed", [("values", np.ndarray), ("index", np.ndarray)])
 
 
+class Table:
+    """A CSV of rows, width cells each: blocks() yields head, then the text of _BLOCK_CELLS cells at a time, which
+    cells_of(start, stop) gives field by field (a field being one or more adjacent columns) as an object array of
+    texts shaped (rows, columns).  Blocks are UTF-8, as the whole text was; len() remakes them to count their bytes."""
+
+    def __init__(self, head: bytes, rows: int, width: int, cells_of):
+        self.head, self.rows, self.step, self.cells_of = head, rows, max(1, _BLOCK_CELLS // width), cells_of
+
+    def blocks(self) -> Iterator[bytes]:
+        yield self.head
+        for start in range(0, self.rows, self.step):
+            yield "".join(np.concatenate(self.cells_of(start, start + self.step), axis=1).ravel().tolist()).encode()
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks()))
+
+
 def _distinct_texts(column, end: str):
     """Texts of column's distinct values, each formatted once and followed by end, and each element's index into them.
 
-    An integer column whose range is shorter than the column is indexed by value - min, with no sort.  Floats
-    are told apart by bit pattern, so -0.0 and each NaN keep their own text.  An Indexed column is values[index],
-    index flattened in C order, and only its values are formatted.
-    """
+    The index has the column's shape and the least unsigned type that holds it.  An integer column whose range is
+    shorter than the column is indexed by value - min, with no sort.  Floats are told apart by bit pattern, so -0.0 and
+    each NaN keep their own text.  An Indexed column is values[index]; only its values are formatted."""
     if isinstance(column, Indexed):
         texts, inverse = _distinct_texts(column.values, end)
-        return texts, inverse[column.index.ravel()]
-    values = np.asarray(column).ravel()
+        return texts, inverse[column.index]
+    values = np.asarray(column)
     if values.dtype.kind in "iu" and values.size and int(values.max()) - int(values.min()) < values.size:
-        low = values.min()
-        inverse = np.subtract(values, low, dtype=np.intp, casting="unsafe")  # exact mod 2**64, and in [0, size)
-        texts = np.empty(int(inverse.max()) + 1, dtype=object)
-        present = np.flatnonzero(np.bincount(inverse))
-        texts[present] = [str(int(low) + v) + end for v in present.tolist()]
+        low, span = values.min(), int(values.max()) - int(values.min())
+        inverse = np.subtract(values, low, dtype=np.min_scalar_type(span), casting="unsafe")  # exact mod 2**k
+        present = np.zeros(span + 1, dtype=bool)
+        present[inverse] = True
+        texts = np.empty(span + 1, dtype=object)
+        texts[present] = [str(int(low) + v) + end for v in np.flatnonzero(present).tolist()]
         return texts, inverse
     if values.dtype.kind == "f":
-        distinct, inverse = np.unique(values.astype(np.float64, copy=False).view(np.uint64), return_inverse=True)
+        distinct, inverse = np.unique(values.astype(float, copy=False).ravel().view(np.uint64), return_inverse=True)
         texts = [format(v, ".17g") + end for v in distinct.view(np.float64).tolist()]
     else:
-        distinct, inverse = np.unique(values, return_inverse=True)
+        distinct, inverse = np.unique(values.ravel(), return_inverse=True)
         texts = [str(v) + end for v in distinct.tolist()]
-    return np.array(texts, dtype=object), inverse
+    return np.array(texts, dtype=object), inverse.reshape(values.shape).astype(np.min_scalar_type(len(texts)))
 
 
-def format_table(header: str, *columns) -> str:
-    """CSV text of header and the rows zip(*columns), each column (an Indexed one's index) flattened in C order."""
+def format_table(header: str, *columns) -> Table:
+    """The CSV of header and the rows zip(*columns), each column (an Indexed one's index) flattened in C order."""
     fields = [_distinct_texts(column, end) for column, end in zip(columns, [","] * (len(columns) - 1) + ["\n"])]
-    step, rows = len(fields), len(fields[0][1])
-    parts = [header + "\n"]
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = min(_BLOCK_ROWS, rows - start)
-        cells = [""] * (step * block)
-        for k, (texts, inverse) in enumerate(fields):
-            cells[k::step] = texts[inverse[start : start + block]].tolist()
-        parts.append("".join(cells))
-    return "".join(parts)
+    head, rows = (header + "\n").encode(), fields[0][1].size
+    return Table(head, rows, len(fields), lambda start, stop: [t[i.reshape(-1, 1)[start:stop]] for t, i in fields])
+
+
+def format_matrix(matrix: np.ndarray) -> Table:
+    """The CSV of a float matrix, no header; a block's cells are deduplicated together (those ending in LF apart)."""
+    return Table(b"", *matrix.shape, lambda start, stop: [texts[index] for texts, index in (
+        _distinct_texts(matrix[start:stop, :-1], ","), _distinct_texts(matrix[start:stop, -1:], "\n"))])
 
 
 def parse_int_rows(body: bytes, width: int):

@@ -1,17 +1,5 @@
-"""Command line front end emitting spectra, holograms, simulated counts and fits.
-
-Plot-data emission only: every command writes CSV/JSON/PGM files for
-external tooling, deterministic given the full flag set.  What each records
-of how it was made (ROADMAP item 3 plans the rest):
-- spectrum: gamma, n_modes and windows, in a .meta.json sidecar per CSV or
-  beside the values in each JSON; sweep: the gamma list, in its sidecar;
-- simulate: gamma, seed, rates and windows, in the counts' sidecar, though
-  the file name holds only gamma and seed;
-- estimate: fit_*.json holds l_a and the window (fit_least_squares.json also
-  at_bound), not the bounds, --subtract or the counts file; experiment: every
-  option, in its summary JSON;
-- hologram: l, gamma and the size, in the file name only; --extent is lost.
-"""
+"""Command line front end: six commands write spectra, holograms, simulated counts and fits as CSV/JSON/PGM files,
+deterministic given the full flag set (README.md's CLI section lists what each records of how it was made)."""
 
 from __future__ import annotations
 
@@ -25,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import format_table
+from ._table import Table, format_matrix, format_table
 from .estimate import (
     DEFAULT_GAMMA_BOUNDS,
     METHOD_LEAST_SQUARES,
@@ -37,7 +25,7 @@ from .estimate import (
     estimate_gamma_fit,
     estimate_gamma_msum,
 )
-from .hologram import DEFAULT_EXTENT, DEFAULT_SIZE, _render, export_hologram, generate_hologram
+from .hologram import DEFAULT_EXTENT, DEFAULT_SIZE, _render
 from .relativity import frame_from_gamma, require_gamma
 from .simulate import (
     SUBTRACT_MODES,
@@ -254,22 +242,20 @@ def _warn_at_bound(what: str, fits, bounds) -> None:
         print(f"warning: {what} stopped at the bound {' and '.join(flags)}", file=sys.stderr)
 
 
-def _write_atomic(path: Path, data) -> None:
+def _emit(path: Path, data, meta=None) -> None:
+    """Write data to path through a temporary file (a failure leaves nothing), then meta, if given, to its sidecar;
+    report each file.  A dict goes as indented JSON, a Table block by block as it is made, a buffer at once."""
+    data = (json.dumps(data, indent=2) + "\n").encode() if isinstance(data, dict) else data
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)  # a bytes-like buffer goes as it is
+        with os.fdopen(fd, "wb") as fh:  # a Table, not any iterable: a uint8 ndarray iterates one byte at a time
+            fh.writelines(data.blocks() if isinstance(data, Table) else [data])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(path: Path, data, meta=None) -> None:
-    """Write data (a dict as indented JSON) to path, then meta, if given, to its sidecar; report each file on stdout."""
-    _write_atomic(path, json.dumps(data, indent=2) + "\n" if isinstance(data, dict) else data)
     print(f"wrote {path}")
     if meta is not None:
         _emit(sidecar_path(path), meta)
@@ -306,10 +292,8 @@ def cmd_sweep(opts) -> None:
 
 def cmd_hologram(opts) -> None:
     fmt, args = opts["format"], (opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"])
-    if fmt == "pgm":  # the P5 buffer straight from row blocks of phase, with no float64 field
-        data = _library_check(_render, *args, True)
-    else:
-        data = export_hologram(_library_check(generate_hologram, *args), "csv")
+    data = _library_check(_render, *args, fmt == "pgm")  # pgm: the P5 buffer from row blocks, with no float64 field
+    data = data if fmt == "pgm" else format_matrix(data.phase)
     _emit(Path(opts["out"]) / f"holo_l{opts['l']}_g{opts['gamma']:g}_{opts['width']}x{opts['height']}.{fmt}", data)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import format_table
+from ._table import Table, format_table
 from .relativity import GAMMA_MAX, frame_from_gamma, require_gamma
 from .spectrum import ConditionalSlice, OamWindow, _check_finite, _sum_index, _SumIndex, geometric_kernel
 
@@ -168,7 +168,7 @@ def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA
     return _result(float(gamma), METHOD_LEAST_SQUARES, float(residual), conditional, bool(at_bound))
 
 
-def batch_csv(seeds, gamma_encoded, gamma_meas, method, residual) -> str:
+def batch_csv(seeds, gamma_encoded, gamma_meas, method, residual) -> Table:
     """CSV of batch estimation records, one row per element of the five columns."""
     # numpy would make float64 of seeds on both sides of 2**63, so they stay Python ints.
     columns = np.array(seeds, dtype=object), gamma_encoded, gamma_meas, method, residual

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import format_matrix
 from .relativity import TWO_PI, require_gamma
 from .spectrum import L_RANGE, _require_index
 
@@ -133,7 +134,7 @@ def export_hologram(field: HologramField, format: str) -> bytes:
 
     pgm8: binary P5 with maxval 255, pixel = round(phase / 2*pi * 255) with
     halves rounded away from zero, rows top to bottom.  csv: one text row
-    per pixel row, 17 significant digits.
+    per pixel row, 17 significant digits (_table.format_matrix's blocks, joined).
     """
     if format == "pgm8":
         buf, pixels = _p5(field.width, field.height)
@@ -143,8 +144,7 @@ def export_hologram(field: HologramField, format: str) -> bytes:
             _quantise(field.phase[start : start + step], scratch, pixels[start : start + step])
         return buf.tobytes()
     if format == "csv":
-        lines = [",".join(f"{v:.17g}" for v in row) for row in field.phase]
-        return ("\n".join(lines) + "\n").encode("ascii")
+        return b"".join(format_matrix(field.phase).blocks())
     raise ValueError(f"unsupported hologram format {format!r}; expected one of ('pgm8', 'csv')")
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import format_table, parse_int_rows
+from ._table import Table, format_table, parse_int_rows
 from .relativity import require_gamma
 from .spectrum import L_RANGE, ConditionalSlice, OamWindow, _freeze_array, _require_index, check_cells, geometric_kernel
 
@@ -373,7 +373,7 @@ def counts_conditional(counts: CountSpectrum, l_a: int, mode: str | None = None)
     return ConditionalSlice(l_a=l_a, window_b=counts.window_b, values=values[0])
 
 
-def count_spectrum_to_csv(counts: CountSpectrum) -> str:
+def count_spectrum_to_csv(counts: CountSpectrum) -> Table:
     """CSV serialisation with header l_a,l_b,count."""
     grid = np.ix_(counts.window_a.indices(), counts.window_b.indices())
     return format_table("l_a,l_b,count", *np.broadcast_arrays(*grid, counts.counts))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._table import Indexed, format_table
+from ._table import Indexed, Table, format_table
 from .relativity import TWO_PI, require_gamma
 
 MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
@@ -323,10 +323,11 @@ def spectrum_moments(conditional: ConditionalSlice) -> SliceMoments:
     return SliceMoments(mean=mean, std=math.sqrt(max(var, 0.0)), first_moment_raw=raw)
 
 
-def joint_spectrum_to_csv(spectrum: JointSpectrum) -> str:
+def joint_spectrum_to_csv(spectrum: JointSpectrum) -> Table:
     """CSV with header l_a,l_b,value and 17 significant digits; values by l_a + l_b print from the anti-diagonal."""
     values, bits = spectrum.values, spectrum.values.view(np.uint64)
-    if (bits[1:, :-1] == bits[:-1, 1:]).all():  # a Hankel matrix
-        values = Indexed(np.concatenate([values[0], values[1:, -1]]), np.add.outer(*map(np.arange, values.shape)))
+    if (bits[1:, :-1] == bits[:-1, 1:]).all():  # a Hankel matrix, indexed by i + j in the least type that holds it
+        i, j = (np.arange(n, dtype=np.min_scalar_type(sum(values.shape))) for n in values.shape)
+        values = Indexed(np.concatenate([values[0], values[1:, -1]]), np.add.outer(i, j))
     grid = np.ix_(spectrum.window_a.indices(), spectrum.window_b.indices())
     return format_table("l_a,l_b,value", *np.broadcast_arrays(*grid), values)

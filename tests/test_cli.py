@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 from oamboost import cli, hologram
+from oamboost._table import format_table
 from oamboost.cli import OPTION_TABLES, build_parser, main
 from oamboost.estimate import FitResult
 from oamboost.hologram import export_hologram, generate_hologram
 from oamboost.simulate import CountSpectrum, NoiseModel, simulate_counts
-from oamboost.spectrum import ConditionalSlice, OamWindow
+from oamboost.spectrum import ConditionalSlice, OamWindow, joint_spectrum, joint_spectrum_to_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -149,8 +151,7 @@ class TestHologramCommand:
             raise AssertionError("a float64 field was built")
 
         expected = export_hologram(generate_hologram(-7, 3.0, width=2048, height=131), "pgm8")
-        for module in (cli, hologram):
-            monkeypatch.setattr(module, "generate_hologram", no_field)
+        monkeypatch.setattr(hologram, "generate_hologram", no_field)
         monkeypatch.setattr(hologram, "HologramField", no_field)
         argv = ["hologram", "--l", "-7", "--gamma", "3", "--width", "2048", "--height", "131", "--out", str(tmp_path)]
         assert main(argv) == 0
@@ -176,7 +177,7 @@ class TestHologramCommand:
         buf = (np.arange(1 << 22) % 251).astype(np.uint8)
         tracemalloc.start()
         try:
-            cli._write_atomic(tmp_path / "buf.pgm", buf)
+            cli._emit(tmp_path / "buf.pgm", buf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -646,6 +647,84 @@ def test_a_failed_write_leaves_no_file_and_exits_1(tmp_path, capsys, monkeypatch
     assert main(["sweep", "--gamma", "2", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert list(tmp_path.iterdir()) == []  # the temporary file is removed
+
+
+def spy_writes(monkeypatch):
+    """The size of each write call made to the files that cli opens, in order."""
+    sizes = []
+
+    class Spy(io.BufferedWriter):
+        def write(self, data):
+            sizes.append(memoryview(data).nbytes)
+            return super().write(data)
+
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: Spy(io.FileIO(fd, mode)))
+    return sizes
+
+
+def traced_peak(write):
+    """The peak of memory traced while write() runs."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriter:
+    @pytest.mark.parametrize("kind", ["uint8 array", "bytes"])
+    def test_a_buffer_is_written_in_one_piece(self, tmp_path, monkeypatch, kind):
+        # a uint8 array is iterable, and writing it one byte at a time gives the very same file
+        buf = (np.arange(1 << 22) % 251).astype(np.uint8)
+        sizes = spy_writes(monkeypatch)
+        cli._emit(tmp_path / "buf.pgm", buf if kind == "uint8 array" else buf.tobytes())
+        assert sizes == [buf.nbytes]
+        assert (tmp_path / "buf.pgm").read_bytes() == buf.tobytes()
+
+    def test_a_table_is_written_block_by_block(self, tmp_path, monkeypatch):
+        spec = joint_spectrum(7.0, OamWindow.symmetric(60), OamWindow.symmetric(60))
+        sizes = spy_writes(monkeypatch)
+        cli._emit(tmp_path / "joint.csv", joint_spectrum_to_csv(spec))
+        assert len(sizes) == 1 + 4  # the header line, then blocks of 4,096 rows: 121**2 = 3 * 4,096 + 2,353
+        assert sum(sizes) == (tmp_path / "joint.csv").stat().st_size == len(joint_spectrum_to_csv(spec))
+
+    def test_the_peak_stays_within_a_few_blocks_whatever_the_rows(self, tmp_path):
+        # int16 inputs: their indexes into the distinct texts take no more room than they do, so what the peak holds
+        # beyond them is the writer's own; the former writer held the whole text and its encoded copy (40-144 blocks)
+        rng = np.random.default_rng(1)
+        for rows in (40_000, 80_000, 160_000):
+            l_a, l_b = np.repeat(np.arange(rows // 200), 200), np.tile(np.arange(-100, 100), rows // 200)
+            columns = [column.astype(np.int16) for column in (l_a, l_b, rng.integers(0, 1000, rows))]
+            block = len(format_table("l_a,l_b,count", *columns)) * 4096 / rows  # the text of one block
+            peak = traced_peak(lambda: cli._emit(tmp_path / "t.csv", format_table("l_a,l_b,count", *columns)))
+            assert peak - sum(column.nbytes for column in columns) <= 8 * block, rows
+
+    def test_the_spectrum_csv_traces_well_under_its_size(self, tmp_path):
+        # at --half-width 200 the former writer traced 11.7 MB for this 3.23 MB file
+        spec = joint_spectrum(7.0, OamWindow.symmetric(200), OamWindow.symmetric(200))
+        peak = traced_peak(lambda: cli._emit(tmp_path / "spectrum.csv", joint_spectrum_to_csv(spec)))
+        assert peak < (tmp_path / "spectrum.csv").stat().st_size / 2
+
+    def test_a_block_that_fails_midway_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        def failing_csv(spec):
+            table = joint_spectrum_to_csv(spec)
+            cells_of = table.cells_of
+
+            def second_block_fails(start, stop):
+                if start:
+                    raise RuntimeError("block failed")
+                return cells_of(start, stop)
+
+            table.cells_of = second_block_fails
+            return table
+
+        monkeypatch.setattr(cli, "joint_spectrum_to_csv", failing_csv)
+        sizes = spy_writes(monkeypatch)
+        assert main(["spectrum", "--gamma", "3", "--half-width", "100", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: block failed\n"
+        assert len(sizes) == 2  # the header and the first block went to the temporary file before the failure
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

@@ -727,7 +727,7 @@ class TestFitResult:
             l_a=0,
             window=OamWindow(-5, 5),
         )
-        text = batch_csv([42], [2.0], [result.gamma_meas], [result.method], [result.residual])
+        text = b"".join(batch_csv([42], [2.0], [result.gamma_meas], [result.method], [result.residual]).blocks()).decode()
         lines = text.strip().splitlines()
         assert lines[0] == "seed,gamma_encoded,gamma_meas,method,residual"
         assert lines[1] == "42,2,2,m_sum,0"

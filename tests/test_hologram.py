@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oamboost import hologram
+from oamboost import _table, hologram
 from oamboost.hologram import (
     HologramField,
     export_hologram,
@@ -36,6 +36,12 @@ def parse_hologram_csv(data) -> np.ndarray:
         data = data.decode("ascii")
     rows = [[float(tok) for tok in line.split(",")] for line in data.strip().splitlines()]
     return np.array(rows, dtype=float)
+
+
+def reference_csv(phase) -> bytes:
+    """The former CSV export, one formatted value at a time: the reference for the shared table writer's blocks."""
+    lines = [",".join(f"{v:.17g}" for v in row) for row in phase]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # The former whole-array expressions, kept verbatim as the bit-for-bit reference
@@ -390,6 +396,19 @@ class TestMemoryBudget:
         assert peak <= size * size + 3 * rows * size * 8
         assert peak <= 0.35 * size * size * 8
 
+    def test_csv_is_made_one_block_at_a_time(self):
+        # the text is about 20 bytes a cell; the writer holds one block of 24 rows of it (4 and 32 blocks here)
+        peaks = []
+        for height in (96, 768):
+            field = generate_hologram(3, 5.0, width=512, height=height)
+            tracemalloc.start()
+            try:
+                size = sum(map(len, _table.format_matrix(field.phase).blocks()))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0] and peaks[1] < size / 4
+
     def test_size_cap_comes_before_any_allocation(self, monkeypatch):
         def no_grid(n, extent):
             raise AssertionError("the grid was built")
@@ -515,6 +534,29 @@ class TestExport:
         parsed = parse_hologram_csv(export_hologram(field, "csv"))
         assert parsed.shape == (7, 9)
         np.testing.assert_allclose(parsed, field.phase, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.one_of(st.integers(2, 9), st.sampled_from([97, 2048, 2049, 4096, 4097])), data=st.data())
+    @example(width=2048, data=None)
+    def test_csv_equals_the_former_writer(self, width, data):
+        # heights at and across the block seams (_BLOCK_CELLS // width rows), values that repeat within a block and
+        # across blocks, and -0.0, NaN payloads and infinities, each of which keeps its own text
+        rows = max(1, _table._BLOCK_CELLS // width)
+        height = data.draw(st.sampled_from([1, rows, rows + 1, 2 * rows + 1])) if data else 2 * rows + 1
+        rng = np.random.default_rng(width * 1000 + height)
+        edges = np.array([0.0, -0.0, math.nan, -math.inf, math.inf, 5e-324, 1 / 3, TWO_PI - 1e-15])
+        edges = np.append(edges, np.uint64(0x7FF8000000000001).view(np.float64))
+        phase = np.where(rng.random((height, width)) < 0.3, rng.choice(edges, (height, width)),
+                         rng.choice(rng.random(50) * TWO_PI, (height, width)))
+        field = HologramField(width=width, height=height, extent=1.0, l=1, gamma=1.0, phase=phase)
+        expected = reference_csv(field.phase)
+        assert export_hologram(field, "csv") == expected
+        blocks = list(_table.format_matrix(field.phase).blocks())
+        assert b"".join(blocks) == expected and len(blocks) == 1 + -(-height // rows)
+
+    def test_csv_of_a_generated_field_equals_the_former_writer(self):
+        field = generate_hologram(-5, 3.5, width=301, height=97, extent=2.0)
+        assert export_hologram(field, "csv") == reference_csv(field.phase)
 
     def test_unknown_format(self):
         field = generate_hologram(1, 1.0, width=4, height=4)

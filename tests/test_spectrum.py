@@ -843,7 +843,7 @@ class TestJointSpectrumMatrix:
 class TestSerialization:
     def test_csv(self):
         spec = joint_spectrum(3.0, OamWindow(-1, 1), OamWindow(-1, 1), 1)
-        text = joint_spectrum_to_csv(spec)
+        text = b"".join(joint_spectrum_to_csv(spec).blocks()).decode()
         lines = text.strip().splitlines()
         assert lines[0] == "l_a,l_b,value"
         assert len(lines) == 1 + 9
