@@ -72,9 +72,9 @@ def format_table(header: str, *columns) -> Table:
 
 
 def format_matrix(matrix: np.ndarray) -> Table:
-    """The CSV of a float matrix, no header; a block's cells are deduplicated together (those ending in LF apart)."""
-    return Table(b"", *matrix.shape, lambda start, stop: [texts[index] for texts, index in (
-        _distinct_texts(matrix[start:stop, :-1], ","), _distinct_texts(matrix[start:stop, -1:], "\n"))])
+    """The CSV of a float matrix, no header; each cell is formatted with its ',' or LF (its values rarely repeat)."""
+    return Table(b"", *matrix.shape, lambda start, stop: [np.array([
+        [*(f"{v:.17g}," for v in r[:-1]), f"{r[-1]:.17g}\n"] for r in matrix[start:stop].tolist()], dtype=object)])
 
 
 def parse_int_rows(body: bytes, width: int):

@@ -51,12 +51,12 @@ from .spectrum import (
     mode_count_closed,
 )
 
-EXIT_OK = 0
-EXIT_RUNTIME = 1
-EXIT_USAGE = 2
+_EXIT_OK = 0
+_EXIT_RUNTIME = 1
+_EXIT_USAGE = 2
 
 
-class UsageError(Exception):
+class _UsageError(Exception):
     """Invalid flag or config value; maps to exit code 2."""
 
 
@@ -191,19 +191,19 @@ def _load_config(path, allowed):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        raise _UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in allowed or key == "config":
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in cfg:
-            raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
+            raise _UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
         cfg[key] = (f"{path}:{lineno}: ", value)
     return cfg
 
@@ -221,9 +221,9 @@ def _resolve_options(command, args):
             try:
                 opts[key] = opts[key] if text is None else convert(text)
             except ValueError as exc:
-                raise UsageError(f"{where}{flag} {exc}") from None
+                raise _UsageError(f"{where}{flag} {exc}") from None
         if opts[key] is _REQUIRED:
-            raise UsageError(f"{flag} is required")
+            raise _UsageError(f"{flag} is required")
     return opts
 
 
@@ -232,7 +232,7 @@ def _library_check(check, *args):
     try:
         return check(*args)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise _UsageError(str(exc)) from None
 
 
 def _warn_at_bound(what: str, fits, bounds) -> None:
@@ -261,7 +261,7 @@ def _emit(path: Path, data, meta=None) -> None:
         _emit(sidecar_path(path), meta)
 
 
-def cmd_spectrum(opts) -> None:
+def _cmd_spectrum(opts) -> None:
     window = _library_check(OamWindow.symmetric, opts["half_width"])
     spec = _library_check(joint_spectrum, opts["gamma"], window, window, opts["n_modes"])
     cond = conditional_slice(0, window, spec.gamma)
@@ -277,7 +277,7 @@ def cmd_spectrum(opts) -> None:
         _emit(out / f"conditional_{tag}_la0.json", {**cond_meta, "values": cond.values.tolist()})
 
 
-def cmd_sweep(opts) -> None:
+def _cmd_sweep(opts) -> None:
     gammas = [_library_check(require_gamma, g) for g in opts["gamma"]]
     frames = [frame_from_gamma(gamma) for gamma in gammas]
     columns = (
@@ -290,7 +290,7 @@ def cmd_sweep(opts) -> None:
     _emit(Path(opts["out"]) / "sweep.csv", format_table("gamma,omega_closed,m,eta,beta", *columns), {"gamma": gammas})
 
 
-def cmd_hologram(opts) -> None:
+def _cmd_hologram(opts) -> None:
     fmt, args = opts["format"], (opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"])
     data = _library_check(_render, *args, fmt == "pgm")  # pgm: the P5 buffer from row blocks, with no float64 field
     data = data if fmt == "pgm" else format_matrix(data.phase)
@@ -301,7 +301,7 @@ def _noise_model(opts) -> NoiseModel:
     return _library_check(NoiseModel, opts["pair_rate"], opts["accidental_rate"], opts["integration"])
 
 
-def cmd_simulate(opts) -> None:
+def _cmd_simulate(opts) -> None:
     half_widths = (opts["half_width"] if opts["half_width_a"] is None else opts["half_width_a"], opts["half_width"])
     windows = tuple(_library_check(OamWindow.symmetric, h) for h in half_widths)
     counts = _library_check(simulate_counts, opts["gamma"], windows, _noise_model(opts), opts["seed"])
@@ -309,14 +309,14 @@ def cmd_simulate(opts) -> None:
     _emit(csv_file, count_spectrum_to_csv(counts), count_spectrum_sidecar(counts))
 
 
-def cmd_estimate(opts) -> None:
+def _cmd_estimate(opts) -> None:
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     counts_file = Path(opts["counts"])
     if not counts_file.exists():
-        raise UsageError(f"--counts file {counts_file} does not exist")
+        raise _UsageError(f"--counts file {counts_file} does not exist")
     counts = read_count_spectrum(counts_file)
     if opts["l_a"] not in counts.window_a:
-        raise UsageError(
+        raise _UsageError(
             f"--l-a {opts['l_a']} lies outside the simulated window "
             f"[{counts.window_a.l_min}, {counts.window_a.l_max}]"
         )
@@ -331,12 +331,15 @@ def cmd_estimate(opts) -> None:
         _warn_at_bound("the least-squares fit", [fit.gamma_meas] if fit.at_bound else [], bounds)
 
 
-def cmd_experiment(opts) -> None:
+def _cmd_experiment(opts) -> None:
     gammas = [_library_check(require_gamma, g) for g in opts["gamma"]]
     windows = (OamWindow(0, 0), _library_check(OamWindow.symmetric, opts["half_width"]))
     runs, subtract = opts["runs"], opts["subtract"]
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     model = None if opts["noiseless"] else _noise_model(opts)
+    if model is not None and opts["half_width"] == 0 and subtract in ("minimum", "both"):
+        raise _UsageError(f"--half-width 0 with --subtract {subtract} leaves nothing to fit: a one-cell row less its "
+                          "minimum is 0; use --subtract none or accidental, a wider window, or --noiseless")
     seeds = range(opts["seed"], opts["seed"] + runs)
     _library_check(check_cells, *windows, runs, len(gammas))
 
@@ -376,13 +379,13 @@ def cmd_experiment(opts) -> None:
     _emit(out / "experiment_summary.json", {"parameters": parameters, "results": summary_rows})
 
 
-COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "sweep": cmd_sweep,
-    "hologram": cmd_hologram,
-    "simulate": cmd_simulate,
-    "estimate": cmd_estimate,
-    "experiment": cmd_experiment,
+_COMMANDS = {
+    "spectrum": _cmd_spectrum,
+    "sweep": _cmd_sweep,
+    "hologram": _cmd_hologram,
+    "simulate": _cmd_simulate,
+    "estimate": _cmd_estimate,
+    "experiment": _cmd_experiment,
 }
 
 
@@ -408,11 +411,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve_options(args.command, args)
-        COMMANDS[args.command](opts)
+        _COMMANDS[args.command](opts)
     except Exception as exc:  # noqa: BLE001 - a usage error exits 2, any other failure 1
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_RUNTIME
-    return EXIT_OK
+        return _EXIT_USAGE if isinstance(exc, _UsageError) else _EXIT_RUNTIME
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

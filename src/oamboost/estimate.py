@@ -20,7 +20,6 @@ from .spectrum import ConditionalSlice, OamWindow, _check_finite, _sum_index, _S
 
 DEFAULT_GAMMA_BOUNDS = (1.0, 50.0)
 GRID_POINTS = 64
-GAMMA_TOL = 1e-6
 
 METHOD_M_SUM = "m_sum"
 METHOD_LEAST_SQUARES = "least_squares"

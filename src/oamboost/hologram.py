@@ -13,7 +13,7 @@ import numpy as np
 
 from ._table import format_matrix
 from .relativity import TWO_PI, require_gamma
-from .spectrum import L_RANGE, _require_index
+from .spectrum import L_RANGE, _freeze_array, _require_index
 
 DEFAULT_SIZE = 512
 DEFAULT_EXTENT = 1.0
@@ -34,11 +34,7 @@ class HologramField:
     phase: np.ndarray
 
     def __post_init__(self):
-        phase = np.ascontiguousarray(self.phase, dtype=float)
-        if phase.shape != (self.height, self.width):
-            raise ValueError(f"phase shape {phase.shape} does not match {self.height}x{self.width}")
-        phase.setflags(write=False)
-        object.__setattr__(self, "phase", phase)
+        _freeze_array(self, "phase", float, range(self.height), range(self.width))
 
 
 def grid_coordinates(n: int, extent: float) -> np.ndarray:
@@ -73,11 +69,13 @@ def _p5(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quantise(phase: np.ndarray, scratch: np.ndarray, pixels: np.ndarray) -> None:
-    """pixels = round(phase / 2*pi * 255), halves away from zero, scaled in float64 scratch (phase itself allowed)."""
-    scaled = np.divide(phase, TWO_PI, out=scratch[: len(phase)])
-    scaled *= 255.0
-    scaled += 0.5  # phase < 2*pi, so the scaled value never reaches 256
-    pixels[...] = scaled  # scaled >= 0.5, so the cast's truncation is floor
+    """pixels = round(phase / 2*pi * 255), halves away from zero, scaled in scratch, len(scratch) rows at a time."""
+    step = max(1, len(scratch))  # scratch may be phase itself, and an odd height's centre mirror has no rows
+    for start in range(0, len(phase), step):
+        scaled = np.divide(phase[start : start + step], TWO_PI, out=scratch[: len(phase) - start])
+        scaled *= 255.0
+        scaled += 0.5  # phase < 2*pi, so the scaled value never reaches 256
+        pixels[start : start + step] = scaled  # scaled >= 0.5, so the cast's truncation is floor
 
 
 def _render(l, gamma, width, height, extent, pgm: bool) -> HologramField | np.ndarray:
@@ -138,10 +136,7 @@ def export_hologram(field: HologramField, format: str) -> bytes:
     """
     if format == "pgm8":
         buf, pixels = _p5(field.width, field.height)
-        step = max(1, _BLOCK_CELLS // field.width)
-        scratch = np.empty((min(step, field.height), field.width))
-        for start in range(0, field.height, step):
-            _quantise(field.phase[start : start + step], scratch, pixels[start : start + step])
+        _quantise(field.phase, np.empty((min(max(1, _BLOCK_CELLS // field.width), field.height), field.width)), pixels)
         return buf.tobytes()
     if format == "csv":
         return b"".join(format_matrix(field.phase).blocks())

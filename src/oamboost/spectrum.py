@@ -40,10 +40,10 @@ def _require_index(name: str, value, low: int | None = None, high: float = math.
 
 
 def _freeze_array(owner, name: str, dtype, *windows) -> np.ndarray:
-    """Store owner.<name> as a read-only array of dtype and of the windows' shape, and return it."""
+    """Store owner.<name> as a read-only array of dtype, shaped by the windows' (or ranges') lengths, and return it."""
     array, shape = np.ascontiguousarray(getattr(owner, name), dtype=dtype), tuple(map(len, windows))
     if array.shape != shape:
-        raise ValueError(f"{name} shape {array.shape} does not match the windows' shape {shape}")
+        raise ValueError(f"{name} shape {array.shape} does not match the expected shape {shape}")
     array.setflags(write=False)
     object.__setattr__(owner, name, array)
     return array

@@ -479,6 +479,22 @@ class TestExperimentCommand:
         assert main(argv + extra + ["--gamma-max", "30", "--out", str(tmp_path)]) == 0
         assert calls == [((12, 25), list(range(-12, 13)), 1.0, 30.0)]
 
+    @pytest.mark.parametrize("subtract", ["minimum", "both"])
+    def test_one_cell_rows_less_their_minimum_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch, subtract):
+        # a one-cell row less its minimum is 0 on every seed, so the flags alone decide the outcome
+        def no_draw(*args):
+            raise AssertionError("counts were drawn")
+
+        argv = ["experiment", "--half-width", "0", "--subtract", subtract, "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(cli, "_count_runs", no_draw)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --half-width 0 with --subtract " + subtract) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert main(argv + ["--noiseless"]) == 0  # exact spectra are not subtracted
+        monkeypatch.undo()
+        assert main(argv[:4] + ["accidental", "--out", str(tmp_path / "accidental")]) == 0
+
     def test_fits_at_a_bound_are_counted_with_one_line_per_gamma(self, tmp_path, capsys):
         # noiseless gamma = 1 sits on --gamma-min and 30 lies beyond --gamma-max; 5 is resolved
         argv = ["experiment", "--gamma", "1,5,30", "--noiseless", "--runs", "3", "--half-width", "20"]

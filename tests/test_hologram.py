@@ -307,7 +307,7 @@ class TestSameBitsAsWholeArray:
         assert export_hologram(field, "pgm8") == reference_pgm(field.phase)
 
     def test_field_phase_must_match_its_size(self):
-        with pytest.raises(ValueError, match=r"^phase shape \(4, 3\) does not match 3x4$"):
+        with pytest.raises(ValueError, match=r"^phase shape \(4, 3\) does not match the expected shape \(3, 4\)$"):
             HologramField(width=4, height=3, extent=1.0, l=1, gamma=1.0, phase=np.zeros((4, 3)))
 
     @settings(max_examples=200, deadline=None)

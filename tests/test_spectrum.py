@@ -812,7 +812,7 @@ class TestJointSpectrumMatrix:
             "joint": lambda: JointSpectrum(window_a=wide, window_b=one, values=[[1.0]], n_modes=1, gamma=2.0),
             "counts": lambda: CountSpectrum(wide, one, [[1]], 0, NoiseModel(), 2.0),
         }[construct]
-        with pytest.raises(ValueError, match=re.escape(f"does not match the windows' shape ({cells},")):
+        with pytest.raises(ValueError, match=re.escape(f"does not match the expected shape ({cells},")):
             build()
 
     @pytest.mark.parametrize(

@@ -16,7 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oamboost import spectrum as spectrum_module
-from oamboost._table import _BLOCK_CELLS, Indexed, format_table, parse_int_rows
+from oamboost._table import (
+    _BLOCK_CELLS,
+    Indexed,
+    Table,
+    _distinct_texts,
+    format_matrix,
+    format_table,
+    parse_int_rows,
+)
 from oamboost.cli import main
 from oamboost.estimate import FitResult, batch_csv
 from oamboost.relativity import frame_from_gamma
@@ -146,6 +154,13 @@ def reference_table(header, *columns):
     return "\n".join(lines) + "\n"
 
 
+def reference_format_matrix(matrix):
+    """The former matrix writer: each block's cells ending in ',' deduplicated together with np.unique, those ending
+    in LF apart, each distinct bit pattern formatted once."""
+    return Table(b"", *matrix.shape, lambda start, stop: [texts[index] for texts, index in (
+        _distinct_texts(matrix[start:stop, :-1], ","), _distinct_texts(matrix[start:stop, -1:], "\n"))])
+
+
 EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
                1e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, 1.0, 123456789.0, 1e17, 1e16]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True, width=64))
@@ -250,6 +265,38 @@ class TestFormatTable:
         parsed, malformed = parse_int_rows(body, len(columns))
         assert malformed is None and parsed.dtype == np.int64
         assert parsed.tobytes() == np.column_stack(columns).tobytes()
+
+
+class TestFormatMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.one_of(st.integers(1, 3), st.sampled_from([4, 97, 4096, 4097])), data=st.data())
+    @example(width=1, data=None)
+    def test_bytes_equal_the_former_per_block_writer(self, width, data):
+        # heights across the block seams; cells repeat within and across blocks, and -0.0, NaN payloads, infinities
+        # and subnormals each keep their own text
+        rows = max(1, _BLOCK_CELLS // width)
+        height = data.draw(st.sampled_from([0, 1, rows - 1, rows, rows + 1, 2 * rows + 1])) if data else rows + 1
+        rng = np.random.default_rng(width * 100_003 + height)
+        payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x000FFFFFFFFFFFFF], dtype=np.uint64)
+        edges = np.append(EDGE_FLOATS, payloads.view(np.float64))
+        repeats = rng.standard_normal(20) * 10.0 ** rng.integers(-20, 20, 20)
+        matrix = np.where(rng.random((height, width)) < 0.4, rng.choice(edges, (height, width)),
+                          rng.choice(repeats, (height, width)))
+        matrix[rng.random((height, width)) < 0.3] = rng.random() * 7.0
+        blocks, expected = list(format_matrix(matrix).blocks()), list(reference_format_matrix(matrix).blocks())
+        assert blocks == expected and len(blocks) == 1 + -(-height // rows)
+        assert b"".join(blocks) == b"".join(
+            (",".join(f"{v:.17g}" for v in row) + "\n").encode() for row in matrix.tolist())
+
+    def test_cells_need_no_sort(self, monkeypatch):
+        matrix = np.array([[-0.0, math.nan, math.inf], [5e-324, -math.inf, 0.0]])
+        expected = b"".join(reference_format_matrix(matrix).blocks())
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique was called")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert b"".join(format_matrix(matrix).blocks()) == expected == b"-0,nan,inf\n4.9406564584124654e-324,-inf,0\n"
 
 
 class TestWritersMatchReferences:
