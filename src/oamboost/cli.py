@@ -19,7 +19,8 @@ from .estimate import (
     METHOD_LEAST_SQUARES,
     METHOD_M_SUM,
     _fit,
-    _msum_runs,
+    _msum_gammas,
+    _peak_normalised,
     batch_csv,
     check_gamma_bounds,
     estimate_gamma_fit,
@@ -320,7 +321,10 @@ def _cmd_estimate(opts) -> None:
             f"--l-a {opts['l_a']} lies outside the simulated window "
             f"[{counts.window_a.l_min}, {counts.window_a.l_max}]"
         )
-    subtract = opts["subtract"]
+    subtract, window_b = opts["subtract"], counts.window_b
+    if subtract in ("minimum", "both") and len(window_b) == 1:
+        raise _UsageError(f"--subtract {subtract} leaves nothing to fit in the one-cell l_b window [{window_b.l_min}, "
+                          f"{window_b.l_max}]: a one-cell row less its minimum is 0; use --subtract none or accidental")
     cond = counts_conditional(counts, opts["l_a"], None if subtract == "none" else subtract)
     out = Path(opts["out"])
     if opts["method"] in ("m_sum", "both"):
@@ -351,7 +355,8 @@ def _cmd_experiment(opts) -> None:
             values = np.tile(geometric_kernel(window.indices(), gamma), (runs, 1))
         else:  # each subtraction step is per cell or per row, so subtracting the stacked rows moves no bit
             values = _subtract(counts[i].astype(float), model, mode)
-        per_gamma.append((np.mean(_mode_counts(values)), *_msum_runs(values, 0, window)))
+        omega, norm = np.mean(_mode_counts(values)), _peak_normalised(values, 0, window)  # norm serves both estimators
+        per_gamma.append((omega, norm, _msum_gammas(norm, 0, window)))
     omegas, norms, m_sums = zip(*per_gamma)
     # one search for every gamma's rows: _fit is per row and raises nothing, so stacking them moves no bit
     fit, residual, at_bound = _fit(np.concatenate(norms), window.indices(), *bounds)

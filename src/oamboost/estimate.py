@@ -105,6 +105,15 @@ def _row_dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _totals(norm: np.ndarray, sums: np.ndarray) -> tuple[_SumIndex, np.ndarray, np.ndarray]:
+    """The cells' _SumIndex, the cell count n_k at each of its even |s| = 2k, and each row's total Y_k over them."""
+    index = _sum_index(sums)
+    width = len(index.exponents)  # each even |s|, then the zero slot; bincount adds each row's cells in their order
+    counts, ids = np.bincount(index.slots, minlength=width)[:-1], np.arange(len(norm))[:, None] * width + index.slots
+    totals = np.bincount(ids.ravel(), norm.ravel(), len(norm) * width).reshape(len(norm), width)[:, :-1]
+    return index, counts, totals
+
+
 def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares gamma, residual and at_bound of each row of peak-normalised values against one row of sums.
 
@@ -113,11 +122,8 @@ def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.n
     minimum is a bound that f does not fall from returns that bound and at_bound; the others take Newton steps in p
     (in q, gamma = 1 converges linearly) inside their bracket, bisecting where a step leaves it or f'' <= 0.
     """
-    index = _sum_index(sums)
-    width = len(index.exponents)  # each even |s|, then the zero slot; bincount adds each row's cells in their order
-    even, k = _SumIndex(index.exponents, np.arange(width - 1)), index.exponents[:-1] // 2
-    counts, ids = np.bincount(index.slots, minlength=width)[:-1], np.arange(len(norm))[:, None] * width + index.slots
-    totals = np.bincount(ids.ravel(), norm.ravel(), len(norm) * width).reshape(len(norm), width)[:, :-1]
+    index, counts, totals = _totals(norm, sums)
+    even, k = _SumIndex(index.exponents, np.arange(len(counts))), index.exponents[:-1] // 2
     grid = np.geomspace(lo, hi, GRID_POINTS)
     powers, p_grid = geometric_kernel(even, grid[:, None]), ((grid - 1.0) / (grid + 1.0)) ** 2  # p**k, p at each point
     best = np.argmin(powers**2 @ counts - 2.0 * (totals[:, None, :] @ powers.T)[:, 0], axis=1)
@@ -146,16 +152,6 @@ def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.n
         rows, p, a, b = rows[~done], new[~done], a[~done], b[~done]
     fit = np.where(at_bound, np.where(best == 0, lo, hi), np.clip((1.0 + fit**0.5) / (1.0 - fit**0.5), lo, hi))
     return fit, _row_dots(*2 * [norm - geometric_kernel(index, fit[:, None])]), at_bound
-
-
-def _msum_runs(values: np.ndarray, l_a: int, window: OamWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Peak-normalised rows of slice values at one l_a over one window, and m_sum's gamma of each row.
-
-    Each row is normalised once for both estimators: the rows go on to _fit, which, being per row, may take
-    them stacked with other such arrays.  Bit for bit estimate_gamma_msum on each row as a slice.
-    """
-    norm = _peak_normalised(values, l_a, window)
-    return norm, _msum_gammas(norm, l_a, window)
 
 
 def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA_BOUNDS) -> FitResult:

@@ -121,15 +121,13 @@ class CountSpectrum:
     def __post_init__(self):
         if _freeze_array(self, "counts", np.int64, self.window_a, self.window_b).min(initial=0) < 0:
             raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "seed", _require_index("seed", self.seed))
+        object.__setattr__(self, "seed", _require_index("seed", self.seed, 0, _U64))
 
 
 def check_stream_keys(seeds) -> None:
     """Raise ValueError unless every seed, a key word, is an integer (a float raises, not truncates) in [0, 2**64)."""
     for seed in seeds:
-        seed = _require_index("seed", seed)
-        if not 0 <= seed <= _U64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        _require_index("seed", seed, 0, _U64)
 
 
 def _mulhilo(m, m_lo, m_hi, x):
@@ -415,6 +413,7 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
         window_a, window_b = (OamWindow(*map(_json_int, meta["windows"][side])) for side in "ab")
         check_cells(window_a, window_b)
         model, seed = NoiseModel(**meta["model"]), _json_int(meta["seed"])  # meta["model"] is a mapping from here on
+        _require_index("seed", seed, 0, _U64)  # a key word, checked here so that the error names the sidecar
         # float() would read true as 1.0 and "5" as 5.0
         bad = [value for value in (meta["gamma_encoded"], *meta["model"].values()) if type(value) not in (int, float)]
         if bad:

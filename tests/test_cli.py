@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import io
 import json
@@ -268,6 +269,27 @@ class TestSimulateAndEstimateCommands:
             assert payload["gamma_meas"] == pytest.approx(5.0, rel=0.1)
             assert payload["window"] == [-15, 15]
 
+    @pytest.mark.parametrize("subtract", ["minimum", "both"])
+    def test_estimate_of_one_cell_rows_less_their_minimum_exits_2(self, tmp_path, capsys, monkeypatch, subtract):
+        # a one-cell l_b row less its minimum is 0 whatever its count; this exited 1 on the zero peak
+        assert main(["simulate", "--gamma", "3", "--half-width", "0", "--out", str(tmp_path)]) == 0
+        argv = ["estimate", "--counts", str(tmp_path / "counts_g3_seed0.csv"), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+
+        def no_slice(*args):
+            raise AssertionError("the counts were subtracted")
+
+        monkeypatch.setattr(cli, "counts_conditional", no_slice)
+        assert main(argv + ["--subtract", subtract]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --subtract {subtract} leaves nothing to fit in the one-cell l_b window [0, 0]: "
+            "a one-cell row less its minimum is 0; use --subtract none or accidental\n"
+        )
+        assert not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        for mode in ("none", "accidental"):
+            assert main(argv + ["--subtract", mode]) == 0
+
     def test_estimate_missing_file(self, tmp_path, capsys):
         assert main(["estimate", "--counts", str(tmp_path / "nope.csv")]) == 2
         assert "does not exist" in capsys.readouterr().err
@@ -282,8 +304,8 @@ class TestSimulateAndEstimateCommands:
     @pytest.mark.parametrize(
         ("flags", "message"),
         [
-            (["--seed", "-1"], "seed must lie in [0, 2**64)"),
-            (["--seed", str(2**64)], "seed must lie in [0, 2**64)"),
+            (["--seed", "-1"], "seed must be an integer in [0, 18446744073709551615], got -1"),
+            (["--seed", str(2**64)], f"seed must be an integer in [0, 18446744073709551615], got {2**64}"),
             (["--half-width", str(2**31), "--half-width-a", "0"], "half_width must be an integer in [0, 2147483647]"),
             (["--half-width-a", str(2**31 + 5)], f"half_width must be an integer in [0, 2147483647], got {2**31 + 5}"),
         ],
@@ -479,6 +501,20 @@ class TestExperimentCommand:
         assert main(argv + extra + ["--gamma-max", "30", "--out", str(tmp_path)]) == 0
         assert calls == [((12, 25), list(range(-12, 13)), 1.0, 30.0)]
 
+    @pytest.mark.parametrize("extra", [["--subtract", "both"], ["--noiseless"]])
+    def test_each_row_is_normalised_once(self, tmp_path, monkeypatch, extra):
+        # one call a gamma on all its runs: the normalised rows serve both m_sum and the fit
+        calls, normalise = [], cli._peak_normalised
+
+        def spy(values, l_a, window):
+            calls.append((values.shape, l_a, window))
+            return normalise(values, l_a, window)
+
+        monkeypatch.setattr(cli, "_peak_normalised", spy)
+        argv = ["experiment", "--gamma", "1,5,20", "--seed", "3", "--runs", "4", "--half-width", "12"]
+        assert main(argv + extra + ["--out", str(tmp_path)]) == 0
+        assert calls == [((4, 25), 0, OamWindow.symmetric(12))] * 3
+
     @pytest.mark.parametrize("subtract", ["minimum", "both"])
     def test_one_cell_rows_less_their_minimum_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch, subtract):
         # a one-cell row less its minimum is 0 on every seed, so the flags alone decide the outcome
@@ -537,7 +573,8 @@ class TestExperimentCommand:
     def test_last_seed_out_of_range_exits_2(self, tmp_path, capsys):
         args = ["experiment", "--gamma", "2", "--half-width", "5", "--seed", str(2**64 - 2)]
         assert main(args + ["--runs", "3", "--out", str(tmp_path / "over")]) == 2
-        assert "seed must lie in [0, 2**64), got 18446744073709551616" in capsys.readouterr().err
+        message = "seed must be an integer in [0, 18446744073709551615], got 18446744073709551616"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "over").exists()
         assert main(args + ["--runs", "2", "--out", str(tmp_path / "top")]) == 0
 
@@ -879,6 +916,30 @@ def test_every_option_has_help(command):
     helps = {action.dest: action.help for action in subparsers.choices[command]._actions}
     assert set(OPTION_TABLES[command]) <= set(helps)
     assert all(helps[key] and helps[key].strip() for key in OPTION_TABLES[command])
+
+
+# SHA-256 of each --help text at COLUMNS=80: the top level's, then each command's.  argparse lays the texts out,
+# so a Python whose argparse formats help differently calls for new hashes.
+HELP_SHA256 = {
+    "": "7ac5e3609b62e02c1519f2a6264d004ad9f98d370c0c504832d0501411776ca0",
+    "spectrum": "065f31656a5fdc68a08723dfe3512a02e17c9bb61cef7d9dbc5dd635a53bd67e",
+    "sweep": "f8a45fca0db7d40979bf0c50c77362e033bd217c9c4a5d0dd9f03fa22cfde367",
+    "hologram": "7a3159f9d0f98af4de6efa9f02ab6c3b76bd0da502b3a77a180192edbc41236c",
+    "simulate": "43ee0f143932ea9b1ab36a9f82bc744f0698161a64db88eb83bfa1f366044a48",
+    "estimate": "e0dd912cf5cdec1c8fa29a67247aa1df569c82bce4715bc9180f58ab5cc72a5a",
+    "experiment": "277bdac96732dcb359a1f5515b2cfdd876bf44e4764ecea38fd80ad4cc69ba18",
+}
+
+
+def test_help_texts_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(HELP_SHA256)[1:] == list(OPTION_TABLES)
+    for command, digest in HELP_SHA256.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, command
 
 
 def test_module_entry_point(tmp_path):

@@ -305,6 +305,11 @@ def noiseless_rows(l_a, window, gammas):
     return np.array([conditional_slice(l_a, window, g).values for g in gammas]), l_a, window
 
 
+def msum_rows(values, l_a, window):
+    """m_sum's gamma for each row of slice values at one l_a over one window, as the experiment finds them."""
+    return estimate._msum_gammas(estimate._peak_normalised(values, l_a, window), l_a, window)
+
+
 def fit_rows(values, l_a, window, bounds):
     """_fit's (gamma, residual, at_bound) bits for rows of slice values at one l_a over one window."""
     norm = estimate._peak_normalised(values, l_a, window)
@@ -408,7 +413,7 @@ class TestBatchedFit:
         message = rf"value at l_b = -6 in window \[-9, 7\] must be finite, got {bad}"
         monkeypatch.setattr(estimate, "geometric_kernel", None)
         with pytest.raises(ValueError, match=message):
-            estimate._msum_runs(values, l_a, window)
+            msum_rows(values, l_a, window)
         for estimator in (estimate_gamma_fit, estimate_gamma_msum):
             with pytest.raises(ValueError, match=message):
                 estimator(cond)
@@ -423,7 +428,7 @@ class TestBatchedFit:
     def test_row_of_one_is_the_single_fit(self):
         cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
         result = estimate_gamma_fit(cond, (1.0, 50.0))
-        norm, _ = estimate._msum_runs(cond.values[None], -2, cond.window_b)
+        norm = estimate._peak_normalised(cond.values[None], -2, cond.window_b)
         fit, residual, at_bound = estimate._fit(norm, -2 + cond.window_b.indices(), 1.0, 50.0)
         assert bits([result.gamma_meas, result.residual]) == bits([fit[0], residual[0]])
         assert result.at_bound is bool(at_bound[0]) is False
@@ -460,7 +465,7 @@ class TestBatchedFit:
             values[position] = bad
         monkeypatch.setattr(estimate, "geometric_kernel", None)
         with pytest.raises(ValueError, match=message):
-            estimate._msum_runs(values, l_a, window)
+            msum_rows(values, l_a, window)
         with pytest.raises(ValueError, match=message):
             estimate_gamma_fit(ConditionalSlice(l_a=l_a, window_b=window, values=values[position]))
 
@@ -516,6 +521,38 @@ class TestTotalsGrid:
         assert np.isin(fit[at_bound], bounds).all() and np.isin(best[at_bound], [0, GRID_POINTS - 1]).all()
 
 
+class TestTotals:
+    """_totals, the per-|s| reduction that _fit starts from, against TestTotalsGrid's per-cell reference."""
+
+    # one row, a few, and the experiment's 500, of peak-normalised counts at random gammas; a window holds at most
+    # two cells at each |s|, so the reference's sum of them adds in bincount's order
+    @pytest.mark.parametrize("rows", [1, 9, 500])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        l_a=st.integers(-20, 20), below=st.integers(0, 80), above=st.integers(0, 80), seed=st.integers(0, 2**32 - 1)
+    )
+    @example(l_a=0, below=40, above=40, seed=77)
+    @example(l_a=5, below=0, above=0, seed=1)  # one cell: only |s| = 0
+    @example(l_a=-3, below=0, above=9, seed=2)  # the cells at |s| = 2k lie on one side of the peak
+    def test_same_bits_as_the_per_cell_sums(self, rows, l_a, below, above, seed):
+        window = OamWindow(-l_a - below, -l_a + above)
+        rng = np.random.default_rng(seed)
+        means = [1e3 * conditional_slice(l_a, window, g).values + 5.0 for g in rng.uniform(1.0, 60.0, rows)]
+        values = rng.poisson(means).astype(float)
+        values[:, window.index_of(-l_a)] += 1.0
+        norm = estimate._peak_normalised(values, l_a, window)
+        sums = l_a + window.indices()
+        index, counts, totals = estimate._totals(norm, sums)
+        reference = _sum_index(sums)
+        assert index.exponents.tolist() == reference.exponents.tolist() == [*range(0, 2 * len(counts), 2), 0]
+        assert index.slots.tolist() == reference.slots.tolist()
+        assert counts.tolist() == [np.count_nonzero(np.abs(sums) == 2 * k) for k in range(len(counts))]
+        assert bits(totals) == bits([[row[np.abs(sums) == 2 * k].sum() for k in range(len(counts))] for row in norm])
+        # each row's totals have the same bits alone as stacked with the others
+        alone = np.concatenate([estimate._totals(norm[r : r + 1], sums)[2] for r in range(rows)])
+        assert bits(alone) == bits(totals)
+
+
 @st.composite
 def stacked_groups(draw):
     """(l_a, window, groups): 1-8 arrays of 1-120 noisy rows each, every array drawn at its own gamma."""
@@ -564,7 +601,7 @@ class TestStackedSearch:
 
 
 class TestArrayPath:
-    """_msum_runs then _fit, the experiment's path: one normalised array per gamma, estimated as columns."""
+    """_peak_normalised, then _msum_gammas and _fit on its rows, the experiment's path: one array per gamma."""
 
     @settings(max_examples=100, deadline=None)
     @given(runs=run_arrays(), bounds=BOUNDS)
@@ -577,7 +614,8 @@ class TestArrayPath:
         conds = [ConditionalSlice(l_a=l_a, window_b=window, values=row) for row in values]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # flat slices clamp m_sum at the floor
-            norm, m_sum = estimate._msum_runs(values, l_a, window)
+            norm = estimate._peak_normalised(values, l_a, window)
+            m_sum = estimate._msum_gammas(norm, l_a, window)
             msum_results = [estimate_gamma_msum(cond) for cond in conds]
         fit, residual, at_bound = estimate._fit(norm, l_a + window.indices(), *bounds)
         fits = [estimate_gamma_fit(cond, bounds) for cond in conds]
@@ -594,48 +632,39 @@ class TestArrayPath:
         values[position, 4] = np.nan
         values[3, 6] = 0.0
         with pytest.raises(ValueError, match=r"value at l_b = -2 in window \[-6, 6\] must be finite, got nan"):
-            estimate._msum_runs(values, 0, window)
+            msum_rows(values, 0, window)
         values[position, 4] = 1.0
         with pytest.raises(ValueError, match=r"peak at l_b = 0 in window \[-6, 6\] must be positive, got 0\.0"):
-            estimate._msum_runs(values, 0, window)
+            msum_rows(values, 0, window)
 
     def test_m_sum_beyond_gamma_max_raises(self):
         # as estimate_gamma_msum does: an even-sum of 1e7 inverts to gamma ~ 2e7
         values = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1e7]])
         with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
-            estimate._msum_runs(values, 0, OamWindow(0, 2))
+            msum_rows(values, 0, OamWindow(0, 2))
 
     def test_floor_warnings_come_one_per_row_in_row_order(self):
-        # m_sum's warnings point at the caller of _msum_runs, and every row's warning comes before
-        # the first row's error, as when the rows' even-sums were summed one at a time
+        # every row's warning comes before the first row's error, as when the rows' even-sums were summed one at a
+        # time, and estimate_gamma_msum's warning points at its caller
         window = OamWindow.symmetric(2)  # even cells at l_b = -2, 0, 2
         values = np.array([[-0.5, 9.0, 1.0, 9.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0, -0.25]])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            m_sum = estimate._msum_runs(values, 0, window)[1]
+            m_sum = msum_rows(values, 0, window)
         floor = "fell below the physical floor 1; clamping gamma to 1"
-        assert [str(w.message) for w in caught] == [f"even-sum 0.5 {floor}", f"even-sum 0.75 {floor}"]
-        assert {(w.category, w.filename) for w in caught} == {(RuntimeWarning, __file__)}
+        assert [(str(w.message), w.category) for w in caught] == [
+            (f"even-sum 0.5 {floor}", RuntimeWarning), (f"even-sum 0.75 {floor}", RuntimeWarning)
+        ]
         assert m_sum.tolist() == [1.0, gamma_from_m(1.5), 1.0]
+        with pytest.warns(RuntimeWarning, match=f"even-sum 0.75 {floor}") as caught:
+            estimate_gamma_msum(ConditionalSlice(l_a=0, window_b=window, values=values[2]))
+        assert [w.filename for w in caught] == [__file__]
         values[1, 4] = 1e7
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
-                estimate._msum_runs(values, 0, window)
+                msum_rows(values, 0, window)
         assert len(caught) == 2
-
-    def test_each_row_is_normalised_once(self, monkeypatch):
-        calls = []
-        normalise = estimate._peak_normalised
-
-        def spy(values, l_a, window):
-            calls.append(len(values))
-            return normalise(values, l_a, window)
-
-        monkeypatch.setattr(estimate, "_peak_normalised", spy)
-        values = np.array([conditional_slice(0, OamWindow.symmetric(10), g).values for g in (2.0, 3.0, 9.0)])
-        estimate._msum_runs(values, 0, OamWindow.symmetric(10))
-        assert calls == [3]
 
 
 class TestDenseScan:

@@ -27,6 +27,7 @@ from oamboost.spectrum import L_RANGE, MAX_CELLS, OamWindow, conditional_slice
 
 U64_MAX = 2**64 - 1
 IN_RANGE = r" in \[-2147483648, 2147483647\]"
+SEED_RANGE = r"seed must be an integer in \[0, 18446744073709551615\]"
 
 
 def square_windows(half_width):
@@ -431,16 +432,22 @@ class TestPoissonKernel:
 class TestStreamKeys:
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**63)])
     def test_seed_out_of_range(self, seed):
-        with pytest.raises(ValueError, match="seed must lie in"):
+        # no Philox key word holds such a seed, so a CountSpectrum may not record one either
+        message = rf"^{SEED_RANGE}, got {seed}$"
+        with pytest.raises(ValueError, match=message):
             simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
+        with pytest.raises(ValueError, match=message):
+            check_stream_keys([0, seed])
+        with pytest.raises(ValueError, match=message):
+            CountSpectrum(OamWindow(0, 0), OamWindow(0, 0), [[1]], seed, NoiseModel(), 2.0)
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4", None])
     def test_seed_must_be_an_integer(self, seed):
         # int(seed) used to truncate: seed 2.0 drew seed 2's counts, 1.5 seed 1's
         with mock.patch.object(simulate_module, "_draw_poisson") as draw:
-            with pytest.raises(ValueError, match="seed must be an integer, got "):
+            with pytest.raises(ValueError, match=rf"^{SEED_RANGE}, got "):
                 simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
-            with pytest.raises(ValueError, match="seed must be an integer"):
+            with pytest.raises(ValueError, match=rf"^{SEED_RANGE}, got "):
                 simulate_module._count_runs([2.0], square_windows(1), NoiseModel(), [0, seed])
         draw.assert_not_called()
 
@@ -454,7 +461,7 @@ class TestStreamKeys:
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
     def test_count_spectrum_seed_must_be_an_integer(self, seed):
         # int(seed) used to truncate: a spectrum built with seed 1.5 recorded seed 1
-        with pytest.raises(ValueError, match="seed must be an integer, got "):
+        with pytest.raises(ValueError, match=rf"^{SEED_RANGE}, got "):
             CountSpectrum(OamWindow(0, 0), OamWindow(0, 0), [[1]], seed, NoiseModel(), 2.0)
 
     def test_count_spectrum_counts_must_be_non_negative(self):
@@ -689,6 +696,9 @@ class TestSerialization:
             (lambda meta: meta.update(gamma_encoded=1e300), r"counts\.meta\.json: gamma must be <= 1e\+06, got 1e\+300"),
             (lambda meta: meta.update(seed=7.9), r"counts\.meta\.json: .*must be JSON integers, got 7\.9"),
             (lambda meta: meta.update(seed=True), r"counts\.meta\.json: .*must be JSON integers, got True"),
+            # no Philox key word holds these seeds; estimate exited 0 on them
+            (lambda meta: meta.update(seed=-5), rf"counts\.meta\.json: {SEED_RANGE}, got -5$"),
+            (lambda meta: meta.update(seed=2**70), rf"counts\.meta\.json: {SEED_RANGE}, got {2**70}$"),
             (lambda meta: meta["windows"].update(b=[-2.6, 2.9]), r"counts\.meta\.json: .*must be JSON integers, got -2\.6"),
             (lambda meta: meta["windows"].update(a=[0, 1.0]), r"counts\.meta\.json: .*must be JSON integers, got 1\.0"),
             # 2**63 + 1 cells overflowed len(); such a window now lies past L_RANGE
