@@ -71,10 +71,10 @@ def format_table(header: str, *columns) -> Table:
     return Table(head, rows, len(fields), lambda start, stop: [t[i.reshape(-1, 1)[start:stop]] for t, i in fields])
 
 
-def format_matrix(matrix: np.ndarray) -> Table:
-    """The CSV of a float matrix, no header; each cell is formatted with its ',' or LF (its values rarely repeat)."""
-    return Table(b"", *matrix.shape, lambda start, stop: [np.array([
-        [*(f"{v:.17g}," for v in r[:-1]), f"{r[-1]:.17g}\n"] for r in matrix[start:stop].tolist()], dtype=object)])
+def format_matrix(rows_of, height: int, width: int) -> Table:
+    """The CSV, no header, of height x width floats, rows_of(start, stop) giving rows start..stop; a cell at a time."""
+    return Table(b"", height, width, lambda start, stop: [np.array([
+        [*(f"{v:.17g}," for v in r[:-1]), f"{r[-1]:.17g}\n"] for r in rows_of(start, stop).tolist()], dtype=object)])
 
 
 def parse_int_rows(body: bytes, width: int):

@@ -13,11 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import Table, format_matrix, format_table
+from ._table import Table, format_table
 from .estimate import (
     DEFAULT_GAMMA_BOUNDS,
-    METHOD_LEAST_SQUARES,
-    METHOD_M_SUM,
     _fit,
     _msum_gammas,
     _peak_normalised,
@@ -33,6 +31,7 @@ from .simulate import (
     NoiseModel,
     _count_runs,
     _subtract,
+    check_stream_keys,
     count_spectrum_sidecar,
     count_spectrum_to_csv,
     counts_conditional,
@@ -109,17 +108,14 @@ def _choice(*choices):
     return convert
 
 
-def _subtract_option(default):
-    """The --subtract row; estimate and experiment differ only in its default."""
-    return _choice("none", *SUBTRACT_MODES), default, "background subtraction: none, accidental, minimum or both"
-
-
 # Per-command option tables: dest -> (converter, default, help), in --help order.
 # CLI flags and config-file keys share the converters, which raise ValueError;
 # flags override the config file, and an option whose default is _REQUIRED must
 # come from one of them.
 _REQUIRED = object()
 _GAMMA_HELP = "Lorentz factor (comma-separated list for sweep/experiment)"
+_SUBTRACT = _choice("none", *SUBTRACT_MODES)
+_SUBTRACT_HELP = "background subtraction: none, accidental, minimum or both"
 _HALF_WIDTH_HELP = "OAM detection half-width for l_b"
 _COMMON = {
     "out": (str, ".", "output directory"),
@@ -169,7 +165,7 @@ OPTION_TABLES = {
         "counts": (str, _REQUIRED, "counts CSV produced by the simulate command"),
         "l_a": (_parse_int, 0, "Alice projection index of the analysed slice"),
         "method": (_choice("m_sum", "least_squares", "both"), "both", "estimator: m_sum, least_squares or both"),
-        "subtract": _subtract_option("none"),
+        "subtract": (_SUBTRACT, "none", _SUBTRACT_HELP),
         **_FIT_BOUNDS,
     },
     "experiment": {
@@ -179,7 +175,7 @@ OPTION_TABLES = {
         "runs": (_parse_runs, 1, "seeded repetitions per encoded gamma"),
         "half_width": (_parse_int, 40, _HALF_WIDTH_HELP),
         **_RATES,
-        "subtract": _subtract_option("both"),
+        "subtract": (_SUBTRACT, "both", _SUBTRACT_HELP),
         "noiseless": (_parse_bool, False, "skip the count simulation and use exact conditional spectra"),
         **_FIT_BOUNDS,
     },
@@ -293,8 +289,7 @@ def _cmd_sweep(opts) -> None:
 
 def _cmd_hologram(opts) -> None:
     fmt, args = opts["format"], (opts["l"], opts["gamma"], opts["width"], opts["height"], opts["extent"])
-    data = _library_check(_render, *args, fmt == "pgm")  # pgm: the P5 buffer from row blocks, with no float64 field
-    data = data if fmt == "pgm" else format_matrix(data.phase)
+    data = _library_check(_render, *args, fmt)  # a P5 buffer or a CSV Table, from row blocks with no float64 field
     _emit(Path(opts["out"]) / f"holo_l{opts['l']}_g{opts['gamma']:g}_{opts['width']}x{opts['height']}.{fmt}", data)
 
 
@@ -346,6 +341,7 @@ def _cmd_experiment(opts) -> None:
                           "minimum is 0; use --subtract none or accidental, a wider window, or --noiseless")
     seeds = range(opts["seed"], opts["seed"] + runs)
     _library_check(check_cells, *windows, runs, len(gammas))
+    _library_check(check_stream_keys, seeds)
 
     window, mode = windows[1], None if subtract == "none" else subtract
     counts = None if model is None else _library_check(_count_runs, gammas, windows, model, seeds)[:, :, 0]
@@ -375,7 +371,7 @@ def _cmd_experiment(opts) -> None:
     parameters = {"gamma": gammas, **{key: opts[key] for key in keys}, "gamma_bounds": list(bounds)}
     out = Path(opts["out"])
     seed_column = np.tile(np.repeat(np.array(seeds, dtype=object), 2), len(gammas))
-    methods = np.tile([METHOD_M_SUM, METHOD_LEAST_SQUARES], runs * len(gammas))
+    methods = np.tile(["m_sum", "least_squares"], runs * len(gammas))
     # each run's m_sum row, then its least_squares row
     meas = np.stack((np.concatenate(m_sums), fit), axis=1).ravel()
     resid = np.stack((np.zeros_like(residual), residual), axis=1).ravel()

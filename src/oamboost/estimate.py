@@ -21,9 +21,6 @@ from .spectrum import ConditionalSlice, OamWindow, _check_finite, _sum_index, _S
 DEFAULT_GAMMA_BOUNDS = (1.0, 50.0)
 GRID_POINTS = 64
 
-METHOD_M_SUM = "m_sum"
-METHOD_LEAST_SQUARES = "least_squares"
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -97,7 +94,7 @@ def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
     """Recover gamma from the even-sum of the peak-normalised slice."""
     l_a, window = conditional.l_a, conditional.window_b
     gamma = _msum_gammas(_peak_normalised(conditional.values[None], l_a, window), l_a, window)
-    return _result(float(gamma[0]), METHOD_M_SUM, 0.0, conditional)
+    return _result(float(gamma[0]), "m_sum", 0.0, conditional)
 
 
 def _row_dots(a, b):
@@ -160,7 +157,7 @@ def estimate_gamma_fit(conditional: ConditionalSlice, gamma_bounds=DEFAULT_GAMMA
     l_a, window = conditional.l_a, conditional.window_b
     norm = _peak_normalised(conditional.values[None], l_a, window)
     (gamma,), (residual,), (at_bound,) = _fit(norm, l_a + window.indices(), lo, hi)
-    return _result(float(gamma), METHOD_LEAST_SQUARES, float(residual), conditional, bool(at_bound))
+    return _result(float(gamma), "least_squares", float(residual), conditional, bool(at_bound))
 
 
 def batch_csv(seeds, gamma_encoded, gamma_meas, method, residual) -> Table:

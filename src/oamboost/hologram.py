@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import format_matrix
+from ._table import Table, format_matrix
 from .relativity import TWO_PI, require_gamma
-from .spectrum import L_RANGE, _freeze_array, _require_index
+from .spectrum import L_RANGE, MAX_CELLS, _freeze_array, _require_index
 
 DEFAULT_SIZE = 512
 DEFAULT_EXTENT = 1.0
 
-MAX_PIXELS = 8192 * 8192  # 512 MB of float64; width * height is checked before any allocation
 _BLOCK_CELLS = 1 << 16  # cells in a row block of generation and export: 32 rows at 2048 wide
 
 
@@ -78,12 +77,21 @@ def _quantise(phase: np.ndarray, scratch: np.ndarray, pixels: np.ndarray) -> Non
         pixels[start : start + step] = scaled  # scaled >= 0.5, so the cast's truncation is floor
 
 
-def _render(l, gamma, width, height, extent, pgm: bool) -> HologramField | np.ndarray:
-    """After the checks, generate_hologram's field or, with pgm, a P5 buffer of its pgm8 bytes, one row block at a time.
+def _phase(l, gamma, x, y, out=None) -> np.ndarray:
+    """The mask phase l * atan2(gamma*y, x) wrapped to [0, 2*pi), one row per y, in out if given."""
+    phase = np.arctan2(gamma * y[:, None], x, out=out)
+    phase *= l
+    _wrap(phase, l)  # |l * atan2| <= |l| * pi bounds the remainder's steps
+    phase[phase >= TWO_PI] = 0.0
+    return phase
 
-    Even sizes place the vortex core between pixels; for odd sizes the centre pixel uses atan2(0, 0) = 0.  Only rows
-    where l * atan2 >= 0 are computed: y[::-1] == -y and atan2 is odd in y, bit for bit, so each other row is 2*pi - r
-    of its mirror row's r, and 0 where that rounds to 2*pi (r = 0 too), the bits that computing it would give.
+
+def _render(l, gamma, width, height, extent, fmt: str) -> HologramField | np.ndarray | Table:
+    """After the checks, generate_hologram's field ("field"), P5 pgm8 bytes ("pgm") or CSV Table ("csv"), by row blocks.
+
+    Even sizes place the vortex core between pixels; for odd sizes the centre pixel uses atan2(0, 0) = 0.  The CSV
+    computes every row; the rest only rows where l * atan2 >= 0: y[::-1] == -y and atan2 is odd in y, bit for bit, so
+    each other row is 2*pi - r of its mirror row's r, and 0 where that rounds to 2*pi (r = 0 too): the computed bits.
     """
     gamma = require_gamma(gamma)
     l = _require_index("l", l, *L_RANGE)
@@ -91,13 +99,15 @@ def _render(l, gamma, width, height, extent, pgm: bool) -> HologramField | np.nd
     height = _require_index("height", height)
     if width < 2 or height < 2:
         raise ValueError(f"width and height must be >= 2, got {width}x{height}")
-    if width * height > MAX_PIXELS:
-        raise ValueError(f"width x height must be at most {MAX_PIXELS} pixels, got {width}x{height}")
+    if width * height > MAX_CELLS:
+        raise ValueError(f"width x height must be at most {MAX_CELLS} pixels, got {width}x{height}")
     extent = float(extent)
     if not (0.0 < extent and gamma * ((height - 1) / 2.0 * (2.0 * extent / (height - 1))) < np.inf):  # gamma * last y
         raise ValueError(f"extent must be positive and finite, got {extent}; 2*extent, gamma*extent (gamma {gamma})")
     x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)
-    half, step = height // 2, max(1, _BLOCK_CELLS // width)
+    if fmt == "csv":
+        return format_matrix(lambda start, stop: _phase(l, gamma, x, y[start:stop]), height, width)
+    half, step, pgm = height // 2, max(1, _BLOCK_CELLS // width), fmt == "pgm"
     if pgm:
         out, pixels = _p5(width, height)
         scratch = np.empty((2, min(step, height - half), width))  # a block and its mirror, quantised in place
@@ -108,10 +118,7 @@ def _render(l, gamma, width, height, extent, pgm: bool) -> HologramField | np.nd
         stop = min(start + step, height)
         mirrored = slice(max(start, height - half), stop)  # not an odd height's centre row
         block, mirror = (scratch[0], scratch[1]) if pgm else (rows[start:stop], rows[::-1][mirrored])
-        block = np.arctan2(gamma * y[start:stop, None], x, out=block[: stop - start])
-        block *= l
-        _wrap(block, l)  # |l * atan2| <= |l| * pi bounds the remainder's steps
-        block[block >= TWO_PI] = 0.0
+        block = _phase(l, gamma, x, y[start:stop], block[: stop - start])
         mirror = np.subtract(TWO_PI, block[mirrored.start - start :], out=mirror[: stop - mirrored.start])
         mirror[mirror >= TWO_PI] = 0.0
         if pgm:
@@ -124,7 +131,7 @@ def generate_hologram(
     l: int, gamma: float, width: int = DEFAULT_SIZE, height: int = DEFAULT_SIZE, extent: float = DEFAULT_EXTENT
 ) -> HologramField:
     """Sample the contracted vortex phase l * atan2(gamma*y, x), wrapped to [0, 2*pi), over the grid."""
-    return _render(l, gamma, width, height, extent, pgm=False)
+    return _render(l, gamma, width, height, extent, "field")
 
 
 def export_hologram(field: HologramField, format: str) -> bytes:
@@ -139,7 +146,7 @@ def export_hologram(field: HologramField, format: str) -> bytes:
         _quantise(field.phase, np.empty((min(max(1, _BLOCK_CELLS // field.width), field.height), field.width)), pixels)
         return buf.tobytes()
     if format == "csv":
-        return b"".join(format_matrix(field.phase).blocks())
+        return b"".join(format_matrix(lambda start, stop: field.phase[start:stop], field.height, field.width).blocks())
     raise ValueError(f"unsupported hologram format {format!r}; expected one of ('pgm8', 'csv')")
 
 

@@ -45,9 +45,8 @@ _I32_OFFSET = -L_RANGE[0]
 
 # Largest Poisson mean numpy's Generator accepts.
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-# In-flight bounds: keys size each Philox pass; draws (a few hundred bytes each) bound memory whatever the gammas.
-_CELLS_IN_FLIGHT = 4096
-_DRAWS_IN_FLIGHT = 4 * _CELLS_IN_FLIGHT
+# Draws in flight (a few hundred bytes each) bound memory whatever the gammas; a key in flight holds a draw in flight.
+_DRAWS_IN_FLIGHT = 16384
 # Relative margin inside which a vectorised log/exp comparison is redrawn
 # with numpy's scalar generator; SIMD log/exp differ from libm by a few ulp.
 _LOG_TOL = 1e-12
@@ -252,7 +251,7 @@ def _board(keys, draws, start, n_keys, key0, key1, lam):
     head, tail = np.flatnonzero(lam >= 10.0), np.flatnonzero((lam > 0.0) & (lam < 10.0))
     fresh = [np.arange(start, start + m), lam, np.zeros(lam.size, np.int64), np.ones(lam.size)]
     key_head, key_tail = head, tail  # k = 1: the keys keep their draws' order, so draw i reads key i
-    # k = 1 is kept apart: the keyed path made a one-gamma 201^2 _count_runs 18% slower (19 -> 22 ms, 6/6 pairs)
+    # k = 1 is kept apart: the keyed path made a one-gamma 201^2 _count_runs about 30% slower (16 -> 21 ms, 3/3 runs)
     if k > 1:  # a key with a draw boards behind the keys in flight, and each draw holds its key's place
         live = (lam > 0.0).reshape(k, m).any(axis=0)
         key_head, key_tail = [], np.flatnonzero(live)
@@ -292,10 +291,10 @@ def _draw_poisson(k: int, n_keys: int, key_means) -> np.ndarray:
     means lam.  Count (g, i) is np.random.Generator(np.random.Philox(key1[i] * 2**64 + key0[i])).poisson(lam[g, i]).
 
     Keys (key words, next block) and their draws (output slot, mean, the multiplication method's count and
-    product, and for k > 1 their key's place) board, one key at least, while under _CELLS_IN_FLIGHT keys and
-    _DRAWS_IN_FLIGHT draws are in flight.  Each pass computes every key's next Philox block once, for all its
-    draws.  Finished draws leave, a key with its last one, and fresh keys board.  np.log/np.exp may differ from
-    libm's by a few ulp, so a draw whose accept/stop test lies that close to its threshold is redrawn by numpy.
+    product, and for k > 1 their key's place) board, one key at least, while under _DRAWS_IN_FLIGHT draws are in
+    flight; a key boards with a draw and leaves with its last one, so the bound holds the keys too.  Each pass
+    computes every key's next Philox block once, for all its draws.  np.log/np.exp may differ from libm's by a few
+    ulp, so a draw whose accept/stop test lies that close to its threshold is redrawn by numpy.
     """
     counts = np.zeros((k, n_keys), dtype=np.int64)
     keys = [np.empty(0, np.uint64) for _ in range(3)]
@@ -304,9 +303,8 @@ def _draw_poisson(k: int, n_keys: int, key_means) -> np.ndarray:
     start = 0
     while start < n_keys or draws[0].size:
         # _board and _draw_block free their arrays on return, so a pass holds none of the last one's
-        if keys[0].size < _CELLS_IN_FLIGHT and draws[0].size < _DRAWS_IN_FLIGHT and start < n_keys:
-            room = min(_CELLS_IN_FLIGHT - keys[0].size, (_DRAWS_IN_FLIGHT - draws[0].size) // k)
-            stop = min(start + max(room, 1), n_keys)
+        if draws[0].size < _DRAWS_IN_FLIGHT and start < n_keys:
+            stop = min(start + max((_DRAWS_IN_FLIGHT - draws[0].size) // k, 1), n_keys)
             keys, draws = _board(keys, draws, start, n_keys, *key_means(start, stop))
             start = stop
         keys, draws = _draw_block(keys, draws, counts.reshape(-1), redraw)

@@ -578,6 +578,30 @@ class TestExperimentCommand:
         assert not (tmp_path / "over").exists()
         assert main(args + ["--runs", "2", "--out", str(tmp_path / "top")]) == 0
 
+    @pytest.mark.parametrize(("seed", "runs", "bad"), [("-5", "2", -5), (str(2**64 - 2), "3", 2**64)])
+    def test_noiseless_seed_out_of_range_exits_2(self, tmp_path, capsys, seed, runs, bad):
+        # exact spectra draw nothing, but the batch records every seed, so they are checked as a noisy run's are
+        argv = ["experiment", "--noiseless", "--gamma", "2", "--half-width", "5", "--seed", seed, "--runs", runs]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert f"error: seed must be an integer in [0, 18446744073709551615], got {bad}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("seed", "hashes"),
+        [
+            ("5", ("2c00a960629b2df73e2720c00b201c5a2e7542cdddd589208e00de7e2df07bb7",
+                   "ea34f81c59b80c338d9823395a62ff9fb5c5fb4473c2557b89bdd75b893778ae")),
+            (str(2**64 - 2), ("3948e00e3c658032ce2223a29b5bb391a69b9f3455025279bba8046bb20b4e87",
+                              "caab63c78b467697d39f93a261008c5216f57375ad71b88362449bd275087bcb")),
+        ],
+    )
+    def test_noiseless_seeds_in_range_write_the_same_bytes(self, tmp_path, seed, hashes):
+        # recorded before the noiseless seeds were checked
+        argv = ["experiment", "--noiseless", "--gamma", "2", "--half-width", "5", "--seed", seed, "--runs", "2"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        names = ("experiment_batch.csv", "experiment_summary.json")
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names) == hashes
+
     @pytest.mark.parametrize(
         ("gamma_zero", "message", "floor_warnings"),
         [

@@ -64,6 +64,11 @@ def reference_every_row(l, gamma, width, height, extent):
     return phase
 
 
+def field_table(field):
+    """format_matrix's Table of a field's phase, its rows sliced as they are written."""
+    return _table.format_matrix(lambda start, stop: field.phase[start:stop], field.height, field.width)
+
+
 def reference_pgm(phase):
     height, width = phase.shape
     pixels = np.floor(phase / TWO_PI * 255.0 + 0.5).astype(np.uint8)
@@ -221,7 +226,7 @@ class TestGenerateHologram:
         # L_RANGE bounds l as it does every OAM index; 10**12 was accepted, and past 2**53 l itself rounds
         limit = L_RANGE[(sign + 1) // 2]
         assert generate_hologram(limit, 2.0, 4, 2).phase.shape == (2, 4)
-        assert len(hologram._render(limit, 2.0, 4, 2, 1.0, True)) == len(b"P5\n4 2\n255\n") + 8
+        assert len(hologram._render(limit, 2.0, 4, 2, 1.0, "pgm")) == len(b"P5\n4 2\n255\n") + 8
         for l in (limit + sign, sign * 10**12, sign * 10**20):
             with pytest.raises(ValueError, match=rf"^l must be an integer{IN_RANGE}, got {l}$"):
                 generate_hologram(l, 2.0, 4, 2)
@@ -292,11 +297,27 @@ class TestSameBitsAsWholeArray:
     @example(shape=(hologram._BLOCK_CELLS + 1, 3), l=-2, gamma=5.0, extent=1.0)
     def test_streamed_pgm_bytes(self, shape, l, gamma, extent):
         width, height = shape
-        streamed = hologram._render(l, gamma, width, height, extent, pgm=True)
+        streamed = hologram._render(l, gamma, width, height, extent, "pgm")
         expected = reference_pgm(reference_phase(l, gamma, width, height, extent))
         assert streamed.dtype == np.uint8 and streamed.shape == (len(expected),)
         assert streamed.tobytes() == expected
         assert export_hologram(generate_hologram(l, gamma, width, height, extent), "pgm8") == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=block_shapes(),
+        l=st.integers(-12, 12),
+        gamma=st.one_of(st.sampled_from([1.0, 1e6]), st.floats(1.0, 1e6)),
+        extent=st.floats(0.01, 10.0),
+    )
+    @example(shape=(2048, 131), l=-7, gamma=3.0, extent=1.0)
+    @example(shape=(5, 2 * (hologram._BLOCK_CELLS // 5) + 1), l=12, gamma=1e6, extent=0.01)
+    @example(shape=(3, 3), l=-1, gamma=1.0, extent=1.0)
+    def test_streamed_csv_bytes(self, shape, l, gamma, extent):
+        # the CSV computes every row, where the field mirrors half of them: computed bits against mirrored ones
+        width, height = shape
+        streamed = b"".join(hologram._render(l, gamma, width, height, extent, "csv").blocks())
+        assert streamed == export_hologram(generate_hologram(l, gamma, width, height, extent), "csv")
 
     def test_pgm_of_any_field_phase(self):
         # a hand-built field quantises as the whole-array formula, also just below 2*pi and at rounding halves
@@ -387,7 +408,7 @@ class TestMemoryBudget:
         size, rows = 1000, hologram._BLOCK_CELLS // 1000
         tracemalloc.start()
         try:
-            buf = hologram._render(3, 5.0, size, size, 1.0, pgm=True)
+            buf = hologram._render(3, 5.0, size, size, 1.0, "pgm")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,11 +424,24 @@ class TestMemoryBudget:
             field = generate_hologram(3, 5.0, width=512, height=height)
             tracemalloc.start()
             try:
-                size = sum(map(len, _table.format_matrix(field.phase).blocks()))
+                size = sum(map(len, field_table(field).blocks()))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0] and peaks[1] < size / 4
+
+    def test_streamed_csv_peak_does_not_grow_with_height(self):
+        # each row block is computed as it is written: no float64 field (8 MB at 2048 rows), one block of text
+        peaks = []
+        for height in (96, 2048):
+            tracemalloc.start()
+            try:
+                size = sum(map(len, hologram._render(3, 5.0, 512, height, 1.0, "csv").blocks()))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert size > 2 * 512 * 2048 * 8  # about 19 bytes a cell, over twice the field
+        assert peaks[1] < 1.1 * peaks[0] and peaks[1] < 512 * 2048 * 8 / 4
 
     def test_size_cap_comes_before_any_allocation(self, monkeypatch):
         def no_grid(n, extent):
@@ -423,11 +457,11 @@ class TestMemoryBudget:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="at most 67108864 pixels, got 8193x8192"):
-                hologram._render(1, 2.0, 8193, 8192, 1.0, pgm=True)
+                hologram._render(1, 2.0, 8193, 8192, 1.0, "pgm")
             with pytest.raises(ValueError, match=re.escape("got 9e+307; 2*extent, gamma*extent (gamma 1000000.0)")):
-                hologram._render(3, 1e6, 8192, 8192, 9e307, pgm=True)
+                hologram._render(3, 1e6, 8192, 8192, 9e307, "pgm")
             with pytest.raises(AssertionError, match="the grid was built"):
-                hologram._render(1, 2.0, 8192, 8192, 1.0, pgm=True)
+                hologram._render(1, 2.0, 8192, 8192, 1.0, "pgm")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -551,7 +585,7 @@ class TestExport:
         field = HologramField(width=width, height=height, extent=1.0, l=1, gamma=1.0, phase=phase)
         expected = reference_csv(field.phase)
         assert export_hologram(field, "csv") == expected
-        blocks = list(_table.format_matrix(field.phase).blocks())
+        blocks = list(field_table(field).blocks())
         assert b"".join(blocks) == expected and len(blocks) == 1 + -(-height // rows)
 
     def test_csv_of_a_generated_field_equals_the_former_writer(self):

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import tracemalloc
@@ -225,12 +224,9 @@ class TestSimulateCounts:
             counts.counts[0, 0] = 1
 
 
-def pool_size(in_flight, draw_cap):
-    """Context manager that bounds the kernel's flight at in_flight keys and draw_cap draws."""
-    stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(simulate_module, "_CELLS_IN_FLIGHT", in_flight))
-    stack.enter_context(mock.patch.object(simulate_module, "_DRAWS_IN_FLIGHT", draw_cap))
-    return stack
+def pool_size(draw_cap):
+    """Context manager that bounds the kernel's flight at draw_cap draws (and so at draw_cap keys)."""
+    return mock.patch.object(simulate_module, "_DRAWS_IN_FLIGHT", draw_cap)
 
 
 class TestPoissonKernel:
@@ -305,16 +301,15 @@ class TestPoissonKernel:
                 max_size=60,
             )
         ),
-        in_flight=st.integers(1, 64),
         draw_cap=st.integers(1, 256),
     )
-    def test_any_pool_size_matches_the_reference(self, cells, in_flight, draw_cap):
+    def test_any_pool_size_matches_the_reference(self, cells, draw_cap):
         # each key carries 1-5 means, and its draws must equal that many independent one-mean draws;
         # a pool smaller than the draws refills between passes and mixes both regimes with draws at
         # other stream positions, and a pool of fewer draws than a key carries still boards the key
         key0, key1 = (np.array(column, dtype=np.uint64) for column in list(zip(*cells))[:2])
         lam = np.array([means for _, _, means in cells], dtype=float).T
-        with pool_size(in_flight, draw_cap):
+        with pool_size(draw_cap):
             got = kernel_draws(key0, key1, lam)
         np.testing.assert_array_equal(got, [reset_draws(key0, key1, row) for row in lam])
 
@@ -357,11 +352,10 @@ class TestPoissonKernel:
     @given(
         gammas=st.lists(st.just(1.0) | st.floats(1.0, 60.0), min_size=1, max_size=5),
         rates=st.sampled_from([(20.0, 0.0), (1e4, 5.0), (300.0, 0.5)]),
-        in_flight=st.integers(1, 64),
         draw_cap=st.integers(1, 256),
         seed=st.integers(0, U64_MAX - 2),
     )
-    def test_gammas_share_each_cell_stream(self, gammas, rates, in_flight, draw_cap, seed):
+    def test_gammas_share_each_cell_stream(self, gammas, rates, draw_cap, seed):
         # one call for several gammas gives each gamma's one-gamma counts, and computes each
         # Philox block of a cell once for them all (gamma 1 with no accidentals leaves cells
         # with no draw at any gamma)
@@ -373,7 +367,7 @@ class TestPoissonKernel:
             blocks.extend(zip(key0.tolist(), key1.tolist(), block.tolist()))
             return philox(key0, key1, block)
 
-        with pool_size(in_flight, draw_cap), mock.patch.object(simulate_module, "_philox_doubles", spy):
+        with pool_size(draw_cap), mock.patch.object(simulate_module, "_philox_doubles", spy):
             runs = simulate_module._count_runs(gammas, windows, model, seeds)
         assert len(blocks) == len(set(blocks))
         assert runs.shape == (len(gammas), 2, 3, 9)
@@ -386,22 +380,21 @@ class TestPoissonKernel:
         l_b=st.integers(-40, 40),
         pad=st.tuples(*[st.integers(0, 6)] * 4),
         runs=st.integers(1, 4),
-        in_flight=st.integers(1, 64),
         draw_cap=st.integers(1, 256),
         seed=st.integers(0, U64_MAX - 3),
     )
-    def test_cell_draw_independent_of_window_and_pool_size(self, l_a, l_b, pad, runs, in_flight, draw_cap, seed):
+    def test_cell_draw_independent_of_window_and_pool_size(self, l_a, l_b, pad, runs, draw_cap, seed):
         # a small pool puts the cell in flight beside cells at other stream positions
         model = NoiseModel(pair_rate=50.0, accidental_rate=4.0)
         alone = simulate_counts(3.0, (OamWindow(l_a, l_a), OamWindow(l_b, l_b)), model, seed).counts[0, 0]
         windows = (OamWindow(l_a - pad[0], l_a + pad[1]), OamWindow(l_b - pad[2], l_b + pad[3]))
-        with pool_size(in_flight, draw_cap):
+        with pool_size(draw_cap):
             embedded = simulate_module._count_runs([3.0], windows, model, range(seed, seed + runs))
         assert embedded[0, 0, pad[0], pad[2]] == alone
 
-    def test_one_gamma_passes_are_bounded_by_keys_alone(self):
-        # with one mean a key, keys and draws in flight are equal, so the draw bound never binds: a
-        # 201 x 201 simulate makes the same Philox calls as a flight bounded by _CELLS_IN_FLIGHT draws
+    def test_one_gamma_passes_hold_up_to_the_draw_bound_in_keys(self):
+        # with one mean a key, keys and draws in flight are equal, so a 201 x 201 simulate fills its
+        # first passes with _DRAWS_IN_FLIGHT keys; the flight's size moves no count
         sizes, philox = [], simulate_module._philox_doubles
 
         def spy(key0, key1, block):
@@ -410,7 +403,7 @@ class TestPoissonKernel:
 
         with mock.patch.object(simulate_module, "_philox_doubles", spy):
             counts = simulate_counts(5.0, square_windows(100), NoiseModel(), 42).counts
-        assert sizes == [4096] * 17 + [2522, 775, 107, 6]
+        assert sizes == [16384] * 3 + [15972, 6759, 1101, 58]
         assert hashlib.sha256(counts.tobytes()).hexdigest() == (
             "33f6332f3a919dcd00a9a1cb5d459d471ebda2733f8c34a2f397190cbd0023ca"
         )
