@@ -51,11 +51,6 @@ from .spectrum import (
     mode_count_closed,
 )
 
-_EXIT_OK = 0
-_EXIT_RUNTIME = 1
-_EXIT_USAGE = 2
-
-
 class _UsageError(Exception):
     """Invalid flag or config value; maps to exit code 2."""
 
@@ -308,14 +303,13 @@ def _cmd_simulate(opts) -> None:
 def _cmd_estimate(opts) -> None:
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     counts_file = Path(opts["counts"])
-    if not counts_file.exists():
-        raise _UsageError(f"--counts file {counts_file} does not exist")
+    if not counts_file.is_file():  # a directory or an empty path is rejected here, not by the reader
+        raise _UsageError(f"--counts {opts['counts']!r} is not a file" if counts_file.exists() else
+                          f"--counts file {counts_file} does not exist")
     counts = read_count_spectrum(counts_file)
     if opts["l_a"] not in counts.window_a:
-        raise _UsageError(
-            f"--l-a {opts['l_a']} lies outside the simulated window "
-            f"[{counts.window_a.l_min}, {counts.window_a.l_max}]"
-        )
+        raise _UsageError(f"--l-a {opts['l_a']} lies outside the simulated window "
+                          f"[{counts.window_a.l_min}, {counts.window_a.l_max}]")
     subtract, window_b = opts["subtract"], counts.window_b
     if subtract in ("minimum", "both") and len(window_b) == 1:
         raise _UsageError(f"--subtract {subtract} leaves nothing to fit in the one-cell l_b window [{window_b.l_min}, "
@@ -390,33 +384,37 @@ _COMMANDS = {
 }
 
 
+def _add_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for key, (convert, _, help_text) in OPTION_TABLES[command].items():
+        switch = {"action": "store_const", "const": "true"} if convert is _parse_bool else {}
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **switch)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oamboost",
-        description="Joint OAM spectra of boosted detector pairs: compute, simulate, recover gamma.",
-    )
+    description = "Joint OAM spectra of boosted detector pairs: compute, simulate, recover gamma."
+    parser = argparse.ArgumentParser(prog="oamboost", description=description)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, table in OPTION_TABLES.items():
-        sub = subparsers.add_parser(command)
-        for key, (convert, _, help_text) in table.items():
-            flag = "--" + key.replace("_", "-")
-            if convert is _parse_bool:
-                sub.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
-            else:
-                sub.add_argument(flag, dest=key, help=help_text)
+    for command in OPTION_TABLES:
+        _add_options(subparsers.add_parser(command), command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # parse with the invoked command's parser alone, its subparser's twin; what it leaves over goes to the whole tree
+    argv, rest = sys.argv[1:] if argv is None else argv, [None]  # [None]: no command parser ran
+    if argv and argv[0] in OPTION_TABLES:
+        parser = _add_options(argparse.ArgumentParser(prog=f"oamboost {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if rest:
+        args = build_parser().parse_args(argv)
     try:
         opts = _resolve_options(args.command, args)
         _COMMANDS[args.command](opts)
     except Exception as exc:  # noqa: BLE001 - a usage error exits 2, any other failure 1
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE if isinstance(exc, _UsageError) else _EXIT_RUNTIME
-    return _EXIT_OK
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

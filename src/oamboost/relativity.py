@@ -9,6 +9,7 @@ TWO_PI = 2.0 * math.pi
 
 # Beyond this, beta is indistinguishable from 1 in double precision.
 GAMMA_MAX = 1.0e6
+_BETA_MAX = math.sqrt(1.0 - 1.0 / (GAMMA_MAX * GAMMA_MAX))  # the largest beta whose gamma stays <= GAMMA_MAX
 
 
 def require_gamma(gamma: float) -> float:
@@ -40,9 +41,10 @@ def frame_from_gamma(gamma: float) -> Frame:
 def frame_from_beta(beta: float) -> Frame:
     """Build a Frame from the speed ratio v/c."""
     beta = float(beta)
-    if not math.isfinite(beta) or not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    gamma = require_gamma(1.0 / math.sqrt((1.0 - beta) * (1.0 + beta)))
+    if not 0.0 <= beta <= _BETA_MAX:  # nan and inf fail the first test
+        span = "lie in [0, 1)" if not 0.0 <= beta < 1.0 else f"be <= {_BETA_MAX} (gamma <= {GAMMA_MAX:g})"
+        raise ValueError(f"beta must {span}, got {beta}")
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
     return Frame(gamma=gamma, beta=beta, rapidity=math.acosh(gamma))
 
 

@@ -28,10 +28,10 @@ L_RANGE = (-(1 << 31), (1 << 31) - 1)  # every OAM index: a Philox key packs eac
 
 
 def _require_index(name: str, value, low: int | None = None, high: float = math.inf) -> int:
-    """value as an int, in [low, high] when low is given; a float or other non-integer raises rather than truncates."""
+    """value as an int, in [low, high] when low is given; a float, a bool or other non-integer raises, not converts."""
     try:
         index = operator.index(value)
-        if low is None or low <= index <= high:
+        if not isinstance(value, bool) and (low is None or low <= index <= high):
             return index
     except TypeError:
         pass
@@ -78,7 +78,7 @@ class OamWindow:
         return l - self.l_min
 
     def __contains__(self, l) -> bool:
-        return isinstance(l, (int, np.integer)) and self.l_min <= l <= self.l_max
+        return isinstance(l, (int, np.integer)) and not isinstance(l, bool) and self.l_min <= l <= self.l_max
 
     def __len__(self) -> int:
         return self.l_max - self.l_min + 1

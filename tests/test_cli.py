@@ -294,6 +294,15 @@ class TestSimulateAndEstimateCommands:
         assert main(["estimate", "--counts", str(tmp_path / "nope.csv")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", [".", "", "/", "somedir"])
+    def test_estimate_of_a_directory_or_empty_path_exits_2(self, tmp_path, capsys, monkeypatch, counts):
+        # these exited 1 naming no flag: "PosixPath('.') has an empty name", or "somedir.meta.json: cannot read sidecar"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "somedir").mkdir()
+        assert main(["estimate", "--counts", counts, "--out", "out"]) == 2
+        assert capsys.readouterr() == ("", f"error: --counts {counts!r} is not a file\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["somedir"]
+
     def test_estimate_l_a_outside_window(self, tmp_path, capsys):
         assert self.run_simulate(tmp_path) == 0
         assert main(
@@ -964,6 +973,79 @@ def test_help_texts_are_pinned(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert exc.value.code == 0 and captured.err == ""
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, command
+
+
+# (argv, build_parser calls): main must match the whole tree's parse and dispatch in every output byte and exit code
+PARSES = [
+    (["spectrum", "--gamma", "2", "--half-width", "2", "--out", "{out}"], 0),
+    (["spectrum", "--gamma=2", "--half-width=2", "--format=json", "--out={out}"], 0),
+    (["sweep", "--gamma", "1,2", "--out", "{out}"], 0),
+    (["sweep", "--gamma=1.5", "--config={config}", "--out={out}"], 0),
+    (["hologram", "--l", "-2", "--gamma", "2", "--width", "4", "--height", "3", "--out", "{out}"], 0),
+    (["hologram", "--l=1", "--gamma=2", "--width=3", "--height=2", "--format=csv", "--out={out}"], 0),
+    (["simulate", "--gamma", "2", "--half-width", "2", "--seed", "1", "--out", "{out}"], 0),
+    (["simulate", "--gamma=2", "--half-width=1", "--half-width-a=0", "--pair-rate=50", "--out={out}"], 0),
+    (["estimate", "--counts", "{counts}", "--out", "{out}"], 0),
+    (["estimate", "--counts={counts}", "--method=m_sum", "--l-a=0", "--out={out}"], 0),
+    (["experiment", "--gamma", "2", "--half-width", "3", "--runs", "2", "--out", "{out}"], 0),
+    (["experiment", "--gamma=2,3", "--half-width=3", "--noiseless", "--out={out}"], 0),
+    (["simulate", "--gam", "2", "--half-width", "1", "--out", "{out}"], 0),
+    (["spectrum", "--gamma", "2", "--gamma", "3", "--half-width", "1", "--out", "{out}"], 0),
+    (["spectrum", "--gamma", "0", "--out", "{out}"], 0),
+    (["estimate", "--counts", "{out}/missing.csv"], 0),
+    (["simulate", "--half", "3", "--gamma", "2"], 0),
+    (["estimate", "--counts", "--out"], 0),
+    (["spectrum", "--gamma"], 0),
+    (["experiment", "--noiseless=true"], 0),
+    (["simulate", "--gamma", "2", "--bogus", "1"], 1),
+    (["spectrum", "--gamma", "2", "-x"], 1),
+    (["simulate", "--gamma", "2", "extra"], 1),
+    (["spectrum", "--gamma", "2", "spectrum"], 1),
+    (["sweep", "--gamma", "1", "--", "x"], 1),
+    (["sweep", "--gamma", "1", "-"], 1),
+    (["sweep", "--gamma", "1", "--out", "{out}", "--"], 1),
+    (["simulate", "--bogus", "-h"], 0),
+    *[([command, "-h"], 0) for command in OPTION_TABLES],
+    (["hologram", "--l", "1", "--help"], 0),
+    (["-h"], 1),
+    (["--help", "spectrum"], 1),
+    ([], 1),
+    (["simulat", "--gamma", "2"], 1),
+    (["SIMULATE", "--gamma", "2"], 1),
+]
+
+
+def run_captured(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(("argv", "calls"), PARSES, ids=[" ".join(argv) or "no-argv" for argv, _ in PARSES])
+def test_one_command_parse_matches_the_whole_tree(tmp_path, monkeypatch, capsys, argv, calls):
+    monkeypatch.setenv("COLUMNS", "80")
+    config, counts, out = tmp_path / "sweep.conf", tmp_path / "counts_g3_seed5.csv", tmp_path / "out"
+    config.write_text("gamma = 4\n", encoding="utf-8")
+    assert main(["simulate", "--gamma", "3", "--half-width", "2", "--seed", "5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv = [arg.format(config=config, counts=counts, out=out) for arg in argv]
+
+    def whole_tree():  # the reference: the whole tree parses, then main's dispatch
+        args = build_parser().parse_args(argv)
+        try:
+            cli._COMMANDS[args.command](cli._resolve_options(args.command, args))
+        except Exception as exc:  # noqa: BLE001
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, cli._UsageError) else 1
+        return 0
+
+    expected = run_captured(capsys, whole_tree)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    assert run_captured(capsys, lambda: main(argv)) == expected
+    assert len(built) == calls
 
 
 def test_module_entry_point(tmp_path):

@@ -221,6 +221,22 @@ class TestGenerateHologram:
         with pytest.raises(ValueError, match=message):
             generate_hologram(*args)
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            ((True, 2.0, 4, 4), rf"^l must be an integer{IN_RANGE}, got True$"),
+            ((1, 2.0, True, 4), "^width must be an integer, got True$"),
+            ((1, 2.0, 4, False), "^height must be an integer, got False$"),
+        ],
+        ids=["l", "width", "height"],
+    )
+    def test_bool_charge_and_sizes_raise(self, args, message):
+        # bool is an int subclass: generate_hologram(True, 2.0, 4, 4) drew the l = 1 mask
+        with pytest.raises(ValueError, match=message):
+            generate_hologram(*args)
+        with pytest.raises(ValueError, match=message):
+            hologram._render(*args, 1.0, "pgm")
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_charge_bound(self, sign):
         # L_RANGE bounds l as it does every OAM index; 10**12 was accepted, and past 2**53 l itself rounds

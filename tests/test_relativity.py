@@ -61,6 +61,21 @@ class TestFrameFromBeta:
         with pytest.raises(ValueError):
             frame_from_beta(bad)
 
+    def test_gamma_bound_is_stated_in_beta(self):
+        # the largest beta accepted is the one whose gamma is the last below GAMMA_MAX; the error used to name gamma
+        beta_max = math.sqrt(1.0 - 1.0 / GAMMA_MAX**2)
+        assert beta_max == 0.9999999999995
+        assert frame_from_beta(beta_max).gamma == pytest.approx(GAMMA_MAX, rel=1e-4)
+        assert frame_from_beta(beta_max).gamma <= GAMMA_MAX
+        for beta in (math.nextafter(beta_max, 1.0), 0.9999999999999):
+            with pytest.raises(ValueError, match=rf"^beta must be <= {beta_max} \(gamma <= 1e\+06\), got {beta}$"):
+                frame_from_beta(beta)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_outside_the_unit_interval_message(self, bad):
+        with pytest.raises(ValueError, match=rf"^beta must lie in \[0, 1\), got {bad}$"):
+            frame_from_beta(bad)
+
     def test_round_trip(self):
         for gamma in np.geomspace(1.0, 100.0, 201):
             back = frame_from_beta(frame_from_gamma(float(gamma)).beta).gamma

@@ -444,6 +444,18 @@ class TestStreamKeys:
                 simulate_module._count_runs([2.0], square_windows(1), NoiseModel(), [0, seed])
         draw.assert_not_called()
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_is_not_an_integer(self, seed):
+        # bool is an int subclass: seed True drew seed 1's counts
+        with mock.patch.object(simulate_module, "_draw_poisson") as draw:
+            with pytest.raises(ValueError, match=rf"^{SEED_RANGE}, got {seed}$"):
+                simulate_counts(2.0, square_windows(1), NoiseModel(), seed)
+            with pytest.raises(ValueError, match=rf"^{SEED_RANGE}, got {seed}$"):
+                check_stream_keys([0, seed])
+            with pytest.raises(ValueError, match=rf"^{SEED_RANGE}, got {seed}$"):
+                CountSpectrum(OamWindow(0, 0), OamWindow(0, 0), [[1]], seed, NoiseModel(), 2.0)
+        draw.assert_not_called()
+
     def test_numpy_integer_seeds_accepted(self):
         expected = simulate_counts(2.0, square_windows(2), NoiseModel(), 5).counts
         for seed in (np.int64(5), np.uint64(5), np.int8(5)):

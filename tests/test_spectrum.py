@@ -85,6 +85,28 @@ class TestOamWindow:
             make()
 
     @pytest.mark.parametrize(
+        ("make", "message"),
+        [
+            (lambda: OamWindow(True, 3), f"^l_min must be an integer{IN_RANGE}, got True$"),
+            (lambda: OamWindow(0, False), f"^l_max must be an integer{IN_RANGE}, got False$"),
+            (lambda: OamWindow.symmetric(True), r"^half_width must be an integer in \[0, 2147483647\], got True$"),
+            (lambda: OamWindow(-4, 4).index_of(True), "^l must be an integer, got True$"),
+            (lambda: joint_probability(True, -1, 3.0), f"^l_a must be an integer{IN_RANGE}, got True$"),
+            (lambda: joint_probability(0, 0, 3.0, True), "^n_modes must be an integer in \\[1, inf\\], got True$"),
+            (lambda: conditional_slice(False, OamWindow(-2, 2), 3.0), f"^l_a must be an integer{IN_RANGE}, got False$"),
+        ],
+    )
+    def test_bool_indices_raise(self, make, message):
+        # bool is an int subclass: OamWindow(True, 3) was the window [1, 3]
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_a_bool_is_not_in_a_window(self):
+        window = OamWindow(-4, 4)
+        assert 1 in window and np.int8(0) in window
+        assert True not in window and False not in window
+
+    @pytest.mark.parametrize(
         ("l_min", "l_max", "name", "bad"),
         [
             (2**63, 2**63, "l_min", 2**63),  # its indices() raised numpy's OverflowError
