@@ -72,9 +72,10 @@ def format_table(header: str, *columns) -> Table:
 
 
 def format_matrix(rows_of, height: int, width: int) -> Table:
-    """The CSV, no header, of height x width floats, rows_of(start, stop) giving rows start..stop; a cell at a time."""
-    return Table(b"", height, width, lambda start, stop: [np.array([
-        [*(f"{v:.17g}," for v in r[:-1]), f"{r[-1]:.17g}\n"] for r in rows_of(start, stop).tolist()], dtype=object)])
+    """The CSV, no header, of height x width floats, rows_of(start, stop) giving rows start..stop; a row at a time."""
+    row = ",".join(["%.17g"] * width) + "\n"  # '%.17g' % v is format(v, '.17g')
+    return Table(b"", height, width, lambda start, stop: [
+        np.array([[row % tuple(r)] for r in rows_of(start, stop).tolist()], dtype=object)])
 
 
 def parse_int_rows(body: bytes, width: int):

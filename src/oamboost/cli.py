@@ -56,17 +56,21 @@ class _UsageError(Exception):
 
 
 def _parse_float(text):
-    try:
-        return float(text)
+    try:  # float() alone would also read '1_0', ' 1 ' and non-ASCII digits
+        if text.isascii() and "_" not in text and text == text.strip():
+            return float(text)
     except ValueError:
-        raise ValueError(f"must be a number, got {text!r}") from None
+        pass
+    raise ValueError(f"must be a number, got {text!r}")
 
 
 def _parse_int(text):
-    try:
-        return int(text)
+    try:  # an optional sign and ASCII digits; int() raises past its digit limit
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            return int(text)
     except ValueError:
-        raise ValueError(f"must be an integer, got {text!r}") from None
+        pass
+    raise ValueError(f"must be an integer, got {text!r}")
 
 
 def _parse_runs(text):
@@ -86,7 +90,7 @@ def _parse_bool(text):
 
 
 def _parse_gamma_list(text):
-    gammas = [_parse_float(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+    gammas = [_parse_float(tok) for tok in re.split(r"[,\s]+", text, flags=re.ASCII) if tok]
     if not gammas:
         raise ValueError("must list at least one value")
     return gammas
@@ -185,12 +189,12 @@ def _load_config(path, allowed):
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(" \t")  # blanks only: str.strip() also takes U+00A0 and other non-ASCII ones
         if not line:
             continue
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = (part.strip(" \t") for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in allowed or key == "config":
             raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")

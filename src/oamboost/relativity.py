@@ -14,6 +14,8 @@ _BETA_MAX = math.sqrt(1.0 - 1.0 / (GAMMA_MAX * GAMMA_MAX))  # the largest beta w
 
 def require_gamma(gamma: float) -> float:
     """Validate a Lorentz factor and return it as a float."""
+    if isinstance(gamma, (bool, str)):  # float() would read True as 1.0 and "5" as 5.0
+        raise ValueError(f"gamma must be a number, got {gamma!r}")
     gamma = float(gamma)
     if not math.isfinite(gamma) or gamma < 1.0:
         raise ValueError(f"gamma must be >= 1 and finite, got {gamma}")

@@ -91,7 +91,10 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("pair_rate", "accidental_rate", "integration"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if isinstance(value, (bool, str)):  # float() would read True as 1.0 and "1e4" as 10000.0
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
@@ -390,13 +393,6 @@ def sidecar_path(csv_path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
-def _json_int(value) -> int:
-    # int() would truncate 7.9 to 7 and read true as 1
-    if type(value) is not int:
-        raise ValueError(f"seed and window bounds must be JSON integers, got {value!r}")
-    return value
-
-
 def read_count_spectrum(csv_path) -> CountSpectrum:
     """Rebuild a CountSpectrum from a counts CSV and its JSON sidecar.
 
@@ -408,14 +404,10 @@ def read_count_spectrum(csv_path) -> CountSpectrum:
     meta_path = sidecar_path(csv_path)
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        window_a, window_b = (OamWindow(*map(_json_int, meta["windows"][side])) for side in "ab")
+        # the owning types check each value here, inside the try, so that their errors name the sidecar
+        window_a, window_b = (OamWindow(*meta["windows"][side]) for side in "ab")
         check_cells(window_a, window_b)
-        model, seed = NoiseModel(**meta["model"]), _json_int(meta["seed"])  # meta["model"] is a mapping from here on
-        _require_index("seed", seed, 0, _U64)  # a key word, checked here so that the error names the sidecar
-        # float() would read true as 1.0 and "5" as 5.0
-        bad = [value for value in (meta["gamma_encoded"], *meta["model"].values()) if type(value) not in (int, float)]
-        if bad:
-            raise ValueError(f"gamma_encoded and model rates must be JSON numbers, got {bad[0]!r}")
+        model, seed = NoiseModel(**meta["model"]), _require_index("seed", meta["seed"], 0, _U64)
         gamma = require_gamma(meta["gamma_encoded"])
     except OSError as exc:
         raise ValueError(f"{meta_path}: cannot read sidecar: {exc.strerror}") from None

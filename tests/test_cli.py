@@ -389,7 +389,8 @@ class TestSimulateAndEstimateCommands:
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
         meta_file.write_text(json.dumps(dict(meta, seed=7.9)), encoding="utf-8")
         assert main(["estimate", "--counts", str(tmp_path / "counts_g5_seed7.csv"), "--out", str(tmp_path)]) == 1
-        assert f"error: {meta_file}: seed and window bounds must be JSON integers, got 7.9" in capsys.readouterr().err
+        message = f"error: {meta_file}: seed must be an integer in [0, 18446744073709551615], got 7.9\n"
+        assert capsys.readouterr().err == message
         assert not list(tmp_path.glob("fit_*.json"))
 
     @pytest.mark.parametrize("gamma", [-5.0, float("nan"), 0.5, 1e300])
@@ -405,9 +406,10 @@ class TestSimulateAndEstimateCommands:
 
     @pytest.mark.parametrize(
         ("edit", "shown"),
-        [(lambda meta: meta.update(gamma_encoded=True), "True"), (lambda meta: meta.update(gamma_encoded="5"), "'5'"),
-         (lambda meta: meta["model"].update(pair_rate=True), "True"),
-         (lambda meta: meta["model"].update(accidental_rate="2"), "'2'")],
+        [(lambda meta: meta.update(gamma_encoded=True), "gamma must be a number, got True"),
+         (lambda meta: meta.update(gamma_encoded="5"), "gamma must be a number, got '5'"),
+         (lambda meta: meta["model"].update(pair_rate=True), "pair_rate must be a number, got True"),
+         (lambda meta: meta["model"].update(accidental_rate="2"), "accidental_rate must be a number, got '2'")],
     )
     def test_estimate_rejects_sidecar_numbers_that_are_not_json_numbers(self, tmp_path, capsys, edit, shown):
         # each used to read back as a float, and estimate exited 0
@@ -417,7 +419,7 @@ class TestSimulateAndEstimateCommands:
         edit(meta)
         meta_file.write_text(json.dumps(meta), encoding="utf-8")
         assert main(["estimate", "--counts", str(tmp_path / "counts_g5_seed7.csv"), "--out", str(tmp_path)]) == 1
-        message = f"error: {meta_file}: gamma_encoded and model rates must be JSON numbers, got {shown}\n"
+        message = f"error: {meta_file}: {shown}\n"
         assert capsys.readouterr().err == message
         assert not list(tmp_path.glob("fit_*.json"))
 
@@ -689,6 +691,17 @@ OPTION_ERRORS = [
             ("experiment-gamma-empty", ["experiment", "--gamma", ""], "--gamma must list at least one value"),
             ("hologram-l-text", _HOLOGRAM + ["--l", "1.5"], "--l must be an integer, got '1.5'"),
             ("runs-text", ["experiment", "--runs", "two"], "--runs must be an integer, got 'two'"),
+            # int() and float() alone read each of these, and the run exited 0
+            ("seed-spaced-underscore", ["simulate", "--gamma", "2", "--half-width", "1", "--seed", " 1_0 "],
+             "--seed must be an integer, got ' 1_0 '"),
+            ("runs-arabic-indic", ["experiment", "--runs", "\u0663", "--noiseless"],
+             "--runs must be an integer, got '\u0663'"),
+            ("gamma-underscore", ["experiment", "--runs", "\u0663", "--gamma", "1_0", "--noiseless"],
+             "--gamma must be a number, got '1_0'"),
+            ("pair-rate-spaced", ["simulate", "--gamma", "2", "--pair-rate", "1e4 "],
+             "--pair-rate must be a number, got '1e4 '"),
+            ("gamma-fullwidth", ["spectrum", "--gamma", "\uff12"], "--gamma must be a number, got '\uff12'"),
+            ("gamma-list-no-break-space", ["sweep", "--gamma", "1\u00a02"], "--gamma must be a number, got '1\\xa02'"),
             ("spectrum-format", ["spectrum", "--gamma", "2", "--format", "pgm"],
              "--format must be one of csv, json; got 'pgm'"),
             ("hologram-format", _HOLOGRAM + ["--format", "json"], "--format must be one of pgm, csv; got 'json'"),
@@ -713,6 +726,28 @@ def test_option_error_exits_2_before_any_work(tmp_path, capsys, argv, shown):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and shown in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("convert", "text", "value"),
+    [(cli._parse_int, "10", 10), (cli._parse_int, "-3", -3), (cli._parse_int, "+5", 5), (cli._parse_int, "007", 7),
+     (cli._parse_float, "1e3", 1000.0), (cli._parse_float, "-2.5", -2.5), (cli._parse_float, ".5", 0.5),
+     (cli._parse_float, "+7", 7.0), (cli._parse_float, "inf", float("inf")), (cli._parse_float, "1E-3", 0.001)],
+)
+def test_plain_number_forms_convert(convert, text, value):
+    assert convert(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "1 ", "\t1", "1\n", "\u0663", "\uff11", "", "+", "1.0", "0x1", "1e3"])
+def test_parse_int_takes_only_a_sign_and_ascii_digits(text):
+    with pytest.raises(ValueError, match=r"^must be an integer, got "):
+        cli._parse_int(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "1_000.5", " 1", "1 ", "\t1e3", "2\n", "\u0663", "\uff11", "1\u00a0", ""])
+def test_parse_float_rejects_underscores_surrounding_whitespace_and_non_ascii(text):
+    with pytest.raises(ValueError, match=r"^must be a number, got "):
+        cli._parse_float(text)
 
 
 def test_defaults_come_from_the_library():
@@ -868,8 +903,12 @@ class TestConfigFile:
             (["experiment"], "runs = 0", "--runs must be >= 1, got 0"),
             (["estimate", "--counts", "c.csv"], "subtract = all",
              "--subtract must be one of none, accidental, minimum, both; got 'all'"),
+            (["simulate", "--gamma", "2"], "seed = \u0661\u0662", "--seed must be an integer, got '\u0661\u0662'"),
+            (["simulate", "--gamma", "2"], "integration = 1_0", "--integration must be a number, got '1_0'"),
+            (["simulate", "--gamma", "2"], "seed = \u00a012", "--seed must be an integer, got '\\xa012'"),
         ],
-        ids=["gamma-text", "gamma-empty", "half-width-text", "noiseless", "runs", "subtract"],
+        ids=["gamma-text", "gamma-empty", "half-width-text", "noiseless", "runs", "subtract", "seed-arabic-indic",
+             "integration-underscore", "seed-no-break-space"],
     )
     def test_bad_value_names_its_line_and_flag(self, tmp_path, capsys, argv, line, shown):
         cfg = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oamboost import cli, estimate
 from oamboost.estimate import (
@@ -665,6 +666,24 @@ class TestArrayPath:
             with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
                 msum_rows(values, 0, window)
         assert len(caught) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(l_a=st.integers(-20, 20), below=st.integers(0, 40), above=st.integers(0, 40), data=st.data())
+    def test_rows_at_least_zero_with_a_positive_peak_never_reach_the_floor(self, l_a, below, above, data):
+        # Every row the CLI builds (counts, a clamped subtraction, the exact kernel) is such a row: its peak
+        # normalises to exactly 1.0 and the other even cells add >= 0, so only a slice with negative values clamps.
+        window = OamWindow(-l_a - below, -l_a + above)  # the peak l_b = -l_a is cell `below`
+        values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), len(window)), elements=st.floats(0, 1e6)))
+        values[:, below] = data.draw(arrays(np.float64, len(values), elements=st.floats(1e-6, 1e6)))
+        norm = estimate._peak_normalised(values, l_a, window)
+        assert (norm[:, below] == 1.0).all()
+        assert (norm.compress((l_a + window.indices()) % 2 == 0, axis=1).sum(axis=1) >= 1.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                estimate._msum_gammas(norm, l_a, window)
+            except ValueError as exc:  # an even-sum whose gamma lies past GAMMA_MAX, not one below the floor
+                assert str(exc).startswith("gamma must be <= 1e+06, got ")
 
 
 class TestDenseScan:

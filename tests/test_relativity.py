@@ -176,3 +176,10 @@ def test_require_gamma_guard():
     assert require_gamma(1) == 1.0
     with pytest.raises(ValueError, match="1e\\+06|1000000"):
         require_gamma(2e6)
+
+
+@pytest.mark.parametrize(("gamma", "shown"), [(True, "True"), (False, "False"), ("5", "'5'"), ("inf", "'inf'")])
+def test_require_gamma_rejects_a_bool_or_a_text(gamma, shown):
+    # float() would read True as 1.0 and "5" as 5.0
+    with pytest.raises(ValueError, match=f"^gamma must be a number, got {shown}$"):
+        require_gamma(gamma)

@@ -156,6 +156,25 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(**kwargs)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            # float() would read these as 1.0, 10000.0 and 2.0
+            ({"pair_rate": True}, "pair_rate must be a number, got True"),
+            ({"accidental_rate": "1e4"}, "accidental_rate must be a number, got '1e4'"),
+            ({"integration": "2"}, "integration must be a number, got '2'"),
+            ({"accidental_rate": False}, "accidental_rate must be a number, got False"),
+        ],
+    )
+    def test_rejects_a_bool_or_a_text_rate(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoiseModel(**kwargs)
+
+    def test_takes_numbers_of_any_numeric_type(self):
+        model = NoiseModel(np.int64(200), np.float32(0.5), 2)
+        assert (model.pair_rate, model.accidental_rate, model.integration) == (200.0, 0.5, 2.0)
+        assert all(type(value) is float for value in (model.pair_rate, model.accidental_rate, model.integration))
+
 
 class TestSimulateCounts:
     def test_deterministic_given_seed(self):
@@ -689,23 +708,28 @@ class TestSerialization:
             (lambda meta: meta["model"].update(bogus=1), r"counts\.meta\.json: .*unexpected keyword argument 'bogus'"),
             (lambda meta: meta["model"].update(pair_rate=-1), r"counts\.meta\.json: pair_rate must be positive"),
             (lambda meta: meta["windows"].update(a=[3, -3]), r"counts\.meta\.json: l_min must not exceed l_max"),
-            (lambda meta: meta.update(gamma_encoded="x"), r"counts\.meta\.json: .*must be JSON numbers, got 'x'"),
+            (lambda meta: meta.update(gamma_encoded="x"), r"counts\.meta\.json: gamma must be a number, got 'x'$"),
             # float() read these as 1.0, 5.0, 1.0 and 10000.0
-            (lambda meta: meta.update(gamma_encoded=True), r"counts\.meta\.json: .*must be JSON numbers, got True"),
-            (lambda meta: meta.update(gamma_encoded="5"), r"counts\.meta\.json: .*must be JSON numbers, got '5'"),
-            (lambda meta: meta["model"].update(pair_rate=True), r"counts\.meta\.json: .*must be JSON numbers, got True"),
-            (lambda meta: meta["model"].update(pair_rate="1e4"), r"counts\.meta\.json: .*must be JSON numbers, got '1e4'"),
+            (lambda meta: meta.update(gamma_encoded=True), r"counts\.meta\.json: gamma must be a number, got True$"),
+            (lambda meta: meta.update(gamma_encoded="5"), r"counts\.meta\.json: gamma must be a number, got '5'$"),
+            (lambda meta: meta["model"].update(pair_rate=True),
+             r"counts\.meta\.json: pair_rate must be a number, got True$"),
+            (lambda meta: meta["model"].update(pair_rate="1e4"),
+             r"counts\.meta\.json: pair_rate must be a number, got '1e4'$"),
             (lambda meta: meta.update(gamma_encoded=-5), r"counts\.meta\.json: gamma must be >= 1 and finite, got -5\.0"),
             (lambda meta: meta.update(gamma_encoded=float("nan")), r"counts\.meta\.json: gamma must be >= 1 and finite, got nan"),
             (lambda meta: meta.update(gamma_encoded=0.5), r"counts\.meta\.json: gamma must be >= 1 and finite, got 0\.5"),
             (lambda meta: meta.update(gamma_encoded=1e300), r"counts\.meta\.json: gamma must be <= 1e\+06, got 1e\+300"),
-            (lambda meta: meta.update(seed=7.9), r"counts\.meta\.json: .*must be JSON integers, got 7\.9"),
-            (lambda meta: meta.update(seed=True), r"counts\.meta\.json: .*must be JSON integers, got True"),
+            # int() would read these as 7 and 1
+            (lambda meta: meta.update(seed=7.9), rf"counts\.meta\.json: {SEED_RANGE}, got 7\.9$"),
+            (lambda meta: meta.update(seed=True), rf"counts\.meta\.json: {SEED_RANGE}, got True$"),
             # no Philox key word holds these seeds; estimate exited 0 on them
             (lambda meta: meta.update(seed=-5), rf"counts\.meta\.json: {SEED_RANGE}, got -5$"),
             (lambda meta: meta.update(seed=2**70), rf"counts\.meta\.json: {SEED_RANGE}, got {2**70}$"),
-            (lambda meta: meta["windows"].update(b=[-2.6, 2.9]), r"counts\.meta\.json: .*must be JSON integers, got -2\.6"),
-            (lambda meta: meta["windows"].update(a=[0, 1.0]), r"counts\.meta\.json: .*must be JSON integers, got 1\.0"),
+            (lambda meta: meta["windows"].update(b=[-2.6, 2.9]),
+             rf"counts\.meta\.json: l_min must be an integer{IN_RANGE}, got -2\.6$"),
+            (lambda meta: meta["windows"].update(a=[0, 1.0]),
+             rf"counts\.meta\.json: l_max must be an integer{IN_RANGE}, got 1\.0$"),
             # 2**63 + 1 cells overflowed len(); such a window now lies past L_RANGE
             (lambda meta: meta["windows"].update(a=[-(2**62), 2**62], b=[0, 0]),
              rf"counts\.meta\.json: l_min must be an integer{IN_RANGE}, got {-(2**62)}$"),

@@ -7,7 +7,7 @@ a change that raises it for one of them says so in CHANGES.md.
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oamboost"
-SRC_LINE_CEILING = 1801
+SRC_LINE_CEILING = 1800
 
 
 def test_src_stays_within_its_line_ceiling():
