@@ -342,26 +342,23 @@ def _cmd_experiment(opts) -> None:
     _library_check(check_stream_keys, seeds)
 
     window, mode = windows[1], None if subtract == "none" else subtract
-    counts = None if model is None else _library_check(_count_runs, gammas, windows, model, seeds)[:, :, 0]
-    per_gamma = []
-    for i, gamma in enumerate(gammas):  # every check and warning of one gamma comes before the next gamma's
-        if model is None:
-            values = np.tile(geometric_kernel(window.indices(), gamma), (runs, 1))
-        else:  # each subtraction step is per cell or per row, so subtracting the stacked rows moves no bit
-            values = _subtract(counts[i].astype(float), model, mode)
-        omega, norm = np.mean(_mode_counts(values)), _peak_normalised(values, 0, window)  # norm serves both estimators
-        per_gamma.append((omega, norm, _msum_gammas(norm, 0, window)))
-    omegas, norms, m_sums = zip(*per_gamma)
-    # one search for every gamma's rows: _fit is per row and raises nothing, so stacking them moves no bit
-    fit, residual, at_bound = _fit(np.concatenate(norms), window.indices(), *bounds)
+    # all gammas' rows in one pass, each step per cell or per row: no bit moves, and the first faulty row raises
+    if model is None:
+        values = np.repeat(geometric_kernel(window.indices(), np.array(gammas)[:, None]), runs, axis=0)
+    else:
+        counts = _library_check(_count_runs, gammas, windows, model, seeds)[:, :, 0]
+        values = _subtract(counts.reshape(len(gammas) * runs, -1).astype(float), model, mode)
+    norm = _peak_normalised(values, 0, window)
+    m_sums, (fit, residual, at_bound) = _msum_gammas(norm, 0, window), _fit(norm, window.indices(), *bounds)
     summary_rows = []
-    columns = (np.split(column, len(gammas)) for column in (fit, at_bound))
-    for gamma, omega, m_sum, fits, hits in zip(gammas, omegas, m_sums, *columns):
+    # every peak is positive by now, and a CLI row's peak is far above its square's underflow: _mode_counts cannot raise
+    columns = (column.reshape(len(gammas), runs) for column in (_mode_counts(values), m_sums, fit, at_bound))
+    for gamma, omega, m_sum, fits, hits in zip(gammas, *columns):
         frame = frame_from_gamma(float(np.mean(fits)))
         summary_rows.append(
-            {"gamma_encoded": gamma, "omega_empirical": float(omega), "gamma_meas_m_sum": float(np.mean(m_sum)),
-             "gamma_meas_least_squares": frame.gamma, "eta": frame.rapidity, "beta": frame.beta,
-             "at_bound_runs": int(hits.sum())}
+            {"gamma_encoded": gamma, "omega_empirical": float(np.mean(omega)),
+             "gamma_meas_m_sum": float(np.mean(m_sum)), "gamma_meas_least_squares": frame.gamma, "eta": frame.rapidity,
+             "beta": frame.beta, "at_bound_runs": int(hits.sum())}
         )
         _warn_at_bound(f"gamma {gamma:g}: {hits.sum()} of {runs} least-squares fits", fits[hits], bounds)
 
@@ -371,8 +368,7 @@ def _cmd_experiment(opts) -> None:
     seed_column = np.tile(np.repeat(np.array(seeds, dtype=object), 2), len(gammas))
     methods = np.tile(["m_sum", "least_squares"], runs * len(gammas))
     # each run's m_sum row, then its least_squares row
-    meas = np.stack((np.concatenate(m_sums), fit), axis=1).ravel()
-    resid = np.stack((np.zeros_like(residual), residual), axis=1).ravel()
+    meas, resid = (np.stack(pair, axis=1).ravel() for pair in ((m_sums, fit), (np.zeros_like(residual), residual)))
     columns = seed_column, np.repeat(gammas, 2 * runs), meas, methods, resid
     _emit(out / "experiment_batch.csv", batch_csv(*columns))
     _emit(out / "experiment_summary.json", {"parameters": parameters, "results": summary_rows})

@@ -60,20 +60,23 @@ def check_gamma_bounds(gamma_bounds) -> tuple[float, float]:
 def _peak_normalised(values: np.ndarray, l_a: int, window: OamWindow) -> np.ndarray:
     """Rows of slice values at one l_a over one window, each divided by its peak at l_b = -l_a.
 
-    The first row with a non-positive peak, or else a non-finite value, raises.
+    The first row with a non-positive peak, a non-finite value or a quotient that overflows raises.
     """
     l_peak = -l_a
     where = f"window [{window.l_min}, {window.l_max}]"
     if l_peak not in window:
         raise ValueError(f"{where} does not contain the spectrum peak at l_b = {l_peak}")
     peaks = values[:, window.index_of(l_peak)]
-    bad = ~(peaks > 0.0) | ~np.isfinite(values).all(axis=1)
+    with np.errstate(all="ignore"):  # a faulty row's quotient is checked below, not warned about
+        norm = values / peaks[:, None]
+    bad = ~(peaks > 0.0) | ~np.isfinite(norm).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
         if not peaks[row] > 0.0:
             raise ValueError(f"conditional slice peak at l_b = {l_peak} in {where} must be positive, got {peaks[row]}")
         _check_finite(values[row], window)
-    return values / peaks[:, None]
+        raise ValueError(f"conditional slice in {where} overflows when divided by its peak {peaks[row]}")
+    return norm
 
 
 def _result(gamma: float, method: str, residual: float, conditional: ConditionalSlice, at_bound=None) -> FitResult:

@@ -1,15 +1,19 @@
+import contextlib
 import hashlib
 import inspect
 import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oamboost import cli, hologram
 from oamboost._table import format_table
@@ -514,17 +518,23 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("extra", [["--subtract", "both"], ["--noiseless"]])
     def test_each_row_is_normalised_once(self, tmp_path, monkeypatch, extra):
-        # one call a gamma on all its runs: the normalised rows serve both m_sum and the fit
-        calls, normalise = [], cli._peak_normalised
+        # one call on every gamma's runs, stacked: the normalised rows serve both m_sum and the fit
+        calls, normalise, msum = [], cli._peak_normalised, cli._msum_gammas
 
         def spy(values, l_a, window):
             calls.append((values.shape, l_a, window))
             return normalise(values, l_a, window)
 
+        def msum_spy(norm, l_a, window):
+            calls.append(("m_sum", norm.shape, l_a, window))
+            return msum(norm, l_a, window)
+
         monkeypatch.setattr(cli, "_peak_normalised", spy)
+        monkeypatch.setattr(cli, "_msum_gammas", msum_spy)
         argv = ["experiment", "--gamma", "1,5,20", "--seed", "3", "--runs", "4", "--half-width", "12"]
         assert main(argv + extra + ["--out", str(tmp_path)]) == 0
-        assert calls == [((4, 25), 0, OamWindow.symmetric(12))] * 3
+        window = OamWindow.symmetric(12)
+        assert calls == [((12, 25), 0, window), ("m_sum", (12, 25), 0, window)]
 
     @pytest.mark.parametrize("subtract", ["minimum", "both"])
     def test_one_cell_rows_less_their_minimum_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch, subtract):
@@ -619,14 +629,32 @@ class TestExperimentCommand:
             # a zero peak beside positive cells: _mode_counts passes the row, _peak_normalised rejects it
             ([[1, 2, 5, 2, 1], [1, 1, 0, 1, 1]],
              "conditional slice peak at l_b = 0 in window [-2, 2] must be positive, got 0.0", []),
-            # an even-sum of 0 clamps with a warning, then one of 1e7 + 1 inverts past GAMMA_MAX
-            ([[-1, 0, 1, 0, 0], [0, 0, 1, 0, 10**7]], "gamma must be <= 1e+06, got 20000001.999999948", ["even-sum 0"]),
+            # gamma 0's rows hold m_sum faults only, so gamma 1's all-zero row, a peak fault, is the one reported
+            ([[-1, 0, 1, 0, 0], [0, 0, 1, 0, 10**7]],
+             "conditional slice peak at l_b = 0 in window [-2, 2] must be positive, got 0.0", []),
         ],
     )
     def test_first_failing_gamma_decides_stderr(self, tmp_path, monkeypatch, capsys, gamma_zero, message,
                                                  floor_warnings):
-        # gamma 1's all-zero row fails _mode_counts, yet gamma 0's fault is the one reported, as gamma by gamma
-        counts = np.array([gamma_zero, [[0, 0, 0, 0, 0], [1, 2, 5, 2, 1]]])[:, :, None, :]
+        # every row's peak is checked, in (gamma, seed) order, before any row's m_sum
+        self.assert_fails_with(tmp_path, monkeypatch, capsys, [gamma_zero, [[0, 0, 0, 0, 0], [1, 2, 5, 2, 1]]],
+                               message, floor_warnings)
+
+    def test_an_msum_fault_is_reported_once_every_peak_passes(self, tmp_path, monkeypatch, capsys):
+        # an even-sum of 0 clamps with a warning, then one of 1e7 + 1 inverts past GAMMA_MAX
+        rows = [[[-1, 0, 1, 0, 0], [0, 0, 1, 0, 10**7]], [[1, 2, 5, 2, 1], [1, 2, 5, 2, 1]]]
+        self.assert_fails_with(tmp_path, monkeypatch, capsys, rows, "gamma must be <= 1e+06, got 20000001.999999948",
+                               ["even-sum 0"])
+
+    def test_an_all_zero_run_reports_its_zero_peak(self, tmp_path, capsys):
+        argv = ["experiment", "--gamma", "3,4", "--runs", "2", "--half-width", "3", "--integration", "1e-300"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        message = "conditional slice peak at l_b = 0 in window [-3, 3] must be positive, got 0.0"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def assert_fails_with(tmp_path, monkeypatch, capsys, rows, message, floor_warnings):
+        counts = np.array(rows)[:, :, None, :]
         monkeypatch.setattr(cli, "_count_runs", lambda *args: counts)
         argv = ["experiment", "--gamma", "2,3", "--runs", "2", "--half-width", "2", "--subtract", "none"]
         with warnings.catch_warnings(record=True) as caught:
@@ -639,6 +667,55 @@ class TestExperimentCommand:
             (m + floor, RuntimeWarning, cli.__file__) for m in floor_warnings
         ]
         assert not list(tmp_path.iterdir())
+
+
+def run_quietly(argv) -> int:
+    """main(argv) with its stdout, stderr and warnings discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(argv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    gammas=st.lists(st.just(1.0) | st.floats(1.0, 80.0), min_size=1, max_size=2),
+    seed=st.integers(0, 2**64 - 2),
+    runs=st.integers(1, 2),
+    half_width=st.integers(1, 15),
+    half_width_a=st.sampled_from([0, 3]),
+    rates=st.tuples(st.floats(1e-3, 1e4), st.floats(0.0, 100.0), st.floats(1e-3, 10.0)),
+    subtract=st.sampled_from(["none", "accidental", "minimum", "both"]),
+)
+@example(gammas=[3.7, 12.0], seed=11, runs=3, half_width=9, half_width_a=2, rates=(300.0, 40.0, 1.0),
+         subtract="accidental")
+@example(gammas=[3.0, 4.0], seed=42, runs=2, half_width=3, half_width_a=0, rates=(1e4, 5.0, 1e-300),
+         subtract="both")
+def test_experiment_rows_are_what_estimate_writes_for_simulated_counts(gammas, seed, runs, half_width, half_width_a,
+                                                                       rates, subtract):
+    # a cell's draw is keyed by seed, l_a and l_b alone, so experiment's row for (gamma, seed) is simulate's l_a = 0
+    # row, and every estimation step is per row; the first failing row decides experiment's exit code
+    window = ["--half-width", str(half_width)]
+    model = [arg for flag, rate in zip(("--pair-rate", "--accidental-rate", "--integration"), rates)
+             for arg in (flag, repr(rate))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        argv = ["experiment", "--gamma", ",".join(map(repr, gammas)), "--seed", str(seed), "--runs", str(runs)]
+        code = run_quietly(argv + window + model + ["--subtract", subtract, "--out", str(out / "experiment")])
+        rows = read_csv_rows(out / "experiment" / "experiment_batch.csv")[1] if code == 0 else None
+        codes = []
+        for i, (gamma, run) in enumerate((gamma, run) for gamma in gammas for run in range(runs)):
+            row_out = out / str(i)
+            argv = ["simulate", "--gamma", repr(gamma), "--seed", str(seed + run), "--half-width-a", str(half_width_a)]
+            assert run_quietly(argv + window + model + ["--out", str(row_out)]) == 0
+            argv = ["estimate", "--counts", str(next(row_out.glob("counts_*.csv"))), "--l-a", "0", "--method", "both"]
+            codes.append(run_quietly(argv + ["--subtract", subtract, "--out", str(row_out)]))
+            if code == 0:  # each run's m_sum row, then its least_squares row
+                fits = [json.loads((row_out / f"fit_{name}.json").read_text()) for name in ("m_sum", "least_squares")]
+                assert [[float(row[2]), float(row[4])] for row in rows[2 * i : 2 * i + 2]] == [
+                    [fit["gamma_meas"], fit["residual"]] for fit in fits
+                ]
+        assert code == next((c for c in codes if c), 0)
 
 
 # Every option error: the command, and the text its message shows the bad value with.

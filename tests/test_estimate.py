@@ -426,6 +426,22 @@ class TestBatchedFit:
         with np.errstate(over="ignore"):  # the sum of squares overflows to inf
             assert estimate._peak_normalised(cond.values[None], 0, cond.window_b)[0].tobytes() == values.tobytes()
 
+    def test_a_quotient_that_overflows_names_the_window_and_the_peak(self):
+        # a finite slice that overflows when divided by its peak: no numpy warning, and no blame on over-subtraction
+        cond = ConditionalSlice(l_a=0, window_b=OamWindow(0, 2), values=[0.5, 0.0, 1e308])
+        message = r"^conditional slice in window \[0, 2\] overflows when divided by its peak 0\.5$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for estimator in (estimate_gamma_msum, estimate_gamma_fit):
+                with pytest.raises(ValueError, match=message):
+                    estimator(cond)
+            # the first bad row decides: an overflow before a zero peak, a zero peak before an overflow
+            rows = np.array([[1.0, 0.0, 1.0], [0.5, 0.0, 1e308], [0.0, 0.0, 0.0]])
+            with pytest.raises(ValueError, match=message):
+                estimate._peak_normalised(rows, 0, cond.window_b)
+            with pytest.raises(ValueError, match=r"peak at l_b = 0 in window \[0, 2\] must be positive, got 0\.0$"):
+                estimate._peak_normalised(rows[[0, 2, 1]], 0, cond.window_b)
+
     def test_row_of_one_is_the_single_fit(self):
         cond = conditional_slice(-2, OamWindow.symmetric(30), 6.0)
         result = estimate_gamma_fit(cond, (1.0, 50.0))
