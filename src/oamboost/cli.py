@@ -113,7 +113,6 @@ def _choice(*choices):
 # come from one of them.
 _REQUIRED = object()
 _GAMMA_HELP = "Lorentz factor (comma-separated list for sweep/experiment)"
-_SUBTRACT = _choice("none", *SUBTRACT_MODES)
 _SUBTRACT_HELP = "background subtraction: none, accidental, minimum or both"
 _HALF_WIDTH_HELP = "OAM detection half-width for l_b"
 _COMMON = {
@@ -164,7 +163,7 @@ OPTION_TABLES = {
         "counts": (str, _REQUIRED, "counts CSV produced by the simulate command"),
         "l_a": (_parse_int, 0, "Alice projection index of the analysed slice"),
         "method": (_choice("m_sum", "least_squares", "both"), "both", "estimator: m_sum, least_squares or both"),
-        "subtract": (_SUBTRACT, "none", _SUBTRACT_HELP),
+        "subtract": (_choice(*SUBTRACT_MODES), "none", _SUBTRACT_HELP),
         **_FIT_BOUNDS,
     },
     "experiment": {
@@ -174,7 +173,7 @@ OPTION_TABLES = {
         "runs": (_parse_runs, 1, "seeded repetitions per encoded gamma"),
         "half_width": (_parse_int, 40, _HALF_WIDTH_HELP),
         **_RATES,
-        "subtract": (_SUBTRACT, "both", _SUBTRACT_HELP),
+        "subtract": (_choice(*SUBTRACT_MODES), "both", _SUBTRACT_HELP),
         "noiseless": (_parse_bool, False, "skip the count simulation and use exact conditional spectra"),
         **_FIT_BOUNDS,
     },
@@ -233,7 +232,9 @@ def _library_check(check, *args):
 
 def _warn_at_bound(what: str, fits, bounds) -> None:
     """One stderr line naming the bound flags that the given at-bound fits stopped at, if there are any."""
-    flags = [f"{flag} {bound:g}" for flag, bound in zip(("--gamma-min", "--gamma-max"), bounds) if bound in fits]
+    # a bound as :g shows it where that reads back to it, else as repr, the shortest text that does (1.000001, not 1)
+    flags = [f"{flag} {bound:g}" if float(f"{bound:g}") == bound else f"{flag} {bound!r}"
+             for flag, bound in zip(("--gamma-min", "--gamma-max"), bounds) if bound in fits]
     if flags:
         print(f"warning: {what} stopped at the bound {' and '.join(flags)}", file=sys.stderr)
 
@@ -318,7 +319,7 @@ def _cmd_estimate(opts) -> None:
     if subtract in ("minimum", "both") and len(window_b) == 1:
         raise _UsageError(f"--subtract {subtract} leaves nothing to fit in the one-cell l_b window [{window_b.l_min}, "
                           f"{window_b.l_max}]: a one-cell row less its minimum is 0; use --subtract none or accidental")
-    cond = counts_conditional(counts, opts["l_a"], None if subtract == "none" else subtract)
+    cond = counts_conditional(counts, opts["l_a"], subtract)
     out = Path(opts["out"])
     if opts["method"] in ("m_sum", "both"):
         _emit(out / "fit_m_sum.json", estimate_gamma_msum(cond).to_dict())
@@ -330,7 +331,7 @@ def _cmd_estimate(opts) -> None:
 
 def _cmd_experiment(opts) -> None:
     gammas = [_library_check(require_gamma, g) for g in opts["gamma"]]
-    windows = (OamWindow(0, 0), _library_check(OamWindow.symmetric, opts["half_width"]))
+    window = _library_check(OamWindow.symmetric, opts["half_width"])  # l_b's window; l_a's is OamWindow(0, 0)
     runs, subtract = opts["runs"], opts["subtract"]
     bounds = _library_check(check_gamma_bounds, (opts["gamma_min"], opts["gamma_max"]))
     model = None if opts["noiseless"] else _noise_model(opts)
@@ -338,20 +339,19 @@ def _cmd_experiment(opts) -> None:
         raise _UsageError(f"--half-width 0 with --subtract {subtract} leaves nothing to fit: a one-cell row less its "
                           "minimum is 0; use --subtract none or accidental, a wider window, or --noiseless")
     seeds = range(opts["seed"], opts["seed"] + runs)
-    _library_check(check_cells, *windows, runs, len(gammas))
+    _library_check(check_cells, OamWindow(0, 0), window, runs, len(gammas))
     _library_check(check_stream_keys, seeds)
 
-    window, mode = windows[1], None if subtract == "none" else subtract
     # all gammas' rows in one pass, each step per cell or per row: no bit moves, and the first faulty row raises
     if model is None:
         values = np.repeat(geometric_kernel(window.indices(), np.array(gammas)[:, None]), runs, axis=0)
     else:
-        counts = _library_check(_count_runs, gammas, windows, model, seeds)[:, :, 0]
-        values = _subtract(counts.reshape(len(gammas) * runs, -1).astype(float), model, mode)
+        counts = _library_check(_count_runs, gammas, (OamWindow(0, 0), window), model, seeds)[:, :, 0]
+        values = _subtract(counts.reshape(len(gammas) * runs, -1).astype(float), model, subtract)
     norm = _peak_normalised(values, 0, window)
     m_sums, (fit, residual, at_bound) = _msum_gammas(norm, 0, window), _fit(norm, window.indices(), *bounds)
     summary_rows = []
-    # every peak is positive by now, and a CLI row's peak is far above its square's underflow: _mode_counts cannot raise
+    # every peak is positive by now, so _mode_counts cannot raise
     columns = (column.reshape(len(gammas), runs) for column in (_mode_counts(values), m_sums, fit, at_bound))
     for gamma, omega, m_sum, fits, hits in zip(gammas, *columns):
         frame = frame_from_gamma(float(np.mean(fits)))

@@ -9,13 +9,12 @@ maximum, which can sit off-centre on noisy data.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._table import Table, format_table
-from .relativity import GAMMA_MAX, frame_from_gamma, require_gamma
+from .relativity import GAMMA_MAX, _number, frame_from_gamma, require_gamma
 from .spectrum import ConditionalSlice, OamWindow, _check_finite, _sum_index, _SumIndex, geometric_kernel
 
 DEFAULT_GAMMA_BOUNDS = (1.0, 50.0)
@@ -51,7 +50,7 @@ def gamma_from_m(m: float) -> float:
 
 def check_gamma_bounds(gamma_bounds) -> tuple[float, float]:
     """Validate least-squares fit bounds (lo, hi): finite, 1 <= lo < hi <= GAMMA_MAX."""
-    lo, hi = (float(x) for x in gamma_bounds)
+    lo, hi = (_number("gamma bound", x) for x in gamma_bounds)
     if not 1.0 <= lo < hi <= GAMMA_MAX:
         raise ValueError(f"gamma bounds must satisfy 1 <= lo < hi <= {GAMMA_MAX:g}, got ({lo}, {hi})")
     return lo, hi
@@ -85,12 +84,10 @@ def _result(gamma: float, method: str, residual: float, conditional: Conditional
 
 
 def _msum_gammas(norm: np.ndarray, l_a: int, window: OamWindow) -> np.ndarray:
-    """m_sum's gamma for each row of peak-normalised values at one l_a over one window."""
+    """m_sum's gamma for each row of peak-normalised values at one l_a over one window; the first faulty row raises."""
     # each row's even cells, compacted into one contiguous row, summed along it with the bits of one slice's .sum()
     sums = norm.compress((l_a + window.indices()) % 2 == 0, axis=1).sum(axis=1).tolist()
-    for m in (m for m in sums if m < 1.0):
-        warnings.warn(f"even-sum {m:.6g} fell below the physical floor 1; clamping gamma to 1", RuntimeWarning, 3)
-    return np.array([1.0 if m < 1.0 else require_gamma(gamma_from_m(m)) for m in sums])
+    return np.array([require_gamma(gamma_from_m(m)) for m in sums])
 
 
 def estimate_gamma_msum(conditional: ConditionalSlice) -> FitResult:
@@ -145,7 +142,8 @@ def _fit(norm: np.ndarray, sums: np.ndarray, lo: float, hi: float) -> tuple[np.n
         curve = _row_dots(powers, k * ((2 * k - 1) * counts * powers - (k - 1) * totals[rows]))
         a, b = np.where(rise < 0.0, p, a), np.where(rise > 0.0, p, b)
         new = p - np.divide(p * rise, curve, out=np.full(len(p), np.inf), where=curve > 0.0)
-        new = np.where((a <= new) & (new <= b), new, 0.5 * (a + b))  # a step onto a or b stays
+        # a step onto a or b stays, but one that cancels to p = 0 (rise = curve = 0 there) goes on from p * 2**-52
+        new = np.where((a <= new) & (new <= b), np.where(new == 0.0, p * 2.0**-52, new), 0.5 * (a + b))
         fit[rows], done = new, np.abs(new - p) <= 2.0**-50 * new
         if done.all():
             break

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import Table, format_matrix
-from .relativity import TWO_PI, require_gamma
+from .relativity import TWO_PI, _number, require_gamma
 from .spectrum import L_RANGE, MAX_CELLS, _freeze_array, _require_index
 
 DEFAULT_SIZE = 512
@@ -95,13 +95,11 @@ def _render(l, gamma, width, height, extent, fmt: str) -> HologramField | np.nda
     """
     gamma = require_gamma(gamma)
     l = _require_index("l", l, *L_RANGE)
-    width = _require_index("width", width)
-    height = _require_index("height", height)
-    if width < 2 or height < 2:
-        raise ValueError(f"width and height must be >= 2, got {width}x{height}")
+    width = _require_index("width", width, 2)
+    height = _require_index("height", height, 2)
     if width * height > MAX_CELLS:
         raise ValueError(f"width x height must be at most {MAX_CELLS} pixels, got {width}x{height}")
-    extent = float(extent)
+    extent = _number("extent", extent)
     if not (0.0 < extent and gamma * ((height - 1) / 2.0 * (2.0 * extent / (height - 1))) < np.inf):  # gamma * last y
         raise ValueError(f"extent must be positive and finite, got {extent}; 2*extent, gamma*extent (gamma {gamma})")
     x, y = grid_coordinates(width, extent), grid_coordinates(height, extent)

@@ -35,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from ._table import Table, format_table, parse_int_rows
-from .relativity import require_gamma
+from .relativity import _number, require_gamma
 from .spectrum import L_RANGE, ConditionalSlice, OamWindow, _freeze_array, _require_index, check_cells, geometric_kernel
 
-SUBTRACT_MODES = ("accidental", "minimum", "both")
+SUBTRACT_MODES = ("none", "accidental", "minimum", "both")
 
 _U64 = (1 << 64) - 1
 _I32_OFFSET = -L_RANGE[0]
@@ -91,10 +91,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("pair_rate", "accidental_rate", "integration"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, str)):  # float() would read True as 1.0 and "1e4" as 10000.0
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            value = float(value)
+            value = _number(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
@@ -350,13 +347,10 @@ def simulate_counts(gamma: float, windows, model: NoiseModel, seed: int) -> Coun
     return CountSpectrum(*windows, _count_runs([gamma], windows, model, [seed])[0, 0], seed, model, gamma)
 
 
-def _subtract(values: np.ndarray, model: NoiseModel, mode: str | None) -> np.ndarray:
-    """Rows of counts cleaned as mode says, clamping at zero after each step (None leaves them as they are).
-
-    accidental removes the expected flat background from every cell; minimum removes the smallest value
-    of each row; both applies accidental then minimum.
-    """
-    if mode is not None and mode not in SUBTRACT_MODES:
+def _subtract(values: np.ndarray, model: NoiseModel, mode: str) -> np.ndarray:
+    """Rows of counts cleaned as mode says, clamping at zero after each step: none leaves them; accidental removes the
+    expected flat background from every cell, minimum the smallest value of each row, and both one then the other."""
+    if mode not in SUBTRACT_MODES:
         raise ValueError(f"unknown subtraction mode {mode!r}; expected one of {SUBTRACT_MODES}")
     if mode in ("accidental", "both"):
         values = np.maximum(values - model.accidental_rate * model.integration, 0.0)
@@ -365,7 +359,7 @@ def _subtract(values: np.ndarray, model: NoiseModel, mode: str | None) -> np.nda
     return values
 
 
-def counts_conditional(counts: CountSpectrum, l_a: int, mode: str | None = None) -> ConditionalSlice:
+def counts_conditional(counts: CountSpectrum, l_a: int, mode: str = "none") -> ConditionalSlice:
     """Conditional slice of a count spectrum, optionally background-subtracted."""
     row = counts.window_a.index_of(l_a)
     values = _subtract(counts.counts[row : row + 1].astype(float), counts.model, mode)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._table import Indexed, Table, format_table
-from .relativity import TWO_PI, require_gamma
+from .relativity import TWO_PI, _number, require_gamma
 
 MAX_CELLS = 8192 * 8192  # 512 MB of float64; checked before any allocation
 MAX_NODES = 1 << 20  # azimuth nodes of an oracle; its cached table costs 32 B a node
@@ -256,7 +256,7 @@ def joint_probability_spdc_oracle(l_a: int, l_b: int, gamma: float, radial_cutof
     Unnormalised: as R grows it tends to that quadrature times pi**2/gamma**2.
     """
     gamma = require_gamma(gamma)
-    radial_cutoff = float(radial_cutoff)
+    radial_cutoff = _number("radial_cutoff", radial_cutoff)
     if not radial_cutoff > 0.0:
         raise ValueError(f"radial_cutoff must be positive, got {radial_cutoff}")
     grid, shear, phases = _azimuth_nodes(256, l_a, l_b, gamma)
@@ -292,7 +292,9 @@ def mode_count_empirical(conditional: ConditionalSlice) -> float:
 
 def _mode_counts(values: np.ndarray) -> np.ndarray:
     """mode_count_empirical of each row of a 2-D array of slice values, bit for bit."""
-    # a batched dot and a sum along each C-ordered row keep the bits of each slice's v @ v and v.sum()
+    # each row scaled by a power of two (exact) to a largest |v| in [0.5, 1), so that its v @ v neither overflows nor
+    # underflows; a batched dot and a sum along each C-ordered row keep the bits of each slice's v @ v and v.sum()
+    values = np.ldexp(values, -np.frexp(np.abs(values).max(axis=1, keepdims=True))[1])
     sum_sq = (values[:, None, :] @ values[:, :, None]).ravel()
     if (sum_sq <= 0.0).any():
         raise ValueError("conditional slice has no positive entries")

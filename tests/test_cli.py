@@ -567,6 +567,14 @@ class TestExperimentCommand:
         header, rows = read_csv_rows(tmp_path / "experiment_batch.csv")
         assert header == ["seed", "gamma_encoded", "gamma_meas", "method", "residual"]
 
+    def test_the_warning_names_the_bound_that_was_given(self, tmp_path, capsys):
+        # :g would show 1.000001 as 1, a bound that no fit stopped at
+        argv = ["experiment", "--gamma", "3", "--runs", "2", "--gamma-max", "1.000001", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: gamma 3: 2 of 2 least-squares fits stopped at the bound --gamma-max 1.000001\n"
+        )
+
     def test_default_gamma_ladder(self, tmp_path):
         assert main(["experiment", "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "experiment_summary.json").read_text())
@@ -624,27 +632,29 @@ class TestExperimentCommand:
         assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names) == hashes
 
     @pytest.mark.parametrize(
-        ("gamma_zero", "message", "floor_warnings"),
+        ("gamma_zero", "message"),
         [
             # a zero peak beside positive cells: _mode_counts passes the row, _peak_normalised rejects it
             ([[1, 2, 5, 2, 1], [1, 1, 0, 1, 1]],
-             "conditional slice peak at l_b = 0 in window [-2, 2] must be positive, got 0.0", []),
+             "conditional slice peak at l_b = 0 in window [-2, 2] must be positive, got 0.0"),
             # gamma 0's rows hold m_sum faults only, so gamma 1's all-zero row, a peak fault, is the one reported
             ([[-1, 0, 1, 0, 0], [0, 0, 1, 0, 10**7]],
-             "conditional slice peak at l_b = 0 in window [-2, 2] must be positive, got 0.0", []),
+             "conditional slice peak at l_b = 0 in window [-2, 2] must be positive, got 0.0"),
         ],
     )
-    def test_first_failing_gamma_decides_stderr(self, tmp_path, monkeypatch, capsys, gamma_zero, message,
-                                                 floor_warnings):
+    def test_first_failing_gamma_decides_stderr(self, tmp_path, monkeypatch, capsys, gamma_zero, message):
         # every row's peak is checked, in (gamma, seed) order, before any row's m_sum
-        self.assert_fails_with(tmp_path, monkeypatch, capsys, [gamma_zero, [[0, 0, 0, 0, 0], [1, 2, 5, 2, 1]]],
-                               message, floor_warnings)
+        self.assert_fails_with(tmp_path, monkeypatch, capsys, [gamma_zero, [[0, 0, 0, 0, 0], [1, 2, 5, 2, 1]]], message)
 
     def test_an_msum_fault_is_reported_once_every_peak_passes(self, tmp_path, monkeypatch, capsys):
-        # an even-sum of 0 clamps with a warning, then one of 1e7 + 1 inverts past GAMMA_MAX
+        # an even-sum of 0, below the floor 1, raises before the next row's 1e7 + 1 inverts past GAMMA_MAX
         rows = [[[-1, 0, 1, 0, 0], [0, 0, 1, 0, 10**7]], [[1, 2, 5, 2, 1], [1, 2, 5, 2, 1]]]
-        self.assert_fails_with(tmp_path, monkeypatch, capsys, rows, "gamma must be <= 1e+06, got 20000001.999999948",
-                               ["even-sum 0"])
+        message = "measurement sum must be >= 1, got 0.0; values below 1 indicate an over-subtracted spectrum"
+        self.assert_fails_with(tmp_path, monkeypatch, capsys, rows, message)
+
+    def test_an_msum_fault_past_gamma_max_is_reported(self, tmp_path, monkeypatch, capsys):
+        rows = [[[1, 2, 5, 2, 1], [0, 0, 1, 0, 10**7]], [[1, 2, 5, 2, 1], [1, 2, 5, 2, 1]]]
+        self.assert_fails_with(tmp_path, monkeypatch, capsys, rows, "gamma must be <= 1e+06, got 20000001.999999948")
 
     def test_an_all_zero_run_reports_its_zero_peak(self, tmp_path, capsys):
         argv = ["experiment", "--gamma", "3,4", "--runs", "2", "--half-width", "3", "--integration", "1e-300"]
@@ -653,7 +663,7 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @staticmethod
-    def assert_fails_with(tmp_path, monkeypatch, capsys, rows, message, floor_warnings):
+    def assert_fails_with(tmp_path, monkeypatch, capsys, rows, message):
         counts = np.array(rows)[:, :, None, :]
         monkeypatch.setattr(cli, "_count_runs", lambda *args: counts)
         argv = ["experiment", "--gamma", "2,3", "--runs", "2", "--half-width", "2", "--subtract", "none"]
@@ -661,11 +671,7 @@ class TestExperimentCommand:
             warnings.simplefilter("always")
             assert main(argv + ["--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        floor = " fell below the physical floor 1; clamping gamma to 1"
-        # m_sum's floor warning names the command's module, not the estimator's
-        assert [(str(w.message), w.category, w.filename) for w in caught] == [
-            (m + floor, RuntimeWarning, cli.__file__) for m in floor_warnings
-        ]
+        assert not caught  # the library warns of nothing; the first faulty row raises
         assert not list(tmp_path.iterdir())
 
 
@@ -740,8 +746,8 @@ OPTION_ERRORS = [
     pytest.param(["simulate", "--gamma", "2", "--half-width-a", "-1"], "got -1", id="simulate-half-width-a"),
     pytest.param(["experiment", "--half-width", "-1"], "got -1", id="experiment-half-width"),
     pytest.param(["spectrum", "--gamma", "2", "--n-modes", "0"], "got 0", id="n-modes"),
-    pytest.param(_HOLOGRAM + ["--width", "1"], "got 1x4", id="width"),
-    pytest.param(_HOLOGRAM + ["--height", "1"], "got 4x1", id="height"),
+    pytest.param(_HOLOGRAM + ["--width", "1"], "width must be an integer in [2, inf], got 1\n", id="width"),
+    pytest.param(_HOLOGRAM + ["--height", "1"], "height must be an integer in [2, inf], got 1\n", id="height"),
     pytest.param(_HOLOGRAM + ["--extent", "0"], "got 0.0", id="extent-0"),
     pytest.param(_HOLOGRAM + ["--extent", "inf"], "got inf", id="extent-inf"),
     *(

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -128,13 +129,14 @@ class TestMsumEstimator:
         with pytest.raises(ValueError, match="peak"):
             estimate_gamma_msum(cond)
 
-    def test_below_floor_clamps_with_warning(self):
+    def test_below_floor_raises(self):
+        # an even-sum below the physical floor 1 has no gamma: it raises, where it used to warn and return 1.0
         values = np.array([0.0, 0.0, 1.0, 0.0, -0.6])
         cond = ConditionalSlice(l_a=0, window_b=OamWindow(-2, 2), values=values)
-        with pytest.warns(RuntimeWarning, match="floor"):
-            result = estimate_gamma_msum(cond)
-        assert result.gamma_meas == 1.0
-        assert result.residual == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^measurement sum must be >= 1, got 0\.4; values below 1 indicate"):
+                estimate_gamma_msum(cond)
 
     def test_gamma_above_gamma_max_raises(self):
         # an even-sum of 1e7 inverts to gamma ~ 2e7, beyond GAMMA_MAX
@@ -629,14 +631,16 @@ class TestArrayPath:
     def test_columns_are_the_slice_estimates(self, runs, bounds):
         values, l_a, window = runs
         conds = [ConditionalSlice(l_a=l_a, window_b=window, values=row) for row in values]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # flat slices clamp m_sum at the floor
-            norm = estimate._peak_normalised(values, l_a, window)
+        norm = estimate._peak_normalised(values, l_a, window)
+        try:
             m_sum = estimate._msum_gammas(norm, l_a, window)
-            msum_results = [estimate_gamma_msum(cond) for cond in conds]
+        except ValueError as exc:  # both paths raise alike, at the first faulty row
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                [estimate_gamma_msum(cond) for cond in conds]
+        else:
+            assert bits(m_sum) == bits([estimate_gamma_msum(cond).gamma_meas for cond in conds])
         fit, residual, at_bound = estimate._fit(norm, l_a + window.indices(), *bounds)
         fits = [estimate_gamma_fit(cond, bounds) for cond in conds]
-        assert bits(m_sum) == bits([r.gamma_meas for r in msum_results])
         assert bits(fit) == bits([r.gamma_meas for r in fits])
         assert bits(residual) == bits([r.residual for r in fits])
         assert at_bound.tolist() == [r.at_bound for r in fits]
@@ -660,34 +664,30 @@ class TestArrayPath:
         with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
             msum_rows(values, 0, OamWindow(0, 2))
 
-    def test_floor_warnings_come_one_per_row_in_row_order(self):
-        # every row's warning comes before the first row's error, as when the rows' even-sums were summed one at a
-        # time, and estimate_gamma_msum's warning points at its caller
+    def test_floor_faults_raise_at_the_first_row_in_row_order(self):
+        # the first row below the floor raises, as when the rows' even-sums were inverted one at a time, and no
+        # row warns: rows 0 and 2 fall below the floor, and row 1 inverts past GAMMA_MAX once it holds 1e7
         window = OamWindow.symmetric(2)  # even cells at l_b = -2, 0, 2
         values = np.array([[-0.5, 9.0, 1.0, 9.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0, -0.25]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            m_sum = msum_rows(values, 0, window)
-        floor = "fell below the physical floor 1; clamping gamma to 1"
-        assert [(str(w.message), w.category) for w in caught] == [
-            (f"even-sum 0.5 {floor}", RuntimeWarning), (f"even-sum 0.75 {floor}", RuntimeWarning)
-        ]
-        assert m_sum.tolist() == [1.0, gamma_from_m(1.5), 1.0]
-        with pytest.warns(RuntimeWarning, match=f"even-sum 0.75 {floor}") as caught:
-            estimate_gamma_msum(ConditionalSlice(l_a=0, window_b=window, values=values[2]))
-        assert [w.filename for w in caught] == [__file__]
-        values[1, 4] = 1e7
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
+        below = "measurement sum must be >= 1, got {}; values below 1 indicate an over-subtracted spectrum"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(below.format(0.5))}$"):
                 msum_rows(values, 0, window)
-        assert len(caught) == 2
+            assert msum_rows(values[1:2], 0, window).tolist() == [gamma_from_m(1.5)]
+            with pytest.raises(ValueError, match=f"^{re.escape(below.format(0.75))}$"):
+                msum_rows(values[1:], 0, window)
+            with pytest.raises(ValueError, match=f"^{re.escape(below.format(0.75))}$"):
+                estimate_gamma_msum(ConditionalSlice(l_a=0, window_b=window, values=values[2]))
+            values[1, 4] = 1e7
+            with pytest.raises(ValueError, match="gamma must be <= 1e\\+06"):
+                msum_rows(values[1:], 0, window)
 
     @settings(max_examples=200, deadline=None)
     @given(l_a=st.integers(-20, 20), below=st.integers(0, 40), above=st.integers(0, 40), data=st.data())
     def test_rows_at_least_zero_with_a_positive_peak_never_reach_the_floor(self, l_a, below, above, data):
         # Every row the CLI builds (counts, a clamped subtraction, the exact kernel) is such a row: its peak
-        # normalises to exactly 1.0 and the other even cells add >= 0, so only a slice with negative values clamps.
+        # normalises to exactly 1.0 and the other even cells add >= 0, so only a slice with negative values raises.
         window = OamWindow(-l_a - below, -l_a + above)  # the peak l_b = -l_a is cell `below`
         values = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), len(window)), elements=st.floats(0, 1e6)))
         values[:, below] = data.draw(arrays(np.float64, len(values), elements=st.floats(1e-6, 1e6)))
@@ -748,6 +748,9 @@ class TestNoiselessFit:
     @example(l_a=1, below=3, above=3, gamma=1.0 + 1e-12, bounds=(1.0, 50.0))
     @example(l_a=0, below=0, above=1, gamma=7.0, bounds=(1.0, 50.0))  # no even |s| > 0: every gamma fits alike
     @example(l_a=0, below=20, above=20, gamma=5.0, bounds=(5.0, 9.0))
+    # the first Newton step cancels to p = 0 exactly, where no step moves: these stopped at the step cap, 2.4e-6 off
+    @example(l_a=0, below=0, above=2, gamma=1.0000000000000002, bounds=(1.0, 1e6))
+    @example(l_a=0, below=0, above=2, gamma=1.0 + 1e-14, bounds=(1.0, 1e6))
     def test_fit_is_gamma_or_its_bound(self, l_a, below, above, gamma, bounds):
         window = OamWindow(-l_a - below, -l_a + above)
         result = estimate_gamma_fit(conditional_slice(l_a, window, gamma), bounds)

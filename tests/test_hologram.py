@@ -169,8 +169,10 @@ class TestGenerateHologram:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_hologram(1, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("width must be an integer in [2, inf], got 1")):
             generate_hologram(1, 2.0, width=1)
+        with pytest.raises(ValueError, match=re.escape("height must be an integer in [2, inf], got 0")):
+            generate_hologram(1, 2.0, height=0)
         with pytest.raises(ValueError):
             generate_hologram(1, 2.0, extent=0.0)
         with pytest.raises(ValueError, match="extent must be positive and finite, got inf"):
@@ -211,8 +213,8 @@ class TestGenerateHologram:
         ("args", "message"),
         [
             ((2.7, 2.0, 8, 8), rf"l must be an integer{IN_RANGE}, got 2\.7"),
-            ((2, 2.0, 8.9, 8), "width must be an integer, got 8.9"),
-            ((2, 2.0, 8, np.float64(8.0)), "height must be an integer, got "),
+            ((2, 2.0, 8.9, 8), re.escape("width must be an integer in [2, inf], got 8.9")),
+            ((2, 2.0, 8, np.float64(8.0)), re.escape("height must be an integer in [2, inf], got ")),
         ],
         ids=["l", "width", "height"],
     )
@@ -225,8 +227,8 @@ class TestGenerateHologram:
         ("args", "message"),
         [
             ((True, 2.0, 4, 4), rf"^l must be an integer{IN_RANGE}, got True$"),
-            ((1, 2.0, True, 4), "^width must be an integer, got True$"),
-            ((1, 2.0, 4, False), "^height must be an integer, got False$"),
+            ((1, 2.0, True, 4), r"^width must be an integer in \[2, inf\], got True$"),
+            ((1, 2.0, 4, False), r"^height must be an integer in \[2, inf\], got False$"),
         ],
         ids=["l", "width", "height"],
     )

@@ -1,8 +1,13 @@
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oamboost.estimate import check_gamma_bounds
+from oamboost.hologram import generate_hologram
 from oamboost.relativity import (
     GAMMA_MAX,
     TWO_PI,
@@ -12,6 +17,8 @@ from oamboost.relativity import (
     frame_from_gamma,
     require_gamma,
 )
+from oamboost.simulate import NoiseModel
+from oamboost.spectrum import joint_probability_spdc_oracle
 
 
 class TestFrameFromGamma:
@@ -183,3 +190,35 @@ def test_require_gamma_rejects_a_bool_or_a_text(gamma, shown):
     # float() would read True as 1.0 and "5" as 5.0
     with pytest.raises(ValueError, match=f"^gamma must be a number, got {shown}$"):
         require_gamma(gamma)
+
+
+# Every float input of the library, each through relativity._number: (call of one value, the value's name).
+_FLOAT_SITES = {
+    "require_gamma": (require_gamma, "gamma"),
+    "NoiseModel.pair_rate": (lambda v: NoiseModel(pair_rate=v), "pair_rate"),
+    "NoiseModel.accidental_rate": (lambda v: NoiseModel(accidental_rate=v), "accidental_rate"),
+    "NoiseModel.integration": (lambda v: NoiseModel(integration=v), "integration"),
+    "check_gamma_bounds.lo": (lambda v: check_gamma_bounds((v, 50.0)), "gamma bound"),
+    "check_gamma_bounds.hi": (lambda v: check_gamma_bounds((1.0, v)), "gamma bound"),
+    "generate_hologram.extent": (lambda v: generate_hologram(1, 2.0, 4, 4, extent=v), "extent"),
+    "joint_probability_spdc_oracle.radial_cutoff": (
+        lambda v: joint_probability_spdc_oracle(0, 0, 2.0, radial_cutoff=v), "radial_cutoff"
+    ),
+    "frame_from_beta": (frame_from_beta, "beta"),
+    "boosted_azimuth.phi": (lambda v: boosted_azimuth(v, 2.0), "phi"),
+    "azimuth_jacobian.phi_prime": (lambda v: azimuth_jacobian(v, 2.0), "phi_prime"),
+}
+
+
+@pytest.mark.parametrize("site", _FLOAT_SITES)
+@pytest.mark.parametrize("value", [True, False, "6", b"6", np.True_], ids=["True", "False", "str", "bytes", "np.True_"])
+def test_every_float_input_rejects_a_bool_or_a_text(site, value):
+    # float() would read True as 1.0 and "6" or b"6" as 6.0; check_gamma_bounds((True, "50")) returned (1.0, 50.0)
+    call, name = _FLOAT_SITES[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.float32(3.0), np.float64(3.0), Fraction(3), Decimal(3)])
+def test_every_kind_of_number_is_a_number(value):
+    assert require_gamma(value) == 3.0

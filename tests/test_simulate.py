@@ -576,6 +576,11 @@ class TestSubtractBackground:
         with pytest.raises(ValueError, match="unknown subtraction mode 'median'"):
             counts_conditional(counts, 0, "median")
 
+    def test_none_is_the_default_and_leaves_the_counts(self):
+        counts = simulate_counts(2.0, square_windows(2), NoiseModel(accidental_rate=30.0), 4)
+        for cond in (counts_conditional(counts, 1), counts_conditional(counts, 1, "none")):
+            assert cond.values.tobytes() == counts.counts[3].astype(float).tobytes()
+
     def test_both_reduces_msum_bias(self):
         # paired comparison over seeded runs at gamma=10
         model = NoiseModel(pair_rate=1.0e4, accidental_rate=5.0)
@@ -584,7 +589,7 @@ class TestSubtractBackground:
         for seed in range(100):
             counts = simulate_counts(10.0, windows, model, seed)
             cleaned = counts_conditional(counts, 0, "both")
-            raw = counts_conditional(counts, 0, None)
+            raw = counts_conditional(counts, 0, "none")
             with_sub.append(estimate_gamma_msum(cleaned).gamma_meas - 10.0)
             without.append(estimate_gamma_msum(raw).gamma_meas - 10.0)
         assert abs(np.mean(with_sub)) < abs(np.mean(without))
@@ -605,13 +610,13 @@ def run_batches(draw):
 
 class TestCountsConditional:
     @settings(max_examples=150, deadline=None)
-    @given(batch=run_batches(), mode=st.sampled_from([None, "accidental", "minimum", "both"]))
+    @given(batch=run_batches(), mode=st.sampled_from(["none", "accidental", "minimum", "both"]))
     def test_slice_is_the_whole_matrix_row(self, batch, mode):
         spectra, l_a = batch
         row = spectra[0].window_a.index_of(l_a)
         for counts in spectra:
             cond = counts_conditional(counts, l_a, mode)
-            whole = counts.counts.astype(float) if mode is None else reference_subtract(counts, mode)
+            whole = reference_subtract(counts, mode)
             assert (cond.l_a, cond.window_b) == (l_a, counts.window_b)
             # tobytes also compares the sign of every zero
             assert cond.values.tobytes() == whole[row].tobytes()
@@ -622,7 +627,10 @@ class TestCountsConditional:
         with pytest.raises(ValueError, match="unknown subtraction mode"):
             counts_conditional(counts, 0, "median")
         with pytest.raises(ValueError, match=r"l = 4 lies outside the window \[-3, 3\]"):
-            counts_conditional(counts, 4, None)
+            counts_conditional(counts, 4, "none")
+        # "none" is a mode of its own, so None is no mode at all
+        with pytest.raises(ValueError, match=r"^unknown subtraction mode None; expected one of \('none', "):
+            counts_conditional(counts, 0, None)
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -695,18 +696,37 @@ class TestModeCount:
             lambda n: st.lists(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n), min_size=1, max_size=8)
         )
     )
+    @example(rows=[[2.2250738585e-313]])  # a square that underflows to 0
+    @example(rows=[[1e-160, 3e-170, 0.0], [1e4, 1e-300, 5.0]])
     def test_stacked_rows_keep_the_one_slice_bits(self, rows):
-        # the batched dot and one .sum() per row against v @ v and v.sum() of each slice
+        # the batched dot and one .sum() per row against v @ v and v.sum() of each slice, where no square
+        # underflows: scaling a row by a power of two moves no bit there, and keeps the rest from underflowing
         values = np.array(rows)
-        if not all(float(v @ v) > 0.0 for v in values):  # zero rows, or squares that underflow to 0
+        if not values.any(axis=1).all():  # a zero row
             with pytest.raises(ValueError, match="no positive entries"):
                 spectrum._mode_counts(values)
             return
-        expected = [float(v.sum()) * float(v.sum()) / float(v @ v) for v in values]
-        assert bits(spectrum._mode_counts(values)).tolist() == bits(expected).tolist()
+        got = spectrum._mode_counts(values)
+        exact = [float(sum(map(Fraction, v)) ** 2 / sum(Fraction(x) ** 2 for x in v)) for v in rows]
+        assert got.tolist() == pytest.approx(exact, rel=1e-13)
+        kept = [i for i, v in enumerate(values) if (v[v != 0.0] ** 2 >= np.finfo(float).tiny).all()]
+        expected = [float(values[i].sum()) * float(values[i].sum()) / float(values[i] @ values[i]) for i in kept]
+        assert bits(got[kept]).tolist() == bits(expected).tolist()
         window = OamWindow(0, values.shape[1] - 1)
         singles = [mode_count_empirical(ConditionalSlice(l_a=0, window_b=window, values=v)) for v in values]
-        assert bits(singles).tolist() == bits(expected).tolist()
+        assert bits(singles).tolist() == bits(got).tolist()
+
+    @pytest.mark.parametrize(
+        ("window", "values", "expected"),
+        [(OamWindow(0, 2), [1e-200, 0.0, 1e-201], 1.21 / 1.01), (OamWindow(-1, 1), [1e200] * 3, 3.0)],
+        ids=["underflow", "overflow"],
+    )
+    def test_finite_slices_whose_squares_leave_the_float_range(self, window, values, expected):
+        # squared unscaled, the first raised "no positive entries" and the second warned of an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mode_count_empirical(ConditionalSlice(l_a=0, window_b=window, values=values))
+        assert got == pytest.approx(expected, rel=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(
